@@ -459,7 +459,7 @@ func BenchmarkService_SolveColdRepeatedFamily(b *testing.B) {
 // allocs/op converges to the arena bookkeeping floor (≤ 50 per the
 // acceptance bar; the CI gate in service asserts it stays there).
 func BenchmarkService_SolveSteadyState(b *testing.B) {
-	s := service.New(service.Config{QueueDepth: 1, CacheBytes: 1, DropTraces: true})
+	s := service.New(service.Config{QueueDepth: 1, CacheBytes: 1})
 	defer s.Close()
 	// Warm the arenas and the params memo before measuring.
 	for i := 0; i < 3; i++ {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dftp-serve [-addr :8080] [-workers 0] [-queue 64] [-cache-mb 64] [-traces]
+//	dftp-serve [-addr :8080] [-workers 0] [-queue 64] [-cache-mb 64]
 //	           [-log-format text|json] [-log-level info] [-pprof addr]
 //	           [-trace-buffer 256] [-trace-sample 0.01] [-trace-slow 250ms]
 //
@@ -14,7 +14,7 @@
 //	POST /v1/portfolio     race several algorithms, return the winner
 //	POST /v1/batch         many solves, order-preserving response
 //	GET  /v1/solve/{hash}  cache probe (404 on miss, never computes)
-//	GET  /v1/trace/{hash}  cached event stream as NDJSON
+//	GET  /v1/trace/{hash}  cached run's event stream, replayed, as NDJSON
 //	GET  /healthz          liveness
 //	GET  /statsz           cache hit rate, queue depth, solves/races served (JSON)
 //	GET  /metricsz         full metric registry, Prometheus text exposition
@@ -87,8 +87,7 @@ func run() error {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "job queue depth (full queue sheds with 429)")
-		cacheMB   = flag.Int64("cache-mb", 64, "result cache budget in MiB (approximate retained bytes: responses + traces)")
-		traces    = flag.Bool("traces", true, "retain per-solve event traces for GET /v1/trace/{hash} (disable to cache responses only)")
+		cacheMB   = flag.Int64("cache-mb", 64, "result cache budget in MiB (approximate retained bytes: responses + replay inputs)")
 		logFormat = flag.String("log-format", "text", "structured request log format: text, json, or none")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -123,7 +122,6 @@ func run() error {
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		CacheBytes:  *cacheMB << 20,
-		DropTraces:  !*traces,
 		Logger:      logger,
 		TraceBuffer: cfgBuffer,
 		TraceSample: cfgSample,
@@ -160,8 +158,8 @@ func run() error {
 		fmt.Printf("dftp-serve: pprof on %s\n", *pprofAddr)
 	}
 	st := svc.Stats()
-	fmt.Printf("dftp-serve: listening on %s (workers=%d queue=%d cache=%dMiB traces=%v)\n",
-		*addr, st.Workers, st.QueueCapacity, st.CacheCapacity>>20, st.TracesRetained)
+	fmt.Printf("dftp-serve: listening on %s (workers=%d queue=%d cache=%dMiB)\n",
+		*addr, st.Workers, st.QueueCapacity, st.CacheCapacity>>20)
 
 	select {
 	case err := <-errCh:

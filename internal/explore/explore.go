@@ -140,14 +140,23 @@ func newResult() *Result {
 type rectScratch struct {
 	resFree  []*Result
 	stopFree [][]geom.Point
-	// keyseq disambiguates solo-sweep barrier keys (several explorations can
-	// share an (ID, Now) pair). A counter rather than a pointer address: %p
-	// of a local would force the local to heap on every call, traced or not.
+	// keyseq disambiguates barrier keys (several explorations can share an
+	// (ID, Now) pair). It counts within one run and rewinds with the engine,
+	// so the keys, which appear on traces, depend only on the run.
 	keyseq uint64
 }
 
 func scratchOf(e *sim.Engine) *rectScratch {
 	return sim.ScratchOf(e, "explore.rect", func() *rectScratch { return &rectScratch{} })
+}
+
+// ResetRun implements sim.RunScratch.
+func (sc *rectScratch) ResetRun() { sc.keyseq = 0 }
+
+// barrierKey names one exploration's meeting barrier.
+func (sc *rectScratch) barrierKey(p *sim.Proc) string {
+	sc.keyseq++
+	return fmt.Sprintf("explore/%d/%.9f/%d", p.ID(), p.Now(), sc.keyseq)
 }
 
 func (sc *rectScratch) getResult() *Result {
@@ -227,8 +236,7 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 		res := sc.getResult()
 		var key string
 		if e.Tracing() {
-			sc.keyseq++
-			key = fmt.Sprintf("explore/%d/%.9f/%d", p.ID(), p.Now(), sc.keyseq)
+			key = sc.barrierKey(p)
 		}
 		pl := planRectInto(r, geom.MetricOrL2(metric).InscribedSquare(), sc.getStops())
 		err := runPlan(p, pl, dest, res)
@@ -240,7 +248,7 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	}
 	k := 1 + len(memberIDs)
 	strips := r.HStrips(k)
-	key := fmt.Sprintf("explore/%d/%.9f/%p", p.ID(), p.Now(), &strips)
+	key := scratchOf(p.Engine()).barrierKey(p)
 	results := make([]*Result, k)
 	errs := make([]error, k)
 	for i, id := range memberIDs {

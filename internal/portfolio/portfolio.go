@@ -127,6 +127,10 @@ type Result struct {
 	// Res and Rep are the winning run's full simulation result and report.
 	Res sim.Result
 	Rep *dftp.Report
+	// WinnerFaults is the fault specification (or draw) that produced the
+	// winning run, nil for a fault-free race: with the winner's algorithm and
+	// the race's inputs, dftp.SolveFaulted reproduces that run exactly.
+	WinnerFaults *dftp.Faults
 	// Events is the winning run's event trace (only when Options.Trace).
 	Events []sim.Event
 
@@ -199,8 +203,7 @@ type racerRun struct {
 	accepted bool
 	aborted  bool // skipped or ctx-stopped; scheduling-dependent
 	// faults is the specification that produced res — under an UnderFaults
-	// objective, the representative (worst) draw's reseeded copy — so a traced
-	// race can reproduce the winning run exactly.
+	// objective, the representative (worst) draw's reseeded copy.
 	faults *dftp.Faults
 }
 
@@ -317,11 +320,7 @@ func Race(p Portfolio, inst *instance.Instance, tup dftp.Tuple, budget float64, 
 		// re-solving the winner with a recorder reproduces the winning run
 		// exactly, at the cost of one extra simulation per traced race.
 		rec := trace.New()
-		if winF := runs[out.Winner].faults; winF != nil {
-			if _, _, err := dftp.SolveFaulted(context.Background(), nil, opts.Metric, p.Algorithms[out.Winner], inst, tup, budget, winF, rec.Record); err != nil {
-				return nil, fmt.Errorf("portfolio: re-tracing the winner: %w", err)
-			}
-		} else if _, _, err := dftp.SolveIn(context.Background(), opts.Metric, p.Algorithms[out.Winner], inst, tup, budget, rec.Record); err != nil {
+		if _, _, err := dftp.SolveFaulted(context.Background(), nil, opts.Metric, p.Algorithms[out.Winner], inst, tup, budget, out.WinnerFaults, rec.Record); err != nil {
 			return nil, fmt.Errorf("portfolio: re-tracing the winner: %w", err)
 		}
 		out.Events = rec.Events()
@@ -375,13 +374,9 @@ func runRacer(p Portfolio, obj Objective, inst *instance.Instance, tup dftp.Tupl
 // draw (incomplete wake-ups first, then the largest makespan, earliest draw
 // on exact ties), so the objective scores each algorithm by its worst
 // observed behavior. The returned specification is the one that produced the
-// returned result; a traced race replays it to reproduce the winning run.
+// returned result (nil without faults); the winner's is Result.WinnerFaults.
 func solveRacer(ctx context.Context, m geom.Metric, alg dftp.Algorithm, inst *instance.Instance,
 	tup dftp.Tuple, budget float64, faults *dftp.Faults, obj Objective) (sim.Result, *dftp.Report, *dftp.Faults, error) {
-	if faults == nil {
-		res, rep, err := dftp.SolveIn(ctx, m, alg, inst, tup, budget, nil)
-		return res, rep, nil, err
-	}
 	uf, multi := obj.(UnderFaults)
 	if !multi {
 		res, rep, err := dftp.SolveFaulted(ctx, nil, m, alg, inst, tup, budget, faults, nil)
@@ -457,7 +452,7 @@ func assemble(p Portfolio, obj Objective, runs []racerRun) (*Result, error) {
 	}
 
 	win := runs[out.Winner]
-	out.Res, out.Rep = win.res, win.rep
+	out.Res, out.Rep, out.WinnerFaults = win.res, win.rep, win.faults
 	out.Racers = make([]RacerResult, len(runs))
 	for i, run := range runs {
 		rr := RacerResult{Index: i, Algorithm: p.Algorithms[i].Name(), Seed: rngstream.TrialSeed(p.Seed, i)}

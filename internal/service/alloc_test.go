@@ -21,7 +21,7 @@ import (
 // stack or pooled storage; the only tolerated allocations are the key
 // scratch spill and metrics bookkeeping.
 func TestAllocs_CacheHit(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, DropTraces: true})
+	s := newTestService(t, Config{Workers: 1})
 	req := walkRequest(7)
 	if _, err := s.Solve(req); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestAllocs_CacheHit(t *testing.T) {
 // grids, wake-tree builder, and explore pools are all reused. Mirrors
 // BenchmarkService_SolveSteadyState; budget 50 versus ~2600 pre-arena.
 func TestAllocs_SteadyStateSolve(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, DropTraces: true, CacheBytes: 1, QueueDepth: 1})
+	s := newTestService(t, Config{Workers: 1, CacheBytes: 1, QueueDepth: 1})
 	req := walkRequest(7)
 	// Warm the arena: first runs of a shape grow the slabs and pools.
 	for i := 0; i < 3; i++ {

@@ -4,35 +4,32 @@ import (
 	"unsafe"
 
 	"freezetag/internal/dftp"
+	"freezetag/internal/geom"
 	"freezetag/internal/instance"
-	"freezetag/internal/sim"
 )
 
 // entry is one cached solve: the exact marshaled response bytes (cache hits
-// must be byte-identical to the cold response, so the bytes themselves are
-// what is stored) plus the event trace for GET /v1/trace/{hash} (empty when
-// trace retention is disabled) and the entry's approximate retained bytes.
+// must be byte-identical to the cold response), the resolved inputs that
+// produced them, which GET /v1/trace/{hash} re-simulates (for a race, the
+// winning entrant and its fault draw), and the approximate retained bytes.
 type entry struct {
-	hash   string
-	body   []byte
-	events []sim.Event
-	size   int64
+	body []byte
+	in   resolved
+	size int64
 }
 
 // entryOverhead approximates per-entry bookkeeping outside the payload:
-// list node, map bucket share, entry struct, slice headers.
+// list node, map bucket share, entry struct, slice headers, fault spec.
 const entryOverhead = 256
 
-// sized computes and stores the entry's approximate retained bytes: body +
-// hash + trace + bookkeeping. Event payloads are the struct plus its string
-// fields; this is an estimate (the cache bound is approximate by contract),
-// but it scales with exactly the quantities that made the old entry-count
-// bound unbounded in practice: response size and trace length.
+// sized computes and stores the entry's approximate retained bytes: body,
+// hash, the instance's points and profiles (possibly shared with the params
+// memo, so this over-counts), and bookkeeping.
 func (e *entry) sized() *entry {
-	size := int64(len(e.body)+len(e.hash)) + entryOverhead
-	size += int64(len(e.events)) * int64(unsafe.Sizeof(sim.Event{}))
-	for _, ev := range e.events {
-		size += int64(len(ev.Kind) + len(ev.Extra))
+	size := int64(len(e.body)+len(e.in.hash)) + entryOverhead
+	if inst := e.in.inst; inst != nil {
+		size += int64(cap(inst.Points))*int64(unsafe.Sizeof(geom.Point{})) +
+			int64(cap(inst.Profiles))*int64(unsafe.Sizeof(instance.Profile{}))
 	}
 	e.size = size
 	return e
@@ -59,6 +56,9 @@ type lru[V any] struct {
 	m          map[string]*lruNode[V]
 	head, tail *lruNode[V] // head = most recently used
 	free       *lruNode[V] // evicted nodes, chained via next
+	// evicted, when set, is told the size of every value the capacity bound
+	// evicts (values replaced under their own key are not evictions).
+	evicted func(size int64)
 }
 
 type lruNode[V any] struct {
@@ -153,8 +153,12 @@ func (c *lru[V]) add(key string, val V) {
 		oldest := c.tail
 		c.unlink(oldest)
 		delete(c.m, oldest.key)
-		c.total -= c.sizeOf(oldest.val)
+		size := c.sizeOf(oldest.val)
+		c.total -= size
 		c.count--
+		if c.evicted != nil {
+			c.evicted(size)
+		}
 		var zero V
 		oldest.key, oldest.val = "", zero // release for GC before parking
 		oldest.next = c.free
@@ -165,10 +169,13 @@ func (c *lru[V]) add(key string, val V) {
 func (c *lru[V]) len() int { return c.count }
 
 // newLRU builds the result cache: an LRU over request hashes bounded by
-// approximate retained bytes, not entry count — a handful of huge traced
-// responses and thousands of small ones are both held to one memory budget.
-func newLRU(capBytes int64) *lru[*entry] {
-	return newCache(capBytes, func(e *entry) int64 { return e.size })
+// approximate retained bytes, not entry count — a handful of huge inline
+// instances and thousands of small family requests are both held to one
+// memory budget. evicted is told the size of each entry the bound evicts.
+func newLRU(capBytes int64, evicted func(size int64)) *lru[*entry] {
+	c := newCache(capBytes, func(e *entry) int64 { return e.size })
+	c.evicted = evicted
+	return c
 }
 
 // newMemoLRU builds the request-shape → hash memo: family-generated

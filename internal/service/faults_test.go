@@ -48,6 +48,33 @@ func TestHTTPFaultedSolve(t *testing.T) {
 	}
 }
 
+// The request whose miss ran a repaired run reports the repair stage like
+// the requests that joined it would: a Server-Timing entry and a span on its
+// kept trace.
+func TestMissReportsRepairStage(t *testing.T) {
+	_, srv := newTestServer(t, traceTestConfig(Config{Workers: 1}))
+	resp, body := postSolve(t, srv, faultedWalkBody)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("faulted solve: %d X-Cache=%q %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	st := resp.Header.Get("Server-Timing")
+	if !strings.Contains(st, ", repair;dur=") {
+		t.Fatalf("miss Server-Timing has no repair entry: %q", st)
+	}
+	m := traceIDRe.FindStringSubmatch(st)
+	if m == nil {
+		t.Fatalf("Server-Timing has no traceid entry: %q", st)
+	}
+	var full TraceJSON
+	getJSON(t, srv.URL+"/tracez/"+m[1], &full)
+	for _, sp := range full.Spans {
+		if sp.Name == "repair" {
+			return
+		}
+	}
+	t.Fatalf("kept miss trace has no repair span: %+v", full.Spans)
+}
+
 // A fault-free solve must not grow a faults field — the response bytes are
 // golden-locked to the pre-fault era.
 func TestHTTPFaultFreeOmitsFaults(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 //	POST /v1/portfolio        race several algorithms, return the winner (cache-first)
 //	POST /v1/batch            solve many requests, order-preserving reply
 //	GET  /v1/solve/{hash}     cache probe — never computes; 404 on miss
-//	GET  /v1/trace/{hash}     cached event stream as NDJSON; 404 on miss
+//	GET  /v1/trace/{hash}     cached run's event stream, replayed, as NDJSON; 404 on miss
 //	GET  /healthz             liveness
 //	GET  /statsz              cache/queue/solve/race counters (JSON view of /metricsz)
 //	GET  /metricsz            full metric registry, Prometheus text exposition
@@ -103,6 +103,8 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrNotCached):
+		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
@@ -182,6 +184,9 @@ func serverTiming(sv Solved) string {
 	if sv.Sim > 0 || sv.Outcome == OutcomeMiss {
 		b = obs.AppendServerTiming(b, "sim", sv.Sim)
 	}
+	if sv.Repair > 0 {
+		b = obs.AppendServerTiming(b, "repair", sv.Repair)
+	}
 	if sv.Marshal > 0 || sv.Outcome == OutcomeMiss {
 		b = obs.AppendServerTiming(b, "marshal", sv.Marshal)
 	}
@@ -251,7 +256,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleProbe(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.Probe(r.PathValue("hash"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("not cached"))
+		s.writeError(w, http.StatusNotFound, ErrNotCached)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -260,13 +265,9 @@ func (s *Service) handleProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.TracesRetained() {
-		s.writeError(w, http.StatusNotFound, errors.New("trace retention disabled (serve with -traces)"))
-		return
-	}
-	events, ok := s.TraceEvents(r.PathValue("hash"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("not cached"))
+	events, err := s.TraceEvents(r.PathValue("hash"))
+	if err != nil {
+		s.writeError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

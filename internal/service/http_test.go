@@ -68,8 +68,9 @@ func TestHTTPSolveTwiceOneSimulation(t *testing.T) {
 	}
 }
 
-// Hammer the server with concurrent identical and distinct requests; run
-// with -race. Identical requests must coalesce to one simulation each.
+// Hammer the server with concurrent identical and distinct requests, each
+// followed by a replay of its trace; run with -race. Identical requests must
+// coalesce to one simulation each, and replays never count as solves.
 func TestHTTPConcurrentHammer(t *testing.T) {
 	s, srv := newTestServer(t, Config{Workers: 4, QueueDepth: 128})
 	const perSeed, seeds = 8, 4
@@ -87,10 +88,22 @@ func TestHTTPConcurrentHammer(t *testing.T) {
 					errCh <- err
 					return
 				}
-				io.Copy(io.Discard, resp.Body)
+				var sr SolveResponse
+				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("status %d", resp.StatusCode)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errCh <- fmt.Errorf("solve: status %d: %v", resp.StatusCode, err)
+					return
+				}
+				tr, err := http.Get(srv.URL + "/v1/trace/" + sr.Hash)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				io.Copy(io.Discard, tr.Body)
+				tr.Body.Close()
+				if tr.StatusCode != http.StatusOK {
+					errCh <- fmt.Errorf("trace: status %d", tr.StatusCode)
 				}
 			}(body)
 		}
@@ -102,6 +115,9 @@ func TestHTTPConcurrentHammer(t *testing.T) {
 	}
 	if got := s.Stats().Solves; got != seeds {
 		t.Fatalf("ran %d simulations for %d distinct payloads", got, seeds)
+	}
+	if got := s.traceReplays.Load(); got != perSeed*seeds {
+		t.Fatalf("%d trace replays for %d trace requests", got, perSeed*seeds)
 	}
 }
 

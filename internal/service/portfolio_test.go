@@ -243,26 +243,3 @@ func TestPortfolioObjectiveAliasesShareKey(t *testing.T) {
 		t.Fatalf("alias missed the cache: %s vs %s", a.Hash, b.Hash)
 	}
 }
-
-// Trace retention disabled: /v1/trace answers 404 with the reason even for
-// cached hashes.
-func TestHTTPTraceDisabled(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 1, DropTraces: true})
-	r1, b1 := postSolve(t, srv, walkBody)
-	if r1.StatusCode != http.StatusOK {
-		t.Fatalf("solve: %d %s", r1.StatusCode, b1)
-	}
-	var resp SolveResponse
-	if err := json.Unmarshal(b1, &resp); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := http.Get(srv.URL + "/v1/trace/" + resp.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(tr.Body)
-	tr.Body.Close()
-	if tr.StatusCode != http.StatusNotFound || !bytes.Contains(body, []byte("disabled")) {
-		t.Fatalf("trace with retention disabled: %d %s", tr.StatusCode, body)
-	}
-}

@@ -22,7 +22,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 
 // responseFixture is one locked pre-heterogeneity (PR 5) served response:
 // the raw request JSON (solve or race) and the exact body PR 5 returned for
-// it under Config{Workers: 2, DropTraces: true}. Profile-free requests must
+// it under Config{Workers: 2}. Profile-free requests must
 // keep serving these bytes — the hash is a live cache key and the body is
 // what clients replay against.
 type responseFixture struct {
@@ -50,7 +50,7 @@ func TestResponseCompatPR5Golden(t *testing.T) {
 	// Full instrumentation on — request logging included — to pin down that
 	// timing and telemetry live only in headers/logs, never in the bodies.
 	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
-	_, srv := newTestServer(t, Config{Workers: 2, DropTraces: true, Logger: logger})
+	_, srv := newTestServer(t, Config{Workers: 2, Logger: logger})
 	for _, f := range fs {
 		path, req := "/v1/solve", f.Solve
 		if req == nil {

@@ -48,6 +48,10 @@ var ErrQueueFull = errors.New("job queue full")
 // ErrClosed is returned by Solve after Close.
 var ErrClosed = errors.New("service closed")
 
+// ErrNotCached is returned for a hash the result cache does not hold; the
+// HTTP layer maps it to 404.
+var ErrNotCached = errors.New("not cached")
+
 // Config sizes a Service. Zero values select the defaults.
 type Config struct {
 	// Workers is the solver pool size (default GOMAXPROCS). It also bounds
@@ -57,14 +61,10 @@ type Config struct {
 	// (default 64). A full queue sheds new work with ErrQueueFull.
 	QueueDepth int
 	// CacheBytes bounds the result cache by approximate retained bytes —
-	// marshaled response + event trace + bookkeeping — rather than entry
-	// count, so varied workloads with huge traces and tiny ones share one
-	// memory budget (default 64 MiB).
+	// marshaled response + the replay inputs' instance + bookkeeping —
+	// rather than entry count, so varied workloads with huge inline
+	// instances and tiny ones share one memory budget (default 64 MiB).
 	CacheBytes int64
-	// DropTraces disables per-entry event-trace retention: simulations run
-	// untraced, cache entries hold only the marshaled response, and
-	// GET /v1/trace/{hash} reports traces disabled.
-	DropTraces bool
 	// Logger, when non-nil, receives one structured record per request
 	// (request hash, outcome, per-stage durations) plus request failures.
 	// Nil disables request logging entirely — the hot path then never
@@ -143,7 +143,7 @@ type Solved struct {
 	Total   time.Duration
 	// Repair is the estimated share of Sim spent inside the fault-repair
 	// layer's active window (zero for fault-free runs); it surfaces as a
-	// "repair" child span on kept traces.
+	// "repair" child span on kept traces and a Server-Timing entry.
 	Repair time.Duration
 	// TraceID is the request's trace identity when one exists: the inbound
 	// ID for HTTP requests, or a minted one if the trace was kept. Empty
@@ -155,12 +155,13 @@ type Solved struct {
 	racers []portfolio.RacerObservation
 }
 
-// job is one queued unit of work: a simulation or a whole portfolio race,
-// closed over by run. width is the job's effective admission weight: the
-// number of worker slots its simulations can occupy at once (1 for a solve,
-// min(k, Workers) for a k-entrant race, whose internal pool is clamped to
-// Workers). run receives the call's stage clock so the worker-side stages
-// (simulate, marshal) land next to the queue wait it measures itself.
+// job is one queued unit of work: a simulation, a whole portfolio race, or a
+// trace replay, closed over by run. width is the job's effective admission
+// weight: the number of worker slots its simulations can occupy at once (1
+// for a solve or replay, min(k, Workers) for a k-entrant race, whose
+// internal pool is clamped to Workers). run receives the call's stage clock
+// so the worker-side stages (simulate, marshal) land next to the queue wait
+// it measures itself. A replay has no hash and returns no entry.
 type job struct {
 	hash     string
 	width    int
@@ -240,6 +241,9 @@ type Service struct {
 	simMoves        *obs.Counter
 	simWakes        *obs.Counter
 	repairs         *obs.Counter
+	evictions       *obs.Counter
+	evictedBytes    *obs.Counter
+	traceReplays    *obs.Counter
 	// faultsInjected maps a fault kind to its dftp_faults_injected_total
 	// series; kinds are a fixed set, preregistered like reqOutcomes.
 	faultsInjected map[string]*obs.Counter
@@ -307,11 +311,14 @@ func New(cfg Config) *Service {
 		log:      cfg.Logger,
 		start:    time.Now(),
 		jobs:     make(chan *job, cfg.QueueDepth),
-		cache:    newLRU(cfg.CacheBytes),
 		shapes:   newMemoLRU(cfg.memoSize),
 		params:   newParamsLRU(cfg.memoSize),
 		inflight: make(map[string]*call),
 	}
+	s.cache = newLRU(cfg.CacheBytes, func(size int64) {
+		s.evictions.Inc()
+		s.evictedBytes.Add(size)
+	})
 	if cfg.TraceBuffer > 0 {
 		s.traces = obs.NewTraceStore(cfg.TraceBuffer)
 	}
@@ -343,6 +350,9 @@ func (s *Service) initObs() {
 	s.simLooks = r.Counter("dftp_sim_looks_total", "Simulator Look snapshots across all completed runs.")
 	s.simMoves = r.Counter("dftp_sim_moves_total", "Completed robot moves across all completed runs.")
 	s.simWakes = r.Counter("dftp_sim_wakes_total", "Robots awakened across all completed runs.")
+	s.evictions = r.Counter("dftp_cache_evictions_total", "Result-cache entries evicted by the byte budget.")
+	s.evictedBytes = r.Counter("dftp_cache_evicted_bytes_total", "Approximate retained bytes of the evicted result-cache entries.")
+	s.traceReplays = r.Counter("dftp_trace_replays_total", "GET /v1/trace requests admitted to re-simulate a cached run.")
 
 	const stageHelp = "Per-stage request latency: resolve (validate + materialize + hash), queue (admission to worker pickup), sim (the simulation or whole race), repair (estimated share of sim inside the fault-repair window), marshal (response encoding)."
 	s.stageResolve = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "resolve"))
@@ -728,7 +738,8 @@ func shapeKey(b []byte, solverName string, m geom.Metric, inline *instance.Insta
 }
 
 // resolved is a solve request after validation: concrete algorithm, metric,
-// instance, tuple, budget, and the content hash they determine.
+// instance, tuple, budget, faults, and the content hash they determine: all
+// the run depends on, so a cache entry keeps it to re-simulate the run.
 type resolved struct {
 	hash   string
 	alg    dftp.Algorithm
@@ -759,15 +770,11 @@ func (s *Service) resolve(alg dftp.Algorithm, m geom.Metric, req SolveRequest) (
 	}, nil
 }
 
-// resolvedPortfolio is a portfolio request after validation.
+// resolvedPortfolio is a portfolio request after validation; alg is unset
+// until the race has a winner.
 type resolvedPortfolio struct {
-	hash   string
-	pf     portfolio.Portfolio
-	metric geom.Metric
-	inst   *instance.Instance
-	tup    dftp.Tuple
-	budget float64
-	faults *dftp.Faults
+	resolved
+	pf portfolio.Portfolio
 }
 
 // maxPortfolioAlgorithms caps one race's entrant list (duplicates are legal
@@ -812,13 +819,15 @@ func (s *Service) resolvePortfolio(pf portfolio.Portfolio, m geom.Metric, req Po
 		return r, err
 	}
 	return resolvedPortfolio{
-		hash:   instance.HashRequestFaulted(m, pf.Name(), inst, tup.Ell, tup.Rho, tup.N, budget, req.Faults.Canon()),
-		pf:     pf,
-		metric: m,
-		inst:   inst,
-		tup:    tup,
-		budget: budget,
-		faults: req.Faults,
+		resolved: resolved{
+			hash:   instance.HashRequestFaulted(m, pf.Name(), inst, tup.Ell, tup.Rho, tup.N, budget, req.Faults.Canon()),
+			metric: m,
+			inst:   inst,
+			tup:    tup,
+			budget: budget,
+			faults: req.Faults,
+		},
+		pf: pf,
 	}, nil
 }
 
@@ -867,13 +876,7 @@ func (s *Service) SolveTraced(topt TraceOpt, req SolveRequest) (Solved, error) {
 	}
 	run := func(ts *stageTimes, ar *arena.Arena) (*entry, error) {
 		rsp := obs.StartSpan()
-		var rec *trace.Recorder
-		var traceFn func(sim.Event)
-		if !s.cfg.DropTraces {
-			rec = trace.New()
-			traceFn = rec.Record
-		}
-		res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, r.alg, r.inst, r.tup, r.budget, r.faults, traceFn)
+		res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, r.alg, r.inst, r.tup, r.budget, r.faults, nil)
 		ts.sim = rsp.Mark("sim")
 		s.stageSim.Record(ts.sim.Seconds())
 		s.solves.Add(1)
@@ -892,11 +895,7 @@ func (s *Service) SolveTraced(topt TraceOpt, req SolveRequest) (Solved, error) {
 		if err != nil {
 			return nil, err
 		}
-		ent := &entry{hash: r.hash, body: body}
-		if rec != nil {
-			ent.events = rec.Events()
-		}
-		return ent.sized(), nil
+		return (&entry{body: body, in: r}).sized(), nil
 	}
 	sv, err := s.startOrJoin(r.hash, string(key), 1, run)
 	sv.Resolve = resolveDur
@@ -1029,8 +1028,7 @@ func (s *Service) SolvePortfolioTraced(topt TraceOpt, req PortfolioRequest) (Sol
 			}
 		}
 		res, err := portfolio.Race(r.pf, r.inst, r.tup, r.budget,
-			portfolio.Options{Workers: s.cfg.Workers, Trace: !s.cfg.DropTraces, Metric: r.metric,
-				Observe: observe, Faults: r.faults})
+			portfolio.Options{Workers: s.cfg.Workers, Metric: r.metric, Observe: observe, Faults: r.faults})
 		ts.sim = rsp.Mark("sim")
 		// Race joined all racer goroutines before returning, so racerObs is
 		// complete and safe to read without the mutex here.
@@ -1060,7 +1058,10 @@ func (s *Service) SolvePortfolioTraced(topt TraceOpt, req PortfolioRequest) (Sol
 		if err != nil {
 			return nil, err
 		}
-		return (&entry{hash: r.hash, body: body, events: res.Events}).sized(), nil
+		// The winner's run is the race's trace: keep its recipe.
+		in := r.resolved
+		in.alg, in.faults = r.pf.Algorithms[res.Winner], res.WinnerFaults
+		return (&entry{body: body, in: in}).sized(), nil
 	}
 	// A k-entrant race runs min(k, Workers) simulations concurrently inside
 	// its worker slot; admission accounts for that width so a burst of
@@ -1084,30 +1085,64 @@ func (s *Service) memoLookup(key []byte) (sv Solved, handled bool, err error) {
 		s.mu.Unlock()
 		return Solved{}, true, ErrClosed
 	}
-	hash, ok := s.shapes.getBytes(key)
-	if !ok {
-		s.mu.Unlock()
-		return Solved{}, false, nil
-	}
-	if e, ok := s.cache.get(hash); ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		s.memoHits.Add(1)
-		return Solved{Hash: hash, Body: e.body, Hit: true, Outcome: OutcomeHit}, true, nil
-	}
-	if c, ok := s.inflight[hash]; ok {
-		s.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return Solved{}, true, c.err
+	if hash, ok := s.shapes.getBytes(key); ok {
+		if sv, ok, err := s.joinLocked(hash); ok {
+			if err == nil {
+				s.memoHits.Add(1)
+			}
+			return sv, true, err
 		}
-		s.coalesced.Add(1)
-		s.memoHits.Add(1)
-		return Solved{Hash: hash, Body: c.ent.body, Hit: true, Outcome: OutcomeCoalesced,
-			Queue: c.queue, Sim: c.sim, Marshal: c.marshal, Repair: c.repair, racers: c.racers}, true, nil
 	}
 	s.mu.Unlock()
 	return Solved{}, false, nil
+}
+
+// joinLocked serves hash from the cache or by waiting on its in-flight run.
+// It is called with s.mu held and releases it when it reports found; when
+// neither has the hash the lock stays held for the caller.
+func (s *Service) joinLocked(hash string) (sv Solved, found bool, err error) {
+	if e, ok := s.cache.get(hash); ok {
+		s.mu.Unlock()
+		s.hits.Add(1)
+		return Solved{Hash: hash, Body: e.body, Hit: true, Outcome: OutcomeHit}, true, nil
+	}
+	c, ok := s.inflight[hash]
+	if !ok {
+		return Solved{}, false, nil
+	}
+	s.mu.Unlock()
+	<-c.done
+	if c.err != nil {
+		return Solved{}, true, c.err
+	}
+	// Count only successful coalesces, so hitRate never credits requests
+	// that were actually served an error.
+	s.coalesced.Add(1)
+	return c.served(hash, OutcomeCoalesced), true, nil
+}
+
+// served is the Solved of a request that waited on the finished call c: the
+// run's body and the stage times of the run it waited on.
+func (c *call) served(hash, outcome string) Solved {
+	return Solved{Hash: hash, Body: c.ent.body, Hit: outcome != OutcomeMiss, Outcome: outcome,
+		Queue: c.queue, Sim: c.sim, Marshal: c.marshal, Repair: c.repair, racers: c.racers}
+}
+
+// enqueueLocked admits j under the width-weighted cap and queues it; s.mu
+// must be held. A full queue sheds the job with ErrQueueFull, counted in
+// dftp_shed_total whether the job is a solve, a race or a trace replay.
+func (s *Service) enqueueLocked(j *job) error {
+	if s.queueWeight+j.width <= s.cfg.QueueDepth+s.cfg.Workers {
+		j.enqueued = time.Now()
+		select {
+		case s.jobs <- j:
+			s.queueWeight += j.width
+			return nil
+		default:
+		}
+	}
+	s.shed.Add(1)
+	return ErrQueueFull
 }
 
 // startOrJoin is the cache-first core shared by Solve and SolvePortfolio:
@@ -1132,49 +1167,23 @@ func (s *Service) startOrJoin(hash, memoKey string, width int, run func(*stageTi
 	if memoKey != "" {
 		s.shapes.add(memoKey, hash)
 	}
-	if e, ok := s.cache.get(hash); ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return Solved{Hash: hash, Body: e.body, Hit: true, Outcome: OutcomeHit}, nil
-	}
-	if c, ok := s.inflight[hash]; ok {
-		s.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return Solved{}, c.err
-		}
-		// Count only successful coalesces, so hitRate never credits
-		// requests that were actually served an error.
-		s.coalesced.Add(1)
-		return Solved{Hash: hash, Body: c.ent.body, Hit: true, Outcome: OutcomeCoalesced,
-			Queue: c.queue, Sim: c.sim, Marshal: c.marshal, Repair: c.repair, racers: c.racers}, nil
-	}
-	if s.queueWeight+width > s.cfg.QueueDepth+s.cfg.Workers {
-		s.mu.Unlock()
-		s.shed.Add(1)
-		return Solved{}, ErrQueueFull
+	if sv, ok, err := s.joinLocked(hash); ok {
+		return sv, err
 	}
 	c := &call{done: make(chan struct{})}
-	s.inflight[hash] = c
-	j := &job{hash: hash, width: width, enqueued: time.Now(), call: c, run: run}
-	select {
-	case s.jobs <- j:
-		s.queueWeight += width
+	if err := s.enqueueLocked(&job{hash: hash, width: width, call: c, run: run}); err != nil {
 		s.mu.Unlock()
-	default:
-		delete(s.inflight, hash)
-		s.mu.Unlock()
-		s.shed.Add(1)
-		return Solved{}, ErrQueueFull
+		return Solved{}, err
 	}
+	s.inflight[hash] = c
+	s.mu.Unlock()
 	s.misses.Add(1)
 
 	<-c.done
 	if c.err != nil {
 		return Solved{}, c.err
 	}
-	return Solved{Hash: hash, Body: c.ent.body, Hit: false, Outcome: OutcomeMiss,
-		Queue: c.queue, Sim: c.sim, Marshal: c.marshal, racers: c.racers}, nil
+	return c.served(hash, OutcomeMiss), nil
 }
 
 // worker runs queued jobs, stores the marshaled response in the cache, and
@@ -1195,7 +1204,7 @@ func (s *Service) worker() {
 		ent, err := j.run(&j.call.stageTimes, ar)
 		s.mu.Lock()
 		if ent != nil {
-			s.cache.add(ent.hash, ent)
+			s.cache.add(j.hash, ent)
 		}
 		delete(s.inflight, j.hash)
 		s.queueWeight -= j.width
@@ -1217,19 +1226,39 @@ func (s *Service) Probe(hash string) ([]byte, bool) {
 	return e.body, true
 }
 
-// TracesRetained reports whether per-entry event traces are kept (false
-// under Config.DropTraces).
-func (s *Service) TracesRetained() bool { return !s.cfg.DropTraces }
-
-// TraceEvents returns the cached event stream for a hash, if present.
-func (s *Service) TraceEvents(hash string) ([]sim.Event, bool) {
+// TraceEvents returns the event stream of the run behind a cached hash. The
+// cache keeps a run's inputs rather than its events, and a run is a pure
+// function of its inputs, so the run is simulated again: a width-1 job
+// admitted and queued like a solve. Errors: ErrNotCached for a hash the cache
+// does not hold, ErrQueueFull, ErrClosed, or a simulation failure.
+func (s *Service) TraceEvents(hash string) ([]sim.Event, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
 	e, ok := s.cache.get(hash)
 	if !ok {
-		return nil, false
+		s.mu.Unlock()
+		return nil, ErrNotCached
 	}
-	return e.events, true
+	in := e.in
+	rec := trace.New()
+	c := &call{done: make(chan struct{})}
+	err := s.enqueueLocked(&job{width: 1, call: c, run: func(_ *stageTimes, ar *arena.Arena) (*entry, error) {
+		_, _, err := dftp.SolveFaulted(context.Background(), ar, in.metric, in.alg, in.inst, in.tup, in.budget, in.faults, rec.Record)
+		return nil, err
+	}})
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	s.traceReplays.Inc()
+	<-c.done
+	if c.err != nil {
+		return nil, c.err
+	}
+	return rec.Events(), nil
 }
 
 // Stats snapshots the service counters.
@@ -1256,7 +1285,8 @@ func (s *Service) Stats() Stats {
 		CacheLen:        cacheLen,
 		CacheBytes:      cacheBytes,
 		CacheCapacity:   s.cfg.CacheBytes,
-		TracesRetained:  !s.cfg.DropTraces,
+		Evictions:       s.evictions.Load(),
+		EvictedBytes:    s.evictedBytes.Load(),
 		Workers:         s.cfg.Workers,
 	}
 	for _, c := range s.tracesKept {

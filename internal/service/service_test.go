@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"freezetag/internal/dftp"
+	"freezetag/internal/geom"
 	"freezetag/internal/instance"
 	"freezetag/internal/sim"
 )
@@ -236,11 +240,12 @@ func TestAlgorithmAliasesShareKey(t *testing.T) {
 }
 
 // The cache budget is approximate retained bytes: filling it past the
-// budget evicts the least recently used entries, never the newest.
+// budget evicts the least recently used entries, never the newest, and
+// every eviction is counted.
 func TestLRUEvictionByBytes(t *testing.T) {
-	// Measure one entry's footprint (traces off: entries of the same shape
-	// then differ only by a few digits of formatted floats).
-	probe := newTestService(t, Config{Workers: 1, DropTraces: true})
+	// Measure one entry's footprint (entries of the same shape differ only
+	// by a few digits of formatted floats).
+	probe := newTestService(t, Config{Workers: 1})
 	if _, err := probe.Solve(walkRequest(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		t.Fatalf("entry footprint %d", per)
 	}
 
-	s := newTestService(t, Config{Workers: 1, DropTraces: true, CacheBytes: 2*per + per/2})
+	s := newTestService(t, Config{Workers: 1, CacheBytes: 2*per + per/2})
 	h := make([]string, 3)
 	for i := range h {
 		sv, err := s.Solve(walkRequest(int64(100 + i)))
@@ -270,33 +275,31 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	if st.CacheLen != 2 || st.CacheBytes > st.CacheCapacity {
 		t.Fatalf("cache len=%d bytes=%d capacity=%d", st.CacheLen, st.CacheBytes, st.CacheCapacity)
 	}
+	// Exactly one entry, the oldest, was evicted; its size is the one the
+	// probe measured, up to the few digits its floats differ by.
+	if st.Evictions != 1 || st.EvictedBytes < per-32 || st.EvictedBytes > per+32 {
+		t.Fatalf("evictions=%d evictedBytes=%d, want 1 entry of ~%d bytes", st.Evictions, st.EvictedBytes, per)
+	}
+	var exp strings.Builder
+	s.Registry().WritePrometheus(&exp)
+	for _, line := range []string{"dftp_cache_evictions_total 1\n", fmt.Sprintf("dftp_cache_evicted_bytes_total %d\n", st.EvictedBytes)} {
+		if !strings.Contains(exp.String(), line) {
+			t.Fatalf("/metricsz lacks %q", line)
+		}
+	}
 }
 
-// Size accounting covers the event trace, which dominates a traced entry;
-// dropping traces shrinks the footprint and empties GET /v1/trace.
-func TestEntrySizeCountsTrace(t *testing.T) {
-	traced := newTestService(t, Config{Workers: 1})
-	plain := newTestService(t, Config{Workers: 1, DropTraces: true})
-	sv1, err := traced.Solve(walkRequest(101))
+// Size accounting covers the retained instance, which is what grows with
+// the request beyond the response bytes: a 1024-robot entry weighs at least
+// its body plus the points' storage.
+func TestEntrySizeCountsInstance(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	sv, err := s.Solve(SolveRequest{Algorithm: "agrid", Family: "walk", N: 1024, Param: 0.9, Seed: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv2, err := plain.Solve(walkRequest(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sv1.Body, sv2.Body) {
-		t.Fatal("trace retention changed the response bytes")
-	}
-	tb, pb := traced.Stats().CacheBytes, plain.Stats().CacheBytes
-	if tb <= 2*pb {
-		t.Fatalf("traced entry %dB should dwarf untraced %dB", tb, pb)
-	}
-	if ev, ok := plain.TraceEvents(sv2.Hash); ok && len(ev) > 0 {
-		t.Fatal("DropTraces retained a trace")
-	}
-	if ev, ok := traced.TraceEvents(sv1.Hash); !ok || len(ev) == 0 {
-		t.Fatal("default config dropped the trace")
+	if got, floor := s.Stats().CacheBytes, int64(len(sv.Body))+1024*int64(unsafe.Sizeof(geom.Point{})); got < floor {
+		t.Fatalf("entry counts %dB, below body + points = %dB", got, floor)
 	}
 }
 
@@ -392,7 +395,7 @@ func TestStatsAccounting(t *testing.T) {
 	if want := 2.0 / 3.0; st.HitRate < want-1e-9 || st.HitRate > want+1e-9 {
 		t.Fatalf("hit rate %v, want %v", st.HitRate, want)
 	}
-	if st.Workers != 2 || st.QueueCapacity != 64 || st.CacheCapacity != 64<<20 || !st.TracesRetained {
+	if st.Workers != 2 || st.QueueCapacity != 64 || st.CacheCapacity != 64<<20 {
 		t.Fatalf("config echo wrong: %+v", st)
 	}
 }
@@ -403,9 +406,9 @@ func TestTraceEventsCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, ok := s.TraceEvents(sv.Hash)
-	if !ok || len(events) == 0 {
-		t.Fatalf("no trace cached for %s", sv.Hash)
+	events, err := s.TraceEvents(sv.Hash)
+	if err != nil || len(events) == 0 {
+		t.Fatalf("no trace for cached %s: %v", sv.Hash, err)
 	}
 	wakes := 0
 	for _, ev := range events {
@@ -416,8 +419,8 @@ func TestTraceEventsCached(t *testing.T) {
 	if wakes != 24 {
 		t.Fatalf("trace has %d wake events for n=24", wakes)
 	}
-	if _, ok := s.TraceEvents("deadbeef"); ok {
-		t.Fatal("trace probe hit for unknown hash")
+	if _, err := s.TraceEvents("deadbeef"); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("trace of an unknown hash: %v, want ErrNotCached", err)
 	}
 }
 

@@ -276,19 +276,20 @@ type Stats struct {
 	// Derived ratios. All are defined as exactly 0 when their denominator
 	// is zero (a fresh server), never NaN: encoding/json refuses NaN, so an
 	// unguarded division would turn GET /statsz into a 500 at zero traffic.
-	HitRate        float64 `json:"hitRate"`     // (hits+coalesced) / (hits+coalesced+misses)
-	MemoHitRate    float64 `json:"memoHitRate"` // memoHits / (hits+coalesced) — cache serves that skipped instance materialization
-	ShedRate       float64 `json:"shedRate"`    // shed / (hits+coalesced+misses+shed)
-	QueueDepth     int     `json:"queueDepth"`
-	QueueCapacity  int     `json:"queueCapacity"`
-	QueueWeight    int     `json:"queueWeight"`    // admitted effective slots (width-weighted, queued + running)
-	AdmissionCap   int     `json:"admissionCap"`   // queueWeight ceiling: queueCapacity + workers
-	CacheLen       int     `json:"cacheLen"`       // entries currently cached
-	CacheBytes     int64   `json:"cacheBytes"`     // approximate retained bytes
-	CacheCapacity  int64   `json:"cacheCapacity"`  // cache budget in bytes
-	TracesRetained bool    `json:"tracesRetained"` // per-entry event traces kept (GET /v1/trace)
-	TracesKept     int64   `json:"tracesKept"`     // request traces kept by the /tracez flight recorder (lifetime)
-	Workers        int     `json:"workers"`
+	HitRate       float64 `json:"hitRate"`     // (hits+coalesced) / (hits+coalesced+misses)
+	MemoHitRate   float64 `json:"memoHitRate"` // memoHits / (hits+coalesced) — cache serves that skipped instance materialization
+	ShedRate      float64 `json:"shedRate"`    // shed / (hits+coalesced+misses+shed)
+	QueueDepth    int     `json:"queueDepth"`
+	QueueCapacity int     `json:"queueCapacity"`
+	QueueWeight   int     `json:"queueWeight"`   // admitted effective slots (width-weighted, queued + running)
+	AdmissionCap  int     `json:"admissionCap"`  // queueWeight ceiling: queueCapacity + workers
+	CacheLen      int     `json:"cacheLen"`      // entries currently cached
+	CacheBytes    int64   `json:"cacheBytes"`    // approximate retained bytes
+	CacheCapacity int64   `json:"cacheCapacity"` // cache budget in bytes
+	Evictions     int64   `json:"evictions"`     // entries the byte budget evicted (lifetime)
+	EvictedBytes  int64   `json:"evictedBytes"`  // approximate retained bytes of those entries
+	TracesKept    int64   `json:"tracesKept"`    // request traces kept by the /tracez flight recorder (lifetime)
+	Workers       int     `json:"workers"`
 }
 
 // AlgorithmByName resolves the wire name of an algorithm (case-insensitive;

@@ -10,7 +10,7 @@ import (
 
 // ndjsonEvent is the wire form of one event line. Field order is fixed by
 // the struct declaration, so identical recordings always serialize to
-// identical bytes — the solver service streams these from its cache.
+// identical bytes — the solver service streams these from its replays.
 type ndjsonEvent struct {
 	T     float64 `json:"t"`
 	Robot int     `json:"robot"`
@@ -29,7 +29,7 @@ func (r *Recorder) WriteNDJSON(w io.Writer) error {
 
 // WriteEventsNDJSON is WriteNDJSON over a bare event slice, for callers
 // that hold recorded events without a Recorder (e.g. the solver service
-// streaming a cached trace).
+// streaming a replayed trace).
 func WriteEventsNDJSON(w io.Writer, events []sim.Event) error {
 	for _, ev := range events {
 		line, err := json.Marshal(ndjsonEvent{
