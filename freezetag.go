@@ -123,7 +123,7 @@ func Solve(alg Algorithm, in *Instance, tup Tuple, budget float64) (Result, *Rep
 // ℓ2): travel times, energy, and the radius-1 look. Pass a tuple measured in
 // the same metric (TupleForIn).
 func SolveIn(m Metric, alg Algorithm, in *Instance, tup Tuple, budget float64) (Result, *Report, error) {
-	return dftp.SolveIn(context.Background(), m, alg, in, tup, budget, nil)
+	return dftp.SolveFaulted(context.Background(), nil, m, alg, in, tup, budget, nil, nil)
 }
 
 // Portfolio is the racing meta-algorithm: an ordered list of entrant

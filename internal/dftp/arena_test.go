@@ -23,7 +23,7 @@ func TestArenaTraceMatchesFresh(t *testing.T) {
 			ar.Reset()
 		}
 		rec := trace.New()
-		if _, _, err := SolveArena(context.Background(), ar, m, alg, inst, TupleForIn(m, inst), 0, rec.Record); err != nil {
+		if _, _, err := SolveFaulted(context.Background(), ar, m, alg, inst, TupleForIn(m, inst), 0, nil, rec.Record); err != nil {
 			t.Fatalf("%s on %s: %v", alg.Name(), inst.Name, err)
 		}
 		return rec.Events()

@@ -18,6 +18,7 @@ package dftp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -107,58 +108,63 @@ type Algorithm interface {
 }
 
 // Solve runs alg on inst with the given per-robot energy budget (≤ 0 for
-// unconstrained) and returns the simulation result and report.
+// unconstrained) and returns the simulation result and report: SolveFaulted
+// with every option at its default — ℓ2, no faults, no trace, a fresh engine.
 func Solve(alg Algorithm, inst *instance.Instance, tup Tuple, budget float64) (sim.Result, *Report, error) {
-	return SolveTraced(alg, inst, tup, budget, nil)
+	return SolveFaulted(context.Background(), nil, nil, alg, inst, tup, budget, nil, nil)
 }
 
-// SolveTraced is Solve with an event-trace callback attached to the engine
-// (nil for none). It is the facade used by callers that need the event
-// stream — cmd/dftp-run and the solver service — without reaching into the
-// engine themselves. Tracing never changes the result.
-func SolveTraced(alg Algorithm, inst *instance.Instance, tup Tuple, budget float64, traceFn func(sim.Event)) (sim.Result, *Report, error) {
-	return SolveCtx(context.Background(), alg, inst, tup, budget, traceFn)
-}
-
-// SolveCtx is SolveTraced with cooperative cancellation: cancelling ctx
-// abandons the simulation at the next event dispatch and returns the partial
-// result with an error wrapping sim.ErrCancelled and ctx.Err(). It is the
-// entry point of the portfolio racing engine, which cancels losing racers
-// once a winner is decided. A nil or background context behaves like Solve.
-func SolveCtx(ctx context.Context, alg Algorithm, inst *instance.Instance, tup Tuple, budget float64, traceFn func(sim.Event)) (sim.Result, *Report, error) {
-	return SolveIn(ctx, nil, alg, inst, tup, budget, traceFn)
-}
-
-// SolveIn is the root of the Solve family: it runs alg on inst with all
+// SolveFaulted is the root of the Solve family. It runs alg on in with all
 // distances — travel times, energy, the radius-1 Look — measured under
-// metric m (nil defaults to ℓ2, making every other Solve* a thin wrapper).
-// The tuple should be measured in the same metric (see TupleForIn). A
-// heterogeneous instance hands its per-robot profiles to the engine, so
-// travel times divide by speed and private capacities cap energy; budget
-// stays the uniform fallback for robots without a capacity of their own.
-func SolveIn(ctx context.Context, m geom.Metric, alg Algorithm, inst *instance.Instance, tup Tuple, budget float64, traceFn func(sim.Event)) (sim.Result, *Report, error) {
-	return SolveArena(ctx, nil, m, alg, inst, tup, budget, traceFn)
-}
-
-// SolveArena is SolveIn running on the worker arena ar: the simulation
-// engine (robot block, spatial indexes, process-goroutine pool, algorithm
-// scratch) is checked out of the arena and reset against inst instead of
-// being rebuilt, so a steady stream of same-shape jobs simulates without
-// allocating. A nil arena degrades to a fresh one-shot engine. The result
-// and report are bit-identical to SolveIn's either way, but everything they
-// reference is invalidated by the arena's next job — callers marshal within
-// the job, which the serving tier does.
-func SolveArena(ctx context.Context, ar *arena.Arena, m geom.Metric, alg Algorithm, inst *instance.Instance, tup Tuple, budget float64, traceFn func(sim.Event)) (sim.Result, *Report, error) {
-	e := sim.NewEngineIn(ar, sim.Config{
-		Source:   inst.Source,
-		Sleepers: inst.Points,
+// metric m (nil defaults to ℓ2); the tuple should be measured in the same
+// metric (see TupleForIn). A heterogeneous instance hands its per-robot
+// profiles to the engine, so travel times divide by speed and private
+// capacities cap energy; budget stays the uniform fallback for robots
+// without a capacity of their own. traceFn, when non-nil, receives every
+// event; tracing never changes the result.
+//
+// Cancelling ctx abandons the simulation at the next event dispatch and
+// returns the partial result with an error wrapping sim.ErrCancelled and
+// ctx.Err(); the portfolio racing engine cancels losing racers this way.
+//
+// The engine is checked out of the worker arena ar and reset against in
+// instead of being rebuilt, so a steady stream of same-shape jobs simulates
+// without allocating; a nil arena builds a fresh one-shot engine. The result
+// is bit-identical either way, but everything it references is invalidated
+// by the arena's next job — callers marshal within the job.
+//
+// A non-nil faults runs the engine under faults.Plan, and when faults.Repair
+// is set arms the wakeup repair layer after the algorithm installs (polling
+// at the ℓ travel scale of the slowest robot). An unreleasable deadlock
+// under injection (orphaned synchronization whose branches died) is an
+// expected incompletion mode, not a harness failure: it is swallowed and
+// reported through the result's AllAwake/Awakened fields instead. A nil
+// faults skips all of this: the run is the plain engine run, deadlocks
+// included.
+func SolveFaulted(ctx context.Context, ar *arena.Arena, m geom.Metric, alg Algorithm, in *instance.Instance, tup Tuple, budget float64, faults *Faults, traceFn func(sim.Event)) (sim.Result, *Report, error) {
+	cfg := sim.Config{
+		Source:   in.Source,
+		Sleepers: in.Points,
 		Budget:   budget,
-		Profiles: simProfiles(inst),
+		Profiles: simProfiles(in),
 		Metric:   m,
 		Trace:    traceFn,
-	})
+	}
+	if faults != nil {
+		if err := faults.Validate(); err != nil {
+			return sim.Result{}, &Report{}, err
+		}
+		cfg.Faults = faults.Plan(geom.MetricOrL2(m), in, tup)
+	}
+	e := sim.NewEngineIn(ar, cfg)
 	rep := alg.Install(e, tup)
+	if faults != nil && faults.Repair {
+		wakeup.InstallRepair(e, wakeup.RepairConfig{Poll: math.Max(1, tup.Ell) / e.MinSpeed()})
+	}
 	res, err := e.RunCtx(ctx)
+	if faults != nil && errors.Is(err, sim.ErrDeadlock) {
+		err = nil
+	}
 	return res, rep, err
 }
 

@@ -1,18 +1,14 @@
 package dftp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 
 	"freezetag/internal/adversary/wander"
-	"freezetag/internal/arena"
 	"freezetag/internal/geom"
 	"freezetag/internal/instance"
 	"freezetag/internal/sim"
-	"freezetag/internal/wakeup"
 )
 
 // Faults is the wire-level fault specification shared by the HTTP API, the
@@ -163,42 +159,4 @@ func (f *Faults) Plan(m geom.Metric, in *instance.Instance, tup Tuple) *sim.Faul
 		plan.WanderPath = wander.Program(f.Seed, region, 4)
 	}
 	return plan
-}
-
-// SolveFaulted is SolveArena under a fault specification: the engine runs
-// faults.Plan, and when faults.Repair is set the wakeup repair layer is
-// armed after the algorithm installs (polling at the ℓ travel scale of the
-// slowest robot). A nil faults delegates to SolveArena outright, so the
-// fault-free path — and its pooled-engine allocation profile — is
-// bit-identical to the pre-fault code.
-//
-// An unreleasable deadlock under injection (orphaned synchronization whose
-// branches died) is an expected incompletion mode, not a harness failure: it
-// is swallowed and reported through the result's AllAwake/Awakened fields
-// instead.
-func SolveFaulted(ctx context.Context, ar *arena.Arena, m geom.Metric, alg Algorithm, in *instance.Instance, tup Tuple, budget float64, faults *Faults, traceFn func(sim.Event)) (sim.Result, *Report, error) {
-	if faults == nil {
-		return SolveArena(ctx, ar, m, alg, in, tup, budget, traceFn)
-	}
-	if err := faults.Validate(); err != nil {
-		return sim.Result{}, &Report{}, err
-	}
-	e := sim.NewEngineIn(ar, sim.Config{
-		Source:   in.Source,
-		Sleepers: in.Points,
-		Budget:   budget,
-		Profiles: simProfiles(in),
-		Metric:   m,
-		Trace:    traceFn,
-		Faults:   faults.Plan(geom.MetricOrL2(m), in, tup),
-	})
-	rep := alg.Install(e, tup)
-	if faults.Repair {
-		wakeup.InstallRepair(e, wakeup.RepairConfig{Poll: math.Max(1, tup.Ell) / e.MinSpeed()})
-	}
-	res, err := e.RunCtx(ctx)
-	if err != nil && errors.Is(err, sim.ErrDeadlock) {
-		err = nil
-	}
-	return res, rep, err
 }

@@ -46,7 +46,7 @@ func TestAlgorithmsSolveHeterogeneous(t *testing.T) {
 				}
 			}
 			for _, alg := range algs {
-				res, rep, err := SolveIn(context.Background(), m, alg, in, tup, 0, nil)
+				res, rep, err := SolveFaulted(context.Background(), nil, m, alg, in, tup, 0, nil, nil)
 				if err != nil {
 					t.Fatalf("%s on %s under %s: %v", alg.Name(), in.Name, mm.Name(), err)
 				}
@@ -77,7 +77,7 @@ func TestHeteroTightCapacitiesDegradeGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{ASeparator{}, AGrid{}, AWave{}} {
-		res, _, err := SolveIn(context.Background(), nil, alg, in, TupleFor(in), 0, nil)
+		res, _, err := SolveFaulted(context.Background(), nil, nil, alg, in, TupleFor(in), 0, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}

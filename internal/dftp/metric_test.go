@@ -64,9 +64,9 @@ func solveEngine(t *testing.T, m geom.Metric, alg Algorithm, in *instance.Instan
 	return res, rep, err
 }
 
-// The ℓ2 entry points must be wrappers: SolveIn(nil) ≡ SolveIn(L2) ≡ Solve,
+// A nil metric means ℓ2: SolveFaulted(nil) ≡ SolveFaulted(L2) ≡ Solve,
 // result for result.
-func TestSolveInL2MatchesSolve(t *testing.T) {
+func TestSolveFaultedL2MatchesSolve(t *testing.T) {
 	in := instance.RandomWalk(rand.New(rand.NewSource(2)), 20, 0.9)
 	tup := TupleFor(in)
 	base, baseRep, err := Solve(AGrid{}, in, tup, 0)
@@ -74,13 +74,13 @@ func TestSolveInL2MatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []geom.Metric{nil, geom.L2} {
-		res, rep, err := SolveIn(context.Background(), m, AGrid{}, in, tup, 0, nil)
+		res, rep, err := SolveFaulted(context.Background(), nil, m, AGrid{}, in, tup, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Makespan != base.Makespan || res.TotalEnergy != base.TotalEnergy ||
 			res.MaxEnergy != base.MaxEnergy || rep.Rounds != baseRep.Rounds {
-			t.Fatalf("SolveIn(%v) diverged from Solve: %+v vs %+v", m, res, base)
+			t.Fatalf("SolveFaulted(%v) diverged from Solve: %+v vs %+v", m, res, base)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func solveOn(alg dftp.Algorithm, in *instance.Instance, budget float64) (float64
 // derived and the simulation run in m.
 func solveOnIn(m geom.Metric, alg dftp.Algorithm, in *instance.Instance, budget float64) (float64, float64, error) {
 	tup := dftp.TupleForIn(m, in)
-	res, rep, err := dftp.SolveIn(context.Background(), m, alg, in, tup, budget, nil)
+	res, rep, err := dftp.SolveFaulted(context.Background(), nil, m, alg, in, tup, budget, nil, nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s on %s: %w", alg.Name(), in.Name, err)
 	}

@@ -51,7 +51,7 @@ func (r *Runner) F8FaultResilience(scale Scale) (*report.Table, error) {
 			return nil, err
 		}
 		tup := dftp.TupleFor(in)
-		base, _, err := dftp.SolveIn(context.Background(), nil, c.alg, in, tup, 0, nil)
+		base, _, err := dftp.Solve(c.alg, in, tup, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", c.alg.Name(), err)
 		}

@@ -37,8 +37,8 @@ import (
 // with an always-explicit metric line plus one profile line per robot.
 //
 // The v3→v4 bump, once more by the same rule, covers fault plans: fault-free
-// requests keep their v1/v2/v3 encoding byte-for-byte (HashRequestFaulted
-// with an empty faults line IS HashRequestIn), while fault-injected requests
+// requests keep their v1/v2/v3 encoding byte-for-byte (an empty faults line
+// writes exactly the v1/v2/v3 bytes), while fault-injected requests
 // encode under v4 with an always-explicit metric line plus the canonical
 // faults line, never aliasing any fault-free hash.
 const (
@@ -50,9 +50,9 @@ const (
 
 // canonFloat appends f's canonical form to b: exact (hex mantissa, no
 // rounding ambiguity), with -0 normalized to 0 so the two IEEE zeros hash
-// identically. Append-based because the hot caller (HashRequestIn via the
-// serving tier) encodes thousands of floats per request; a string-returning
-// formatter would allocate every one of them.
+// identically. Append-based because the hot caller (HashRequestFaulted via
+// the serving tier) encodes thousands of floats per request; a
+// string-returning formatter would allocate every one of them.
 func canonFloat(b []byte, f float64) []byte {
 	if f == 0 { // catches -0.0 too
 		f = 0
@@ -114,90 +114,55 @@ func (in *Instance) appendCanonical(b []byte) []byte {
 // so this package does not depend on the algorithm layer. Budgets ≤ 0 are
 // all "unconstrained" and hash identically.
 func HashRequest(algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
-	return HashRequestIn(nil, algorithm, in, ell, rho, n, budget)
+	return HashRequestFaulted(nil, algorithm, in, ell, rho, n, budget, "")
 }
 
-// HashRequestIn is HashRequest under metric m (nil defaults to ℓ2). The ℓ2
-// metric — canonical name "l2", or a nil/omitted metric — produces the
-// pre-metric v1 encoding byte-for-byte, so existing cache keys survive; any
-// other metric encodes under v2 with its canonical name as an extra field.
-// Heterogeneous instances (non-empty Profiles) always encode under v3 with
-// an explicit metric line (ℓ2 included) and the profile lines appended by
-// appendCanonical; they can never alias a homogeneous hash because the
-// version line differs.
+// HashRequestIn is HashRequest under metric m (nil defaults to ℓ2).
+func HashRequestIn(m geom.Metric, algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
+	return HashRequestFaulted(m, algorithm, in, ell, rho, n, budget, "")
+}
+
 // canonBufPool recycles the canonical-encoding scratch across requests. The
 // encoding is built fully in one buffer and hashed with sha256.Sum256 (stack
 // digest, stack sum), so a steady request stream pays exactly one allocation
 // per hash: the returned hex string itself.
 var canonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-func HashRequestIn(m geom.Metric, algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
-	if budget <= 0 {
-		budget = 0
-	}
-	bp := canonBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if len(in.Profiles) > 0 {
-		b = append(b, canonVersionV3...)
-		b = append(b, "\nalg="...)
-		b = append(b, algorithm...)
-		b = append(b, "\nmetric="...)
-		b = append(b, geom.MetricOrL2(m).Name()...)
-		b = append(b, '\n')
-	} else if geom.IsL2(m) {
-		b = append(b, canonVersion...)
-		b = append(b, "\nalg="...)
-		b = append(b, algorithm...)
-		b = append(b, '\n')
-	} else {
-		b = append(b, canonVersionV2...)
-		b = append(b, "\nalg="...)
-		b = append(b, algorithm...)
-		b = append(b, "\nmetric="...)
-		b = append(b, m.Name()...)
-		b = append(b, '\n')
-	}
-	b = append(b, "tuple="...)
-	b = canonFloat(b, ell)
-	b = append(b, ',')
-	b = canonFloat(b, rho)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, "\nbudget="...)
-	b = canonFloat(b, budget)
-	b = append(b, '\n')
-	b = in.appendCanonical(b)
-	sum := sha256.Sum256(b)
-	*bp = b
-	canonBufPool.Put(bp)
-	var hx [2 * sha256.Size]byte
-	hex.Encode(hx[:], sum[:])
-	return string(hx[:])
-}
-
-// HashRequestFaulted is HashRequestIn for requests that may carry a fault
-// plan, passed as its canonical line (see the dftp layer's Faults.Canon; this
-// package stays agnostic of its fields). An empty line is a fault-free
-// request and delegates to HashRequestIn byte-for-byte — the golden-locked
-// v1/v2/v3 encodings are untouched. A non-empty line encodes under v4 with
-// an always-explicit metric line, the faults line, and the full instance
-// encoding (profile lines included when present).
+// HashRequestFaulted is the one canonical encoder: HashRequest under metric m
+// (nil defaults to ℓ2) for a request that may carry a fault plan, passed as
+// its canonical line (see the dftp layer's Faults.Canon; this package stays
+// agnostic of its fields), empty for a fault-free request. The version line
+// follows from which optional lines are present — faults → v4, profiles →
+// v3, a non-ℓ2 metric → v2, none → v1 — and every version past v1 writes an
+// explicit metric line (ℓ2 included), then the faults line when there is
+// one. A plain ℓ2 request thus keeps the pre-metric v1 bytes, and no two
+// versions can alias because the version line differs.
 func HashRequestFaulted(m geom.Metric, algorithm string, in *Instance, ell, rho float64, n int, budget float64, faultsLine string) string {
-	if faultsLine == "" {
-		return HashRequestIn(m, algorithm, in, ell, rho, n, budget)
-	}
 	if budget <= 0 {
 		budget = 0
 	}
+	version := canonVersion
+	switch {
+	case faultsLine != "":
+		version = canonVersionV4
+	case len(in.Profiles) > 0:
+		version = canonVersionV3
+	case !geom.IsL2(m):
+		version = canonVersionV2
+	}
 	bp := canonBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	b = append(b, canonVersionV4...)
+	b = append(b, version...)
 	b = append(b, "\nalg="...)
 	b = append(b, algorithm...)
-	b = append(b, "\nmetric="...)
-	b = append(b, geom.MetricOrL2(m).Name()...)
-	b = append(b, "\nfaults="...)
-	b = append(b, faultsLine...)
+	if version != canonVersion {
+		b = append(b, "\nmetric="...)
+		b = append(b, geom.MetricOrL2(m).Name()...)
+	}
+	if faultsLine != "" {
+		b = append(b, "\nfaults="...)
+		b = append(b, faultsLine...)
+	}
 	b = append(b, "\ntuple="...)
 	b = canonFloat(b, ell)
 	b = append(b, ',')
@@ -215,6 +180,12 @@ func HashRequestFaulted(m geom.Metric, algorithm string, in *Instance, ell, rho 
 	hex.Encode(hx[:], sum[:])
 	return string(hx[:])
 }
+
+// MaxFamilyN bounds a family's robot count at about the most robots a
+// 32 MiB inline request body can carry, so a generated instance is never
+// larger than one a client could send. Without it a few bytes of request
+// could ask for a terabyte-sized point slice.
+const MaxFamilyN = 1 << 20
 
 // FamilyNames lists the workload families Family accepts.
 func FamilyNames() []string { return []string{"line", "walk", "disk", "grid", "chain"} }
@@ -249,8 +220,8 @@ func Family(name string, n int, param float64, seed int64) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("instance: family %q: n must be ≥ 1, got %d", name, n)
+	if n < 1 || n > MaxFamilyN {
+		return nil, fmt.Errorf("instance: family %q: n must be in [1, %d], got %d", name, MaxFamilyN, n)
 	}
 	if !(param > 0) || math.IsInf(param, 1) { // rejects NaN, ≤ 0, and ±Inf
 		return nil, fmt.Errorf("instance: family %q: param must be a finite positive number, got %g", name, param)

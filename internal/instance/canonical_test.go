@@ -145,6 +145,13 @@ func TestFamilyGenerators(t *testing.T) {
 	if _, err := Family("line", 0, 1.0, 7); err == nil {
 		t.Fatal("n=0 accepted")
 	}
+	// Past MaxFamilyN the request is refused before any point is generated:
+	// n = 2^40 would otherwise ask for a 16 TiB slice and kill the process.
+	for _, n := range []int{MaxFamilyN + 1, 1 << 40} {
+		if _, err := Family("line", n, 1.0, 7); err == nil {
+			t.Fatalf("n=%d accepted (bound %d)", n, MaxFamilyN)
+		}
+	}
 	if _, err := Family("line", 4, 0, 7); err == nil {
 		t.Fatal("param=0 accepted")
 	}

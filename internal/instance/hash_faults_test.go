@@ -3,6 +3,8 @@ package instance
 import (
 	"strings"
 	"testing"
+
+	"freezetag/internal/geom"
 )
 
 // A fault-free request must keep its exact pre-fault cache key: an empty
@@ -54,5 +56,34 @@ func TestHashFaultedShape(t *testing.T) {
 		"kind=byzantine;rate=0x0p+00;seed=1;byz=2;down=0x0p+00;repair=1")
 	if len(h) != 64 || strings.ToLower(h) != h {
 		t.Errorf("faulted hash %q is not lowercase sha256 hex", h)
+	}
+}
+
+// Faulted keys are pinned like the fault-free goldens: v4 requests under ℓ2,
+// under ℓ1, and with per-robot profiles must keep their exact cache keys.
+func TestHashFaultedGolden(t *testing.T) {
+	const line = "kind=crash-stop;rate=0x1p-02;seed=7;byz=0;down=0x0p+00;repair=1"
+	walk, err := Family("walk", 12, 0.9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled, err := Family("walk+speedband:0.5+capband:20", 12, 0.9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		desc   string
+		m      geom.Metric
+		in     *Instance
+		budget float64
+		want   string
+	}{
+		{"l2", nil, walk, 17.5, "362c7f5205022447a94fc56dec10343a233fe7d6541a7c31d029b9439c4392d4"},
+		{"l1", geom.L1, walk, 0, "d543558597afa55ac8624f7b629099427b7313fd12ecdbe0bd16ff20efbc45fa"},
+		{"profiles", nil, profiled, -1, "561cc5daa68e0a61fe34b07f0646f9134821c35dad5bb9868f02fe2667a1ab15"},
+	} {
+		if got := HashRequestFaulted(c.m, "AGrid", c.in, 2, 5, 12, c.budget, line); got != c.want {
+			t.Errorf("%s: faulted key changed:\n got  %s\n want %s", c.desc, got, c.want)
+		}
 	}
 }

@@ -254,7 +254,7 @@ func (c *control) doomed(i int) bool {
 // winner under p's objective. The budget is the usual per-robot energy
 // budget (≤ 0 unconstrained), applied to every racer. A heterogeneous
 // instance races every entrant under its per-robot profiles — speeds scale
-// travel time and capacities override the uniform budget (dftp.SolveIn) —
+// travel time and capacities override the uniform budget (dftp.SolveFaulted) —
 // so objectives score the runs the profiles actually produce.
 func Race(p Portfolio, inst *instance.Instance, tup dftp.Tuple, budget float64, opts Options) (*Result, error) {
 	if len(p.Algorithms) == 0 {

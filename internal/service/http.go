@@ -35,8 +35,8 @@ import (
 // with their own logs.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("POST /v1/portfolio", s.handlePortfolio)
+	mux.HandleFunc("POST /v1/solve", handleServe(s, (*Service).solveTraced))
+	mux.HandleFunc("POST /v1/portfolio", handleServe(s, (*Service).portfolioTraced))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/solve/{hash}", s.handleProbe)
 	mux.HandleFunc("GET /v1/trace/{hash}", s.handleTrace)
@@ -123,26 +123,20 @@ const maxBodyBytes = 32 << 20
 // the worker pool on abandoned work for a very long time.
 const maxBatchItems = 4096
 
-func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
-	topt := s.traceIngress(r)
-	var req SolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
-		return
+// handleServe is the handler of a solving endpoint (POST /v1/solve or
+// /v1/portfolio): decode a Q, serve it under the request's trace identity,
+// and write the outcome.
+func handleServe[Q any](s *Service, solve func(*Service, TraceOpt, Q) (Solved, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		topt := s.traceIngress(r)
+		var req Q
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			s.writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
+			return
+		}
+		sv, err := solve(s, topt, req)
+		s.writeSolved(w, sv, err)
 	}
-	sv, err := s.SolveTraced(topt, req)
-	s.writeSolved(w, sv, err)
-}
-
-func (s *Service) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	topt := s.traceIngress(r)
-	var req PortfolioRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
-		return
-	}
-	sv, err := s.SolvePortfolioTraced(topt, req)
-	s.writeSolved(w, sv, err)
 }
 
 // writeSolved renders a Solve/SolvePortfolio outcome: the cached-or-cold
@@ -178,17 +172,17 @@ func serverTiming(sv Solved) string {
 	b = append(b, "cache;desc="...)
 	b = append(b, sv.Outcome...)
 	b = obs.AppendServerTiming(b, "resolve", sv.Resolve)
-	if sv.Queue > 0 || sv.Outcome == OutcomeMiss {
-		b = obs.AppendServerTiming(b, "queue", sv.Queue)
+	if sv.queue > 0 || sv.Outcome == OutcomeMiss {
+		b = obs.AppendServerTiming(b, "queue", sv.queue)
 	}
-	if sv.Sim > 0 || sv.Outcome == OutcomeMiss {
-		b = obs.AppendServerTiming(b, "sim", sv.Sim)
+	if sv.sim > 0 || sv.Outcome == OutcomeMiss {
+		b = obs.AppendServerTiming(b, "sim", sv.sim)
 	}
-	if sv.Repair > 0 {
-		b = obs.AppendServerTiming(b, "repair", sv.Repair)
+	if sv.repair > 0 {
+		b = obs.AppendServerTiming(b, "repair", sv.repair)
 	}
-	if sv.Marshal > 0 || sv.Outcome == OutcomeMiss {
-		b = obs.AppendServerTiming(b, "marshal", sv.Marshal)
+	if sv.marshal > 0 || sv.Outcome == OutcomeMiss {
+		b = obs.AppendServerTiming(b, "marshal", sv.marshal)
 	}
 	b = obs.AppendServerTiming(b, "total", sv.Total)
 	if sv.TraceID != "" {

@@ -163,6 +163,49 @@ func TestMetricszExposition(t *testing.T) {
 	if v := metricValue(t, exp, "dftp_racer_sim_seconds_count"); v < 2 {
 		t.Errorf("racer_sim count = %v, want ≥ 2 (both entrants ran)", v)
 	}
+	// The race threads the portfolio endpoint's own handles: its duration
+	// histogram and shape series, next to the shared stage histograms that
+	// now hold the cold solve and the race.
+	if v := metricValue(t, exp, `dftp_request_duration_seconds_count{endpoint="portfolio"}`); v != 1 {
+		t.Errorf("request_duration{portfolio} count = %v, want 1", v)
+	}
+	if v := metricValue(t, exp, `dftp_requests_by_shape_total{endpoint="portfolio",algorithm="portfolio[AGrid,AWave;obj=min-makespan;seed=1]",metric="l2"}`); v != 1 {
+		t.Errorf("requests_by_shape{portfolio} = %v, want 1", v)
+	}
+	for _, stage := range []string{"sim", "marshal"} {
+		if v := metricValue(t, exp, `dftp_stage_duration_seconds_count{stage="`+stage+`"}`); v != 2 {
+			t.Errorf("stage %s count = %v, want 2 (one solve, one race)", stage, v)
+		}
+	}
+}
+
+// Past maxShapeSeries, new shapes share one algorithm="other",
+// metric="other" series per endpoint. A portfolio's algorithm label embeds
+// its seed, so a stream of distinct seeds must not grow the registry — and
+// no request may go uncounted.
+func TestShapeSeriesBounded(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	const n = 1000
+	for i := 0; i < n; i++ {
+		s.countShape("portfolio", "portfolio[AGrid;obj=min-makespan;seed="+strconv.Itoa(i)+"]", "lp:"+strconv.Itoa(i+2))
+	}
+	if got := len(s.shapeCounters); got > maxShapeSeries+1 {
+		t.Fatalf("%d shape series after %d distinct shapes, want at most %d", got, n, maxShapeSeries+1)
+	}
+	var total int64
+	for _, c := range s.shapeCounters {
+		total += c.Load()
+	}
+	if total != n {
+		t.Fatalf("shape series sum to %d, want %d", total, n)
+	}
+	var b bytes.Buffer
+	if err := s.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, b.String(), `dftp_requests_by_shape_total{endpoint="portfolio",algorithm="other",metric="other"}`); v != n-maxShapeSeries {
+		t.Errorf("overflow series = %v, want %d", v, n-maxShapeSeries)
+	}
 }
 
 // TestStatszFreshServerNoNaN: a brand-new server's /statsz must be valid

@@ -159,15 +159,16 @@ func TestPortfolioMatchesDirectRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.resolvePortfolio(pf, nil, portfolioRequest(3))
+	req := portfolioRequest(3).solveRequest()
+	r, err := s.resolve(pf.Name(), nil, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := portfolio.Race(r.pf, r.inst, r.tup, r.budget, portfolio.Options{})
+	direct, err := portfolio.Race(pf, r.inst, r.tup, r.budget, portfolio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(NewPortfolioResponse(r.hash, r.pf, r.metric, r.inst, r.tup, r.budget, direct))
+	body, err := json.Marshal(NewPortfolioResponse(r.hash, pf, r.metric, r.inst, r.tup, r.budget, direct))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +215,7 @@ func TestPortfolioBadRequests(t *testing.T) {
 		"bad objective":     {Algorithms: []string{"agrid"}, Objective: "fastest", Family: "walk", N: 8, Param: 1},
 		"nan cap":           {Algorithms: []string{"agrid"}, Objective: "first-under-budget:makespan=nan", Family: "walk", N: 8, Param: 1},
 		"no instance":       {Algorithms: []string{"agrid"}},
+		"huge n":            {Algorithms: []string{"agrid"}, Family: "line", N: 1 << 40, Param: 1},
 		"bad caps":          {Algorithms: []string{"agrid"}, Objective: "first-under-budget", Family: "walk", N: 8, Param: 1},
 	}
 	for name, req := range cases {

@@ -81,12 +81,12 @@ func eagerTrace(t *testing.T, s *Service, c replayCase) (string, []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.resolve(alg, m, req)
+		r, err := s.resolve(alg.Name(), m, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := trace.New()
-		if _, _, err := dftp.SolveFaulted(context.Background(), nil, r.metric, r.alg, r.inst, r.tup, r.budget, r.faults, rec.Record); err != nil {
+		if _, _, err := dftp.SolveFaulted(context.Background(), nil, r.metric, alg, r.inst, r.tup, r.budget, r.faults, rec.Record); err != nil {
 			t.Fatalf("%s: %v", c.desc, err)
 		}
 		hash, events = r.hash, rec.Events()
@@ -103,11 +103,12 @@ func eagerTrace(t *testing.T, s *Service, c replayCase) (string, []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.resolvePortfolio(pf, m, req)
+		sreq := req.solveRequest()
+		r, err := s.resolve(pf.Name(), m, &sreq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := portfolio.Race(r.pf, r.inst, r.tup, r.budget, portfolio.Options{Trace: true, Metric: r.metric, Faults: r.faults})
+		res, err := portfolio.Race(pf, r.inst, r.tup, r.budget, portfolio.Options{Trace: true, Metric: r.metric, Faults: r.faults})
 		if err != nil {
 			t.Fatalf("%s: %v", c.desc, err)
 		}

@@ -133,26 +133,18 @@ type Solved struct {
 	// Stage durations of this request's wall-clock life, surfaced in the
 	// Server-Timing response header and the structured request log — never
 	// in Body, which stays byte-identical across hot and cold serves.
-	// Queue/Sim/Marshal are zero for cache hits (those stages didn't run);
-	// for coalesced requests they describe the in-flight run that was
-	// joined. Total covers the whole call including synchronization.
+	// Total covers the whole call including synchronization. The embedded
+	// stageTimes (queue, sim, repair, marshal, and a traced race's racer
+	// observations) are zero for cache hits, since those stages didn't run;
+	// for coalesced requests they describe the in-flight run that was joined.
 	Resolve time.Duration
-	Queue   time.Duration
-	Sim     time.Duration
-	Marshal time.Duration
 	Total   time.Duration
-	// Repair is the estimated share of Sim spent inside the fault-repair
-	// layer's active window (zero for fault-free runs); it surfaces as a
-	// "repair" child span on kept traces and a Server-Timing entry.
-	Repair time.Duration
 	// TraceID is the request's trace identity when one exists: the inbound
 	// ID for HTTP requests, or a minted one if the trace was kept. Empty
 	// means the request was neither externally identified nor kept. It is
 	// surfaced in Server-Timing and the request log, never in Body.
 	TraceID string
-	// racers carries a portfolio run's per-racer observations to the trace
-	// assembler (only populated while tracing is enabled).
-	racers []portfolio.RacerObservation
+	stageTimes
 }
 
 // job is one queued unit of work: a simulation, a whole portfolio race, or a
@@ -183,7 +175,10 @@ type stageTimes struct {
 	queue   time.Duration
 	sim     time.Duration
 	marshal time.Duration
-	repair  time.Duration
+	// repair is the estimated share of sim spent inside the fault-repair
+	// layer's active window (zero for fault-free runs); it surfaces as a
+	// "repair" child span on kept traces and a Server-Timing entry.
+	repair time.Duration
 	// racers is the run's per-racer observation list (portfolio runs with
 	// tracing enabled only), sorted by entrant index. Like the durations
 	// above it is written strictly before close(done).
@@ -257,10 +252,11 @@ type Service struct {
 	stageSim     *obs.Histogram
 	stageRepair  *obs.Histogram
 	stageMarshal *obs.Histogram
-	durSolve     *obs.Histogram
-	durPortfolio *obs.Histogram
 	racerSim     *obs.Histogram
 	racerCancel  *obs.Histogram
+	// solveEP and portfolioEP label the two solving endpoints and hold
+	// their end-to-end request histograms.
+	solveEP, portfolioEP endpoint
 
 	// reqOutcomes maps {endpoint, outcome} to its dftp_requests_total
 	// series; keys are preregistered so the hot path is one comparable-key
@@ -274,6 +270,13 @@ type Service struct {
 	// counts keeps by policy reason (slow / error / shed / sampled).
 	traces     *obs.TraceStore
 	tracesKept map[string]*obs.Counter
+}
+
+// endpoint is a solving endpoint's label and its end-to-end latency
+// histogram.
+type endpoint struct {
+	name string
+	dur  *obs.Histogram
 }
 
 // epOutcome keys a dftp_requests_total series.
@@ -297,10 +300,10 @@ const (
 const histMinExp, histMaxExp = -20, 5
 
 // maxShapeSeries caps the lazily grown {endpoint, algorithm, metric}
-// counter family. Algorithms are a fixed set but lp:<p> metrics are
-// user-supplied, so without a cap a metric-scanning client could grow the
-// registry without bound; past the cap new shapes collapse into
-// metric="other".
+// counter family. lp:<p> metrics are user-supplied and a portfolio's
+// algorithm label embeds its seed, so without a cap a scanning client could
+// grow the registry without bound; past the cap new shapes collapse into
+// algorithm="other",metric="other", one series per endpoint.
 const maxShapeSeries = 256
 
 // New starts a Service with cfg's worker pool running.
@@ -370,8 +373,8 @@ func (s *Service) initObs() {
 	}
 
 	const durHelp = "End-to-end request latency by endpoint, cache hits included."
-	s.durSolve = r.Histogram("dftp_request_duration_seconds", durHelp, histMinExp, histMaxExp, obs.L("endpoint", "solve"))
-	s.durPortfolio = r.Histogram("dftp_request_duration_seconds", durHelp, histMinExp, histMaxExp, obs.L("endpoint", "portfolio"))
+	s.solveEP = endpoint{"solve", r.Histogram("dftp_request_duration_seconds", durHelp, histMinExp, histMaxExp, obs.L("endpoint", "solve"))}
+	s.portfolioEP = endpoint{"portfolio", r.Histogram("dftp_request_duration_seconds", durHelp, histMinExp, histMaxExp, obs.L("endpoint", "portfolio"))}
 
 	s.racerSim = r.Histogram("dftp_racer_sim_seconds", "Per-racer simulation wall time inside portfolio races.", histMinExp, histMaxExp)
 	s.racerCancel = r.Histogram("dftp_racer_cancel_latency_seconds", "Lag between a racer's cancellation firing and its simulation unwinding.", histMinExp, histMaxExp)
@@ -459,8 +462,9 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // countShape bumps the {endpoint, algorithm, metric} request counter,
 // creating the series on first sight. The fast path is a read-locked
 // lookup with a comparable struct key — no allocation. Past maxShapeSeries
-// distinct shapes, new metrics collapse into metric="other" so hostile or
-// scanning clients cannot grow the registry without bound.
+// distinct shapes, new shapes collapse into algorithm="other",
+// metric="other" so hostile or scanning clients cannot grow the registry
+// without bound.
 func (s *Service) countShape(endpoint, algorithm, metric string) {
 	key := shapeLabels{endpoint, algorithm, metric}
 	s.shapeMu.RLock()
@@ -473,12 +477,12 @@ func (s *Service) countShape(endpoint, algorithm, metric string) {
 	s.shapeMu.Lock()
 	if c = s.shapeCounters[key]; c == nil {
 		if len(s.shapeCounters) >= maxShapeSeries {
-			key = shapeLabels{endpoint, algorithm, "other"}
+			key = shapeLabels{endpoint, "other", "other"}
 			c = s.shapeCounters[key]
 		}
 		if c == nil {
 			c = s.reg.Counter("dftp_requests_by_shape_total",
-				"Requests by endpoint, algorithm, and metric (metric collapses to \"other\" past the cardinality cap).",
+				"Requests by endpoint, algorithm, and metric (new shapes collapse to \"other\" past the cardinality cap).",
 				obs.L("endpoint", key.endpoint), obs.L("algorithm", key.algorithm), obs.L("metric", key.metric))
 			s.shapeCounters[key] = c
 		}
@@ -522,9 +526,9 @@ func (s *Service) logRequest(endpoint string, sv Solved, topt TraceOpt, err erro
 			slog.String("outcome", sv.Outcome),
 			slog.Duration("total", sv.Total),
 			slog.Duration("resolve", sv.Resolve),
-			slog.Duration("queue", sv.Queue),
-			slog.Duration("sim", sv.Sim),
-			slog.Duration("marshal", sv.Marshal))
+			slog.Duration("queue", sv.queue),
+			slog.Duration("sim", sv.sim),
+			slog.Duration("marshal", sv.marshal))
 	}
 	if sv.TraceID != "" {
 		attrs = append(attrs, slog.String("trace", sv.TraceID))
@@ -560,96 +564,99 @@ func parseMetric(s string) (geom.Metric, error) {
 	return m, nil
 }
 
-// resolveInstance materializes the instance/tuple/budget half of a request
-// (shared by solve and portfolio requests): inline instance wins over
-// family, the tuple defaults to dftp.TupleForIn(metric, instance), budgets
-// ≤ 0 collapse to 0. Request-level profiles override whatever profiles the
+// resolved is a request after validation: metric, instance, tuple, budget,
+// faults, and the content hash they and the solver's name determine. A cache
+// entry keeps it, with alg set to the algorithm whose run produced the body
+// (for a race, the winner, and faults its draw), as the recipe that
+// re-simulates the run.
+type resolved struct {
+	hash   string
+	alg    dftp.Algorithm
+	metric geom.Metric
+	inst   *instance.Instance
+	tup    dftp.Tuple
+	budget float64
+	faults *dftp.Faults
+}
+
+// resolve materializes req under the (already validated) metric m and
+// computes its hash under the solver name: inline instance wins over
+// family, the tuple defaults to dftp.TupleForIn(m, instance), budgets ≤ 0
+// collapse to 0. Request-level profiles override whatever profiles the
 // inline instance or family modifiers supplied, and the combined profile
 // list is validated (speeds finite and > 0, one per robot). All failures
 // wrap ErrBadRequest.
 //
-// Derived tuples of family-generated requests are memoized under
-// (metric, family, n, param, seed): the derivation walks the whole point
-// set (ℓ*, ρ*, ξ), and the same family shape recurs across algorithms,
-// objectives, and budgets — all of which change the content hash but not
-// the instance. Profiles never affect the derivation either — (ℓ*, ρ*, ξ)
-// are pure geometry — so the memo is profile-blind by construction. A memo
-// hit turns the cold path's parameter derivation into a map lookup
-// (paramsMemoHits in /statsz).
-func (s *Service) resolveInstance(m geom.Metric, inline *instance.Instance, family string, n int, param float64, seed int64, tupJSON *TupleJSON, budget float64, profiles []instance.Profile) (*instance.Instance, dftp.Tuple, float64, error) {
-	var tup dftp.Tuple
-	inst := inline
+// Family instances and their derived tuples are memoized under paramsKey:
+// the derivation walks the whole point set (ℓ*, ρ*, ξ), and the same family
+// shape recurs across algorithms, objectives, and budgets — all of which
+// change the content hash but not the instance. Profiles never affect the
+// derivation either — (ℓ*, ρ*, ξ) are pure geometry — so the memo is
+// profile-blind by construction. A memo hit turns the cold path's
+// generation and parameter derivation into a map lookup (paramsMemoHits in
+// /statsz).
+func (s *Service) resolve(name string, m geom.Metric, req *SolveRequest) (resolved, error) {
+	r := resolved{metric: m, inst: req.Instance, faults: req.Faults}
 	var memoKey []byte
-	var haveKey, memoHit bool
+	var memoHit bool
 	var famInst *instance.Instance
-	if inst == nil {
-		if family == "" {
-			return nil, tup, 0, fmt.Errorf("%w: request needs an inline instance or a family", ErrBadRequest)
+	if r.inst == nil {
+		if req.Family == "" {
+			return r, fmt.Errorf("%w: request needs an inline instance or a family", ErrBadRequest)
 		}
-		// Memo-first: a known family shape yields both its generated instance
-		// and its derived tuple from one map lookup, skipping generation and
-		// the O(n²) parameter derivation entirely. The memoized instance is
-		// the pristine generator output — request profiles are applied
-		// copy-on-write below, never to the shared pointer.
+		// Memo-first: the memoized instance is the pristine generator output
+		// — request profiles are applied copy-on-write below, never to the
+		// shared pointer.
 		var pkb [96]byte
-		if key, ok := paramsKey(pkb[:0], m, inline, family, n, param, seed); ok {
-			memoKey, haveKey = key, true
-			s.mu.Lock()
-			memo, hit := s.params.getBytes(key)
-			s.mu.Unlock()
-			if hit {
-				memoHit = true
-				inst, tup = memo.inst, memo.tup
-			}
-		}
-		if inst == nil {
-			var err error
-			inst, err = instance.Family(family, n, param, seed)
+		memoKey, _ = paramsKey(pkb[:0], m, req)
+		s.mu.Lock()
+		memo, hit := s.params.getBytes(memoKey)
+		s.mu.Unlock()
+		if memoHit = hit; hit {
+			r.inst, r.tup = memo.inst, memo.tup
+		} else {
+			inst, err := instance.Family(req.Family, req.N, req.Param, req.Seed)
 			if err != nil {
-				return nil, tup, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+				return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
 			}
-			famInst = inst
+			r.inst, famInst = inst, inst
 		}
-	} else if len(inst.Points) == 0 {
-		return nil, tup, 0, fmt.Errorf("%w: inline instance has no points", ErrBadRequest)
+	} else if len(r.inst.Points) == 0 {
+		return r, fmt.Errorf("%w: inline instance has no points", ErrBadRequest)
 	}
-	if len(profiles) > 0 {
+	if len(req.Profiles) > 0 {
 		// Copy-on-write: never mutate the caller's inline instance.
-		cp := *inst
-		cp.Profiles = profiles
-		inst = &cp
+		cp := *r.inst
+		cp.Profiles = req.Profiles
+		r.inst = &cp
 	}
-	if err := inst.ValidateProfiles(); err != nil {
-		return nil, tup, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := r.inst.ValidateProfiles(); err != nil {
+		return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if tupJSON != nil {
-		tup = dftp.Tuple{Ell: tupJSON.Ell, Rho: tupJSON.Rho, N: tupJSON.N}
-		if !tup.Admissible() {
-			return nil, tup, 0, fmt.Errorf("%w: tuple (ℓ=%g, ρ=%g, n=%d) is not admissible (need 0 < ℓ ≤ ρ ≤ nℓ)",
-				ErrBadRequest, tup.Ell, tup.Rho, tup.N)
+	switch {
+	case req.Tuple != nil:
+		r.tup = dftp.Tuple{Ell: req.Tuple.Ell, Rho: req.Tuple.Rho, N: req.Tuple.N}
+		if !r.tup.Admissible() {
+			return r, fmt.Errorf("%w: tuple (ℓ=%g, ρ=%g, n=%d) is not admissible (need 0 < ℓ ≤ ρ ≤ nℓ)",
+				ErrBadRequest, r.tup.Ell, r.tup.Rho, r.tup.N)
 		}
-	} else if memoHit {
+	case memoHit:
 		s.paramsMemoHits.Add(1)
-	} else {
-		tup = dftp.TupleForIn(m, inst)
-		if haveKey && famInst != nil {
+	default:
+		r.tup = dftp.TupleForIn(m, r.inst)
+		if famInst != nil {
 			s.mu.Lock()
-			s.params.add(string(memoKey), paramsMemo{tup: tup, inst: famInst})
+			s.params.add(string(memoKey), paramsMemo{tup: r.tup, inst: famInst})
 			s.mu.Unlock()
 		}
 	}
-	if budget < 0 {
-		budget = 0
+	if r.budget = req.Budget; r.budget < 0 {
+		r.budget = 0
 	}
-	return inst, tup, budget, nil
+	r.hash = instance.HashRequestFaulted(m, name, r.inst, r.tup.Ell, r.tup.Rho, r.tup.N, r.budget, req.Faults.Canon())
+	return r, nil
 }
 
-// paramsKey is the tuple-memo key of a family-generated request: the
-// scalars that determine the generated point set, plus the metric the
-// parameters are measured in. Algorithm, objective, and budget are
-// deliberately absent — they don't affect the derivation. Inline instances
-// are not memoized (deriving their key would walk the points, which is the
-// work the memo saves).
 // Key builders append into a caller-provided buffer (typically a stack
 // array) so the steady-state probe path — build key, getBytes — allocates
 // nothing; the key is materialized as a string only when it is actually
@@ -667,58 +674,55 @@ func appendLower(b []byte, s string) []byte {
 	return b
 }
 
-func paramsKey(b []byte, m geom.Metric, inline *instance.Instance, family string, n int, param float64, seed int64) ([]byte, bool) {
-	if inline != nil || family == "" {
+// paramsKey is the params-memo key of a family-generated request: the
+// scalars that determine the generated point set, plus the metric the
+// parameters are measured in. Algorithm, objective, and budget are
+// deliberately absent — they don't affect the derivation. Inline instances
+// are not memoized (deriving their key would walk the points, which is the
+// work the memo saves).
+func paramsKey(b []byte, m geom.Metric, req *SolveRequest) ([]byte, bool) {
+	if req.Instance != nil || req.Family == "" {
 		return nil, false
 	}
 	b = append(b, geom.MetricOrL2(m).Name()...)
 	b = append(b, '|')
-	b = appendLower(b, family)
+	b = appendLower(b, req.Family)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(n), 10)
+	b = strconv.AppendInt(b, int64(req.N), 10)
 	b = append(b, '|')
-	b = strconv.AppendUint(b, math.Float64bits(param), 16)
+	b = strconv.AppendUint(b, math.Float64bits(req.Param), 16)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, seed, 10)
+	b = strconv.AppendInt(b, req.Seed, 10)
 	return b, true
 }
 
-// shapeKey is the memo key of a family-generated request: every scalar that
-// determines the content hash — including the metric's canonical name, any
-// request-level profiles, and the fault specification — without
-// materializing the instance. Inline instances are not memoized (their hash
-// already requires walking the points, so there is nothing to save).
-// Family-modifier profiles need no extra key material: they are a
+// shapeKey is the shape-memo key of a family-generated request: the solver
+// name and paramsKey, then every other scalar that determines the content
+// hash — budget, tuple, request-level profiles, and the fault specification
+// — without materializing the instance. Inline instances are not memoized
+// (their hash already requires walking the points, so there is nothing to
+// save). Family-modifier profiles need no extra key material: they are a
 // deterministic function of the family string, which is already in the key.
-func shapeKey(b []byte, solverName string, m geom.Metric, inline *instance.Instance, family string, n int, param float64, seed int64, tupJSON *TupleJSON, budget float64, profiles []instance.Profile, faults *dftp.Faults) ([]byte, bool) {
-	if inline != nil || family == "" {
+func shapeKey(b []byte, name string, m geom.Metric, req *SolveRequest) ([]byte, bool) {
+	b, ok := paramsKey(append(append(b, name...), '|'), m, req)
+	if !ok {
 		return nil, false
 	}
+	budget := req.Budget
 	if budget <= 0 {
 		budget = 0
 	}
-	b = append(b, solverName...)
-	b = append(b, '|')
-	b = append(b, geom.MetricOrL2(m).Name()...)
-	b = append(b, '|')
-	b = appendLower(b, family)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, math.Float64bits(param), 16)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, seed, 10)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, math.Float64bits(budget), 16)
-	if tupJSON != nil {
+	if t := req.Tuple; t != nil {
 		b = append(b, "|t"...)
-		b = strconv.AppendUint(b, math.Float64bits(tupJSON.Ell), 16)
+		b = strconv.AppendUint(b, math.Float64bits(t.Ell), 16)
 		b = append(b, ',')
-		b = strconv.AppendUint(b, math.Float64bits(tupJSON.Rho), 16)
+		b = strconv.AppendUint(b, math.Float64bits(t.Rho), 16)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(tupJSON.N), 10)
+		b = strconv.AppendInt(b, int64(t.N), 10)
 	}
-	for _, p := range profiles {
+	for _, p := range req.Profiles {
 		cap := p.Capacity
 		if cap <= 0 {
 			cap = 0 // same normalization as the canonical encoding
@@ -728,53 +732,13 @@ func shapeKey(b []byte, solverName string, m geom.Metric, inline *instance.Insta
 		b = append(b, ',')
 		b = strconv.AppendUint(b, math.Float64bits(cap), 16)
 	}
-	if faults != nil {
+	if req.Faults != nil {
 		// Without this line, a faulted and a fault-free request of the same
 		// shape would alias to one memo entry and serve each other's bytes.
 		b = append(b, "|x"...)
-		b = append(b, faults.Canon()...)
+		b = append(b, req.Faults.Canon()...)
 	}
 	return b, true
-}
-
-// resolved is a solve request after validation: concrete algorithm, metric,
-// instance, tuple, budget, faults, and the content hash they determine: all
-// the run depends on, so a cache entry keeps it to re-simulate the run.
-type resolved struct {
-	hash   string
-	alg    dftp.Algorithm
-	metric geom.Metric
-	inst   *instance.Instance
-	tup    dftp.Tuple
-	budget float64
-	faults *dftp.Faults
-}
-
-// resolve materializes the instance of req for the given (already
-// validated) algorithm and metric, derives the tuple, and computes the
-// request hash. All failures wrap ErrBadRequest.
-func (s *Service) resolve(alg dftp.Algorithm, m geom.Metric, req SolveRequest) (resolved, error) {
-	var r resolved
-	inst, tup, budget, err := s.resolveInstance(m, req.Instance, req.Family, req.N, req.Param, req.Seed, req.Tuple, req.Budget, req.Profiles)
-	if err != nil {
-		return r, err
-	}
-	return resolved{
-		hash:   instance.HashRequestFaulted(m, alg.Name(), inst, tup.Ell, tup.Rho, tup.N, budget, req.Faults.Canon()),
-		alg:    alg,
-		metric: m,
-		inst:   inst,
-		tup:    tup,
-		budget: budget,
-		faults: req.Faults,
-	}, nil
-}
-
-// resolvedPortfolio is a portfolio request after validation; alg is unset
-// until the race has a winner.
-type resolvedPortfolio struct {
-	resolved
-	pf portfolio.Portfolio
 }
 
 // maxPortfolioAlgorithms caps one race's entrant list (duplicates are legal
@@ -784,8 +748,9 @@ type resolvedPortfolio struct {
 const maxPortfolioAlgorithms = 16
 
 // portfolioFor validates the algorithms/objective/seed half of a portfolio
-// request. It is cheap (no instance generation), so the memo fast path can
-// call it to derive the canonical descriptor.
+// request, including that an under-faults objective comes with a faults
+// specification. It is cheap (no instance generation), so the memo fast
+// path can call it to derive the canonical descriptor.
 func portfolioFor(req PortfolioRequest) (portfolio.Portfolio, error) {
 	var pf portfolio.Portfolio
 	if len(req.Algorithms) == 0 {
@@ -807,28 +772,10 @@ func portfolioFor(req PortfolioRequest) (portfolio.Portfolio, error) {
 	if err != nil {
 		return pf, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return portfolio.Portfolio{Algorithms: algs, Objective: obj, Seed: req.Seed}, nil
-}
-
-// resolvePortfolio materializes the instance of req for the given (already
-// validated) portfolio and metric and computes the request hash.
-func (s *Service) resolvePortfolio(pf portfolio.Portfolio, m geom.Metric, req PortfolioRequest) (resolvedPortfolio, error) {
-	var r resolvedPortfolio
-	inst, tup, budget, err := s.resolveInstance(m, req.Instance, req.Family, req.N, req.Param, req.Seed, req.Tuple, req.Budget, req.Profiles)
-	if err != nil {
-		return r, err
+	if _, uf := obj.(portfolio.UnderFaults); uf && req.Faults == nil {
+		return pf, fmt.Errorf("%w: objective %q needs a faults specification", ErrBadRequest, obj.Name())
 	}
-	return resolvedPortfolio{
-		resolved: resolved{
-			hash:   instance.HashRequestFaulted(m, pf.Name(), inst, tup.Ell, tup.Rho, tup.N, budget, req.Faults.Canon()),
-			metric: m,
-			inst:   inst,
-			tup:    tup,
-			budget: budget,
-			faults: req.Faults,
-		},
-		pf: pf,
-	}, nil
+	return portfolio.Portfolio{Algorithms: algs, Objective: obj, Seed: req.Seed}, nil
 }
 
 // Solve serves one request: from the cache when possible, by joining an
@@ -837,49 +784,159 @@ func (s *Service) resolvePortfolio(pf portfolio.Portfolio, m geom.Metric, req Po
 // ErrBadRequest (invalid request), ErrQueueFull (load shed), ErrClosed, or
 // a simulation failure.
 func (s *Service) Solve(req SolveRequest) (Solved, error) {
-	return s.SolveTraced(TraceOpt{}, req)
+	return s.solveTraced(TraceOpt{}, req)
 }
 
-// SolveTraced is Solve with a transport-layer trace identity: the HTTP
+// solveTraced is Solve with a transport-layer trace identity: the HTTP
 // handler parses traceparent / X-Request-ID and rolls the sampling die
-// once, then passes the verdict down here. Direct callers use Solve.
-func (s *Service) SolveTraced(topt TraceOpt, req SolveRequest) (Solved, error) {
+// once, then passes the verdict down here.
+func (s *Service) solveTraced(topt TraceOpt, req SolveRequest) (Solved, error) {
 	sp := obs.StartSpan()
-	// Memo fast path: a family request whose shape was seen before finds
-	// its hash — and with luck its cached bytes — without re-generating the
-	// instance and re-hashing its points.
 	alg, err := AlgorithmByName(req.Algorithm)
+	return serve(s, s.solveEP, topt, &sp, single{alg}, err, &req)
+}
+
+// SolvePortfolio serves one portfolio race with the same cache-first /
+// single-flight / bounded-queue semantics as Solve. The race itself runs k
+// simulations concurrently inside one worker slot (its racing pool is
+// bounded by Config.Workers); because race outcomes are deterministic at
+// any worker count, the response is cacheable exactly like a single solve.
+func (s *Service) SolvePortfolio(req PortfolioRequest) (Solved, error) {
+	return s.portfolioTraced(TraceOpt{}, req)
+}
+
+// portfolioTraced is SolvePortfolio with a transport-layer trace identity
+// (see solveTraced). Kept portfolio traces carry per-racer child spans.
+func (s *Service) portfolioTraced(topt TraceOpt, req PortfolioRequest) (Solved, error) {
+	sp := obs.StartSpan()
+	pf, err := portfolioFor(req)
+	sreq := req.solveRequest()
+	return serve(s, s.portfolioEP, topt, &sp, race{pf}, err, &sreq)
+}
+
+// solver is the half of a request the pipeline in serve does not share:
+// single runs one algorithm, race races a portfolio. Name is the canonical
+// descriptor hashed into the request key; width is the job's admission
+// weight for a pool of the given size; run simulates the resolved request
+// on a worker and returns the (winning) run's result, the response to
+// marshal, and the recipe the cache keeps to replay the run.
+type solver interface {
+	Name() string
+	width(workers int) int
+	run(s *Service, ts *stageTimes, ar *arena.Arena, r resolved) (sim.Result, any, resolved, error)
+}
+
+// single is the solver of POST /v1/solve: one algorithm, simulated on the
+// executing worker's arena.
+type single struct{ dftp.Algorithm }
+
+func (single) width(int) int { return 1 }
+
+func (a single) run(s *Service, _ *stageTimes, ar *arena.Arena, r resolved) (sim.Result, any, resolved, error) {
+	res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, a.Algorithm, r.inst, r.tup, r.budget, r.faults, nil)
+	s.solves.Add(1)
 	if err != nil {
-		return s.finish("solve", s.durSolve, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
+		return res, nil, r, err
 	}
-	m, err := parseMetric(req.Metric)
+	out := NewSolveResponse(r.hash, a.Algorithm, r.metric, r.inst, r.tup, r.budget, res, rep)
+	out.Faults = NewFaultsEcho(r.faults, res, r.inst.N())
+	r.alg = a.Algorithm
+	return res, out, r, nil
+}
+
+// race is the solver of POST /v1/portfolio: the portfolio's entrants raced
+// inside one worker slot. The race builds its own engines on racer
+// goroutines, so it ignores the worker arena.
+type race struct{ portfolio.Portfolio }
+
+// width is min(k, workers): a k-entrant race runs that many simulations at
+// once inside its slot, and admission counts them so a burst of races
+// cannot oversubscribe the host.
+func (p race) width(workers int) int { return min(len(p.Algorithms), workers) }
+
+func (p race) run(s *Service, ts *stageTimes, _ *arena.Arena, r resolved) (sim.Result, any, resolved, error) {
+	// With tracing enabled, tee the race's observations into the call so
+	// kept traces get per-racer child spans. Observe runs from racer
+	// goroutines, hence the mutex; the final sorted slice is published via
+	// ts before close(done) like the stage durations.
+	observe := s.observeRacer
+	var rmu sync.Mutex
+	var racerObs []portfolio.RacerObservation
+	if s.traces != nil {
+		observe = func(ob portfolio.RacerObservation) {
+			s.observeRacer(ob)
+			rmu.Lock()
+			racerObs = append(racerObs, ob)
+			rmu.Unlock()
+		}
+	}
+	res, err := portfolio.Race(p.Portfolio, r.inst, r.tup, r.budget,
+		portfolio.Options{Workers: s.cfg.Workers, Metric: r.metric, Observe: observe, Faults: r.faults})
+	// Race joined all racer goroutines before returning, so racerObs is
+	// complete and safe to read without the mutex here.
+	if len(racerObs) > 0 {
+		sort.Slice(racerObs, func(i, j int) bool { return racerObs[i].Index < racerObs[j].Index })
+		ts.racers = racerObs
+	}
+	s.races.Add(1)
 	if err != nil {
-		return s.finish("solve", s.durSolve, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
+		return sim.Result{}, nil, r, err
 	}
-	if err := req.Faults.Validate(); err != nil {
-		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
-		return s.finish("solve", s.durSolve, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
+	s.solves.Add(int64(len(p.Algorithms) - res.Aborted))
+	s.racersCancelled.Add(int64(res.Cancelled))
+	out := NewPortfolioResponse(r.hash, p.Portfolio, r.metric, r.inst, r.tup, r.budget, res)
+	out.Faults = NewFaultsEcho(r.faults, res.Res, r.inst.N())
+	// The winner's run is the race's trace: keep its recipe. Only that run's
+	// full sim.Result survives the race (losers are summarized into
+	// RacerResult scalars), so probe totals count winner work only.
+	r.alg, r.faults = p.Algorithms[res.Winner], res.WinnerFaults
+	return res.Res, out, r, nil
+}
+
+// serve is the one request pipeline behind Solve and SolvePortfolio. It
+// validates the metric and fault spec (err carries the caller's parse of the
+// solver half, timed by sp like the rest of resolve), counts the request's
+// shape, and serves a memoized shape from the cache or an in-flight run
+// without materializing the instance; otherwise it resolves the request,
+// starts or joins its run, and closes the request out with finish. The run
+// is sol's simulation followed by the stage clocks, probe totals and
+// marshal every request shares.
+//
+// S is a type parameter rather than an interface argument so the solver is
+// never boxed: the cache-hit path stays allocation-free.
+func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S, err error, req *SolveRequest) (Solved, error) {
+	var m geom.Metric
+	if err == nil {
+		m, err = parseMetric(req.Metric)
 	}
-	s.countShape("solve", alg.Name(), geom.MetricOrL2(m).Name())
+	if err == nil {
+		if err = req.Faults.Validate(); err != nil {
+			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+	}
+	if err != nil {
+		return s.finish(ep, Solved{Resolve: sp.Mark("resolve")}, sp, topt, err)
+	}
+	name := sol.Name()
+	s.countShape(ep.name, name, geom.MetricOrL2(m).Name())
 	var kb [128]byte
-	key, keyed := shapeKey(kb[:0], alg.Name(), m, req.Instance, req.Family, req.N, req.Param, req.Seed, req.Tuple, req.Budget, req.Profiles, req.Faults)
+	key, keyed := shapeKey(kb[:0], name, m, req)
 	if keyed {
 		if sv, handled, err := s.memoLookup(key); handled {
 			sv.Resolve = sp.Mark("resolve")
-			return s.finish("solve", s.durSolve, sv, &sp, topt, err)
+			return s.finish(ep, sv, sp, topt, err)
 		}
 	}
-	r, err := s.resolve(alg, m, req)
+	r, err := s.resolve(name, m, req)
 	resolveDur := sp.Mark("resolve")
 	if err != nil {
-		return s.finish("solve", s.durSolve, Solved{Resolve: resolveDur}, &sp, topt, err)
+		return s.finish(ep, Solved{Resolve: resolveDur}, sp, topt, err)
 	}
-	run := func(ts *stageTimes, ar *arena.Arena) (*entry, error) {
+	sv, err := s.startOrJoin(r.hash, string(key), sol.width(s.cfg.Workers), func(ts *stageTimes, ar *arena.Arena) (*entry, error) {
 		rsp := obs.StartSpan()
-		res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, r.alg, r.inst, r.tup, r.budget, r.faults, nil)
+		res, out, in, err := sol.run(s, ts, ar, r)
 		ts.sim = rsp.Mark("sim")
 		s.stageSim.Record(ts.sim.Seconds())
-		s.solves.Add(1)
 		if err != nil {
 			return nil, err
 		}
@@ -887,19 +944,16 @@ func (s *Service) SolveTraced(topt TraceOpt, req SolveRequest) (Solved, error) {
 			s.stageRepair.Record(ts.repair.Seconds())
 		}
 		s.recordSimProbes(res)
-		out := NewSolveResponse(r.hash, r.alg, r.metric, r.inst, r.tup, r.budget, res, rep)
-		out.Faults = NewFaultsEcho(r.faults, res, r.inst.N())
 		body, err := json.Marshal(out)
 		ts.marshal = rsp.Mark("marshal")
 		s.stageMarshal.Record(ts.marshal.Seconds())
 		if err != nil {
 			return nil, err
 		}
-		return (&entry{body: body, in: r}).sized(), nil
-	}
-	sv, err := s.startOrJoin(r.hash, string(key), 1, run)
+		return (&entry{body: body, in: in}).sized(), nil
+	})
 	sv.Resolve = resolveDur
-	return s.finish("solve", s.durSolve, sv, &sp, topt, err)
+	return s.finish(ep, sv, sp, topt, err)
 }
 
 // recordSimProbes folds one completed run's event-loop probe counters into
@@ -945,10 +999,10 @@ func repairShare(res sim.Result, sim time.Duration) time.Duration {
 // instance materialization — actually finished). With the outcome and
 // total known it also applies the trace keep policy: the unkept path adds
 // nothing to the cold solve — no allocation, two comparisons.
-func (s *Service) finish(endpoint string, dur *obs.Histogram, sv Solved, sp *obs.Span, topt TraceOpt, err error) (Solved, error) {
+func (s *Service) finish(ep endpoint, sv Solved, sp *obs.Span, topt TraceOpt, err error) (Solved, error) {
 	s.stageResolve.Record(sv.Resolve.Seconds())
 	sv.Total = sp.Total()
-	dur.Record(sv.Total.Seconds())
+	ep.dur.Record(sv.Total.Seconds())
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -957,122 +1011,13 @@ func (s *Service) finish(endpoint string, dur *obs.Histogram, sv Solved, sp *obs
 			sv.Outcome = OutcomeError
 		}
 	}
-	if c := s.reqOutcomes[epOutcome{endpoint, sv.Outcome}]; c != nil {
+	if c := s.reqOutcomes[epOutcome{ep.name, sv.Outcome}]; c != nil {
 		c.Inc()
 	}
 	sv.TraceID = topt.ID
-	s.recordTrace(endpoint, &sv, sp, topt, err)
-	s.logRequest(endpoint, sv, topt, err)
+	s.recordTrace(ep.name, &sv, sp, topt, err)
+	s.logRequest(ep.name, sv, topt, err)
 	return sv, err
-}
-
-// SolvePortfolio serves one portfolio race with the same cache-first /
-// single-flight / bounded-queue semantics as Solve. The race itself runs k
-// simulations concurrently inside one worker slot (its racing pool is
-// bounded by Config.Workers); because race outcomes are deterministic at
-// any worker count, the response is cacheable exactly like a single solve.
-func (s *Service) SolvePortfolio(req PortfolioRequest) (Solved, error) {
-	return s.SolvePortfolioTraced(TraceOpt{}, req)
-}
-
-// SolvePortfolioTraced is SolvePortfolio with a transport-layer trace
-// identity (see SolveTraced). Kept portfolio traces carry per-racer child
-// spans, collected from the race's Observe callback.
-func (s *Service) SolvePortfolioTraced(topt TraceOpt, req PortfolioRequest) (Solved, error) {
-	sp := obs.StartSpan()
-	pf, err := portfolioFor(req)
-	if err != nil {
-		return s.finish("portfolio", s.durPortfolio, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
-	}
-	m, err := parseMetric(req.Metric)
-	if err != nil {
-		return s.finish("portfolio", s.durPortfolio, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
-	}
-	if err := req.Faults.Validate(); err != nil {
-		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
-		return s.finish("portfolio", s.durPortfolio, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
-	}
-	if _, uf := pf.Objective.(portfolio.UnderFaults); uf && req.Faults == nil {
-		err = fmt.Errorf("%w: objective %q needs a faults specification", ErrBadRequest, pf.Objective.Name())
-		return s.finish("portfolio", s.durPortfolio, Solved{Resolve: sp.Mark("resolve")}, &sp, topt, err)
-	}
-	s.countShape("portfolio", pf.Name(), geom.MetricOrL2(m).Name())
-	var kb [128]byte
-	key, keyed := shapeKey(kb[:0], pf.Name(), m, req.Instance, req.Family, req.N, req.Param, req.Seed, req.Tuple, req.Budget, req.Profiles, req.Faults)
-	if keyed {
-		if sv, handled, err := s.memoLookup(key); handled {
-			sv.Resolve = sp.Mark("resolve")
-			return s.finish("portfolio", s.durPortfolio, sv, &sp, topt, err)
-		}
-	}
-	r, err := s.resolvePortfolio(pf, m, req)
-	resolveDur := sp.Mark("resolve")
-	if err != nil {
-		return s.finish("portfolio", s.durPortfolio, Solved{Resolve: resolveDur}, &sp, topt, err)
-	}
-	run := func(ts *stageTimes, _ *arena.Arena) (*entry, error) {
-		rsp := obs.StartSpan()
-		// With tracing enabled, tee the race's observations into the call
-		// so kept traces get per-racer child spans. Observe runs from racer
-		// goroutines, hence the mutex; the final sorted slice is published
-		// via ts before close(done) like the stage durations.
-		observe := s.observeRacer
-		var rmu sync.Mutex
-		var racerObs []portfolio.RacerObservation
-		if s.traces != nil {
-			observe = func(ob portfolio.RacerObservation) {
-				s.observeRacer(ob)
-				rmu.Lock()
-				racerObs = append(racerObs, ob)
-				rmu.Unlock()
-			}
-		}
-		res, err := portfolio.Race(r.pf, r.inst, r.tup, r.budget,
-			portfolio.Options{Workers: s.cfg.Workers, Metric: r.metric, Observe: observe, Faults: r.faults})
-		ts.sim = rsp.Mark("sim")
-		// Race joined all racer goroutines before returning, so racerObs is
-		// complete and safe to read without the mutex here.
-		if len(racerObs) > 0 {
-			sort.Slice(racerObs, func(i, j int) bool { return racerObs[i].Index < racerObs[j].Index })
-			ts.racers = racerObs
-		}
-		s.stageSim.Record(ts.sim.Seconds())
-		s.races.Add(1)
-		if err != nil {
-			return nil, err
-		}
-		s.solves.Add(int64(len(r.pf.Algorithms) - res.Aborted))
-		s.racersCancelled.Add(int64(res.Cancelled))
-		// Only the winning run's full sim.Result survives the race; losing
-		// runs are summarized into RacerResult scalars, so probe totals
-		// count winner event-loop work only.
-		if ts.repair = repairShare(res.Res, ts.sim); ts.repair > 0 {
-			s.stageRepair.Record(ts.repair.Seconds())
-		}
-		s.recordSimProbes(res.Res)
-		out := NewPortfolioResponse(r.hash, r.pf, r.metric, r.inst, r.tup, r.budget, res)
-		out.Faults = NewFaultsEcho(r.faults, res.Res, r.inst.N())
-		body, err := json.Marshal(out)
-		ts.marshal = rsp.Mark("marshal")
-		s.stageMarshal.Record(ts.marshal.Seconds())
-		if err != nil {
-			return nil, err
-		}
-		// The winner's run is the race's trace: keep its recipe.
-		in := r.resolved
-		in.alg, in.faults = r.pf.Algorithms[res.Winner], res.WinnerFaults
-		return (&entry{body: body, in: in}).sized(), nil
-	}
-	// A k-entrant race runs min(k, Workers) simulations concurrently inside
-	// its worker slot; admission accounts for that width so a burst of
-	// portfolio requests cannot oversubscribe the host.
-	width := len(r.pf.Algorithms)
-	if width > s.cfg.Workers {
-		width = s.cfg.Workers
-	}
-	sv, err := s.startOrJoin(r.hash, string(key), width, run)
-	sv.Resolve = resolveDur
-	return s.finish("portfolio", s.durPortfolio, sv, &sp, topt, err)
 }
 
 // memoLookup serves a request whose shape key is already memoized: a cache
@@ -1124,8 +1069,7 @@ func (s *Service) joinLocked(hash string) (sv Solved, found bool, err error) {
 // served is the Solved of a request that waited on the finished call c: the
 // run's body and the stage times of the run it waited on.
 func (c *call) served(hash, outcome string) Solved {
-	return Solved{Hash: hash, Body: c.ent.body, Hit: outcome != OutcomeMiss, Outcome: outcome,
-		Queue: c.queue, Sim: c.sim, Marshal: c.marshal, Repair: c.repair, racers: c.racers}
+	return Solved{Hash: hash, Body: c.ent.body, Hit: outcome != OutcomeMiss, Outcome: outcome, stageTimes: c.stageTimes}
 }
 
 // enqueueLocked admits j under the width-weighted cap and queues it; s.mu
@@ -1145,20 +1089,16 @@ func (s *Service) enqueueLocked(j *job) error {
 	return ErrQueueFull
 }
 
-// startOrJoin is the cache-first core shared by Solve and SolvePortfolio:
-// serve the hash from the cache, join an identical in-flight job, or queue
-// run as a new job of the given admission width. memoKey, when non-empty, is
-// recorded so future requests of the same shape skip instance
-// materialization.
+// startOrJoin is the cache-first core of serve: serve the hash from the
+// cache, join an identical in-flight job, or queue run as a new job of the
+// given admission width (≥ 1). memoKey, when non-empty, is recorded so
+// future requests of the same shape skip instance materialization.
 //
 // Admission is width-weighted: the sum of admitted-but-uncompleted widths is
 // capped at QueueDepth+Workers (exactly the old queued+running limit when
 // every job has width 1), so k-entrant races reserve k effective slots and
 // shed under load like k solves would.
 func (s *Service) startOrJoin(hash, memoKey string, width int, run func(*stageTimes, *arena.Arena) (*entry, error)) (Solved, error) {
-	if width < 1 {
-		width = 1
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -14,14 +14,7 @@ import (
 	"freezetag/internal/dftp"
 	"freezetag/internal/geom"
 	"freezetag/internal/instance"
-	"freezetag/internal/sim"
 )
-
-// solveDirect runs the resolved request straight through the library
-// facade, bypassing the service.
-func solveDirect(r resolved) (sim.Result, *dftp.Report, error) {
-	return dftp.Solve(r.alg, r.inst, r.tup, r.budget)
-}
 
 func walkRequest(seed int64) SolveRequest {
 	return SolveRequest{Algorithm: "agrid", Family: "walk", N: 24, Param: 0.9, Seed: seed}
@@ -208,6 +201,7 @@ func TestBadRequests(t *testing.T) {
 		"no instance":       {Algorithm: "agrid"},
 		"unknown family":    {Algorithm: "agrid", Family: "torus", N: 8, Param: 1},
 		"bad n":             {Algorithm: "agrid", Family: "walk", N: 0, Param: 1},
+		"huge n":            {Algorithm: "agrid", Family: "line", N: 1 << 40, Param: 1},
 		"empty inline":      {Algorithm: "agrid", Instance: &instance.Instance{Name: "empty"}},
 		"bad tuple": {Algorithm: "agrid", Family: "walk", N: 8, Param: 1,
 			Tuple: &TupleJSON{Ell: -1, Rho: 1, N: 8}},
@@ -440,11 +434,14 @@ func TestResponseMatchesDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.resolve(alg, nil, walkRequest(12))
+	req := walkRequest(12)
+	r, err := s.resolve(alg.Name(), nil, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := solveDirect(r)
+	// The resolved request straight through the library, bypassing the
+	// service.
+	res, rep, err := dftp.Solve(alg, r.inst, r.tup, r.budget)
 	if err != nil {
 		t.Fatal(err)
 	}

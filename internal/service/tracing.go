@@ -143,17 +143,17 @@ func (s *Service) recordTrace(endpoint string, sv *Solved, sp *obs.Span, topt Tr
 	t.Spans = append(t.Spans, obs.TraceSpan{Name: "resolve", D: sv.Resolve})
 	if sv.Outcome == OutcomeMiss || sv.Outcome == OutcomeCoalesced {
 		off := sv.Resolve
-		t.Spans = append(t.Spans, obs.TraceSpan{Name: "queue", Start: off, D: sv.Queue})
-		off += sv.Queue
-		t.Spans = append(t.Spans, obs.TraceSpan{Name: "sim", Start: off, D: sv.Sim})
-		if sv.Repair > 0 {
+		t.Spans = append(t.Spans, obs.TraceSpan{Name: "queue", Start: off, D: sv.queue})
+		off += sv.queue
+		t.Spans = append(t.Spans, obs.TraceSpan{Name: "sim", Start: off, D: sv.sim})
+		if sv.repair > 0 {
 			// Fault-injected runs: the estimated slice of sim spent inside the
 			// repair layer's active window, right-aligned within the sim span
 			// (repairs concentrate in the run's tail once faults have fired).
-			t.Spans = append(t.Spans, obs.TraceSpan{Name: "repair", Start: off + sv.Sim - sv.Repair, D: sv.Repair})
+			t.Spans = append(t.Spans, obs.TraceSpan{Name: "repair", Start: off + sv.sim - sv.repair, D: sv.repair})
 		}
-		off += sv.Sim
-		t.Spans = append(t.Spans, obs.TraceSpan{Name: "marshal", Start: off, D: sv.Marshal})
+		off += sv.sim
+		t.Spans = append(t.Spans, obs.TraceSpan{Name: "marshal", Start: off, D: sv.marshal})
 	}
 	switch sv.Outcome {
 	case OutcomeHit:

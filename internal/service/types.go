@@ -181,6 +181,14 @@ type PortfolioRequest struct {
 	Faults *dftp.Faults `json:"faults,omitempty"`
 }
 
+// solveRequest is q without its entrants and objective: the instance,
+// constraints and faults the request pipeline resolves and keys, which a
+// portfolio request shares field for field with a solve request.
+func (q PortfolioRequest) solveRequest() SolveRequest {
+	return SolveRequest{Metric: q.Metric, Instance: q.Instance, Family: q.Family, N: q.N, Param: q.Param,
+		Seed: q.Seed, Tuple: q.Tuple, Budget: q.Budget, Profiles: q.Profiles, Faults: q.Faults}
+}
+
 // RacerStat is one entrant's outcome in a PortfolioResponse. Every field is
 // deterministic — decided by portfolio order and simulation content, never
 // by which racer happened to finish first — which is what lets portfolio
