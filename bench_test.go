@@ -237,6 +237,34 @@ func BenchmarkSpatial_Within(b *testing.B) {
 	_ = buf
 }
 
+// BenchmarkSpatial_Sweep prices the simulator's sweep pattern, which the
+// static BenchmarkSpatial_Within never exercises: one item moves across a
+// 256×256 lattice of unit cells (the side of an AWave wave square for
+// ℓ ≤ 4) with a radius-1 Within at every stop, over a 24-point population
+// clustered near the origin like a small swarm. One op is the whole sweep.
+func BenchmarkSpatial_Sweep(b *testing.B) {
+	const side = 256
+	g := spatial.NewGrid(1)
+	rng := rand.New(rand.NewSource(6))
+	for i := 1; i <= 24; i++ {
+		g.Insert(i, geom.Pt(rng.Float64()*10, rng.Float64()*10))
+	}
+	var buf []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for y := 0; y < side; y++ {
+			for x := 0; x < side; x++ {
+				p := geom.Pt(float64(x)+0.5, float64(y)+0.5)
+				g.Insert(0, p)
+				buf = g.Within(buf[:0], p, 1)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*side*side), "ns/stop")
+	_ = buf
+}
+
 func BenchmarkDiskGraph_Params(b *testing.B) {
 	inst := instance.RandomWalk(rand.New(rand.NewSource(5)), 300, 0.9)
 	b.ResetTimer()

@@ -5,14 +5,16 @@
 // allocation-free apart from key scratch, and a steady-state solve — same
 // request shape, distinct budget, so the whole resolve → simulate → marshal
 // chain runs on the worker arena — must stay within a small fixed budget
-// (the pre-arena figure was ~2600 allocs per solve).
+// (the pre-arena figure was ~2600 allocs per solve). A served cold race must
+// stay within a heap-byte budget.
 //
 // Excluded under -race: the race runtime instruments allocations and breaks
-// AllocsPerRun accounting. CI runs this file in the non-race benchmark smoke
-// step instead.
+// AllocsPerRun and TotalAlloc accounting. CI runs this file in its own
+// non-race "Allocation gates" step instead.
 package service
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -70,4 +72,39 @@ func TestAllocs_SteadyStateSolve(t *testing.T) {
 	if allocs > 50 {
 		t.Fatalf("steady-state solve allocates %.1f allocs/op, budget is 50", allocs)
 	}
+}
+
+// TestAllocs_PortfolioRaceBytes gates a served race's heap footprint: cold
+// three-entrant races on fresh walk-24 instances, nothing cached, so every
+// race builds its racers' engines and runs AWave's 256-wide wave squares.
+// The budget is 5 MiB per race; a simulator grid that keeps an empty cell
+// for every unit square a robot ever crossed costs about 10 MiB.
+func TestAllocs_PortfolioRaceBytes(t *testing.T) {
+	s := newTestService(t, Config{CacheBytes: 1})
+	race := func(seed int64) {
+		sv, err := s.SolvePortfolio(PortfolioRequest{
+			Algorithms: []string{"agrid", "aseparator", "awave"},
+			Family:     "walk", N: 24, Param: 0.9, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Hit {
+			t.Fatal("race unexpectedly served from cache")
+		}
+	}
+	race(100) // keep one-time start-up allocations out of the measurement
+	const races = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seed := int64(1); seed <= races; seed++ {
+		race(seed)
+	}
+	runtime.ReadMemStats(&after)
+	perRace := float64(after.TotalAlloc-before.TotalAlloc) / races
+	const budget = 5 << 20
+	if perRace > budget {
+		t.Fatalf("a served race allocates %.2f MiB, budget is %d MiB", perRace/(1<<20), budget>>20)
+	}
+	t.Logf("%.2f MiB per race", perRace/(1<<20))
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -177,6 +178,65 @@ func TestMetricszExposition(t *testing.T) {
 			t.Errorf("stage %s count = %v, want 2 (one solve, one race)", stage, v)
 		}
 	}
+}
+
+// TestCorrectnessCounters: incomplete runs and schedule misses reach
+// /metricsz, labelled with the run's algorithm (a race's winner), counted
+// once per completed run and never again on a cache hit. Of the PR 5 golden
+// requests only the budgeted ℓ1 ASeparator line run fails: it ends with 2
+// of 16 robots awake and reports one deadline miss.
+func TestCorrectnessCounters(t *testing.T) {
+	data, err := os.ReadFile("testdata/response_golden_pr5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs []responseFixture
+	if err := json.Unmarshal(data, &fs); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := newTestServer(t, Config{Workers: 2})
+	post := func(f responseFixture) {
+		t.Helper()
+		path, req := "/v1/solve", f.Solve
+		if req == nil {
+			path, req = "/v1/portfolio", f.Race
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(string(req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", f.Desc, resp.StatusCode, body)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		_, body := getBody(t, srv.URL+"/metricsz")
+		for _, name := range []string{"dftp_incomplete_runs_total", "dftp_schedule_misses_total"} {
+			for _, alg := range []string{"AGrid", "ASeparator", "ASeparatorAuto", "AWave"} {
+				want := 0.0
+				if alg == "ASeparator" {
+					want = 1
+				}
+				if v := metricValue(t, string(body), name+`{algorithm="`+alg+`"}`); v != want {
+					t.Errorf("%s: %s{%s} = %v, want %v", when, name, alg, v, want)
+				}
+			}
+		}
+	}
+	var failing responseFixture
+	for _, f := range fs {
+		post(f)
+		if f.Desc == "line aseparator l1 budget" {
+			failing = f
+		}
+	}
+	if failing.Solve == nil {
+		t.Fatal("golden set lost the failing ASeparator request")
+	}
+	check("after the golden requests")
+	post(failing)
+	check("after the cache-hit repeat")
 }
 
 // Past maxShapeSeries, new shapes share one algorithm="other",

@@ -242,6 +242,11 @@ type Service struct {
 	// faultsInjected maps a fault kind to its dftp_faults_injected_total
 	// series; kinds are a fixed set, preregistered like reqOutcomes.
 	faultsInjected map[string]*obs.Counter
+	// incompleteRuns and scheduleMisses map an Algorithm.Name() to its
+	// dftp_incomplete_runs_total / dftp_schedule_misses_total series,
+	// preregistered for every algorithm AlgorithmByName serves.
+	incompleteRuns map[string]*obs.Counter
+	scheduleMisses map[string]*obs.Counter
 
 	// Per-stage latency histograms (seconds, power-of-two buckets ~1µs…32s)
 	// plus end-to-end request histograms per endpoint. stageRepair records
@@ -370,6 +375,16 @@ func (s *Service) initObs() {
 		s.faultsInjected[kind] = r.Counter("dftp_faults_injected_total",
 			"Faults injected into completed runs, by kind (roster-skip counts tolerated stale-roster operations).",
 			obs.L("kind", kind))
+	}
+	s.incompleteRuns = make(map[string]*obs.Counter)
+	s.scheduleMisses = make(map[string]*obs.Counter)
+	for _, a := range []dftp.Algorithm{dftp.AGrid{}, dftp.ASeparator{}, dftp.ASeparatorAuto{}, dftp.AWave{}} {
+		s.incompleteRuns[a.Name()] = r.Counter("dftp_incomplete_runs_total",
+			"Completed runs that left robots asleep (allAwake=false), by algorithm; a race counts its winner.",
+			obs.L("algorithm", a.Name()))
+		s.scheduleMisses[a.Name()] = r.Counter("dftp_schedule_misses_total",
+			"Synchronization-deadline misses reported by completed runs, by algorithm; a race counts its winner.",
+			obs.L("algorithm", a.Name()))
 	}
 
 	const durHelp = "End-to-end request latency by endpoint, cache hits included."
@@ -818,12 +833,12 @@ func (s *Service) portfolioTraced(topt TraceOpt, req PortfolioRequest) (Solved, 
 // single runs one algorithm, race races a portfolio. Name is the canonical
 // descriptor hashed into the request key; width is the job's admission
 // weight for a pool of the given size; run simulates the resolved request
-// on a worker and returns the (winning) run's result, the response to
-// marshal, and the recipe the cache keeps to replay the run.
+// on a worker and returns the (winning) run's result and report, the
+// response to marshal, and the recipe the cache keeps to replay the run.
 type solver interface {
 	Name() string
 	width(workers int) int
-	run(s *Service, ts *stageTimes, ar *arena.Arena, r resolved) (sim.Result, any, resolved, error)
+	run(s *Service, ts *stageTimes, ar *arena.Arena, r resolved) (sim.Result, *dftp.Report, any, resolved, error)
 }
 
 // single is the solver of POST /v1/solve: one algorithm, simulated on the
@@ -832,16 +847,16 @@ type single struct{ dftp.Algorithm }
 
 func (single) width(int) int { return 1 }
 
-func (a single) run(s *Service, _ *stageTimes, ar *arena.Arena, r resolved) (sim.Result, any, resolved, error) {
+func (a single) run(s *Service, _ *stageTimes, ar *arena.Arena, r resolved) (sim.Result, *dftp.Report, any, resolved, error) {
 	res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, a.Algorithm, r.inst, r.tup, r.budget, r.faults, nil)
 	s.solves.Add(1)
 	if err != nil {
-		return res, nil, r, err
+		return res, nil, nil, r, err
 	}
 	out := NewSolveResponse(r.hash, a.Algorithm, r.metric, r.inst, r.tup, r.budget, res, rep)
 	out.Faults = NewFaultsEcho(r.faults, res, r.inst.N())
 	r.alg = a.Algorithm
-	return res, out, r, nil
+	return res, rep, out, r, nil
 }
 
 // race is the solver of POST /v1/portfolio: the portfolio's entrants raced
@@ -854,7 +869,7 @@ type race struct{ portfolio.Portfolio }
 // cannot oversubscribe the host.
 func (p race) width(workers int) int { return min(len(p.Algorithms), workers) }
 
-func (p race) run(s *Service, ts *stageTimes, _ *arena.Arena, r resolved) (sim.Result, any, resolved, error) {
+func (p race) run(s *Service, ts *stageTimes, _ *arena.Arena, r resolved) (sim.Result, *dftp.Report, any, resolved, error) {
 	// With tracing enabled, tee the race's observations into the call so
 	// kept traces get per-racer child spans. Observe runs from racer
 	// goroutines, hence the mutex; the final sorted slice is published via
@@ -880,7 +895,7 @@ func (p race) run(s *Service, ts *stageTimes, _ *arena.Arena, r resolved) (sim.R
 	}
 	s.races.Add(1)
 	if err != nil {
-		return sim.Result{}, nil, r, err
+		return sim.Result{}, nil, nil, r, err
 	}
 	s.solves.Add(int64(len(p.Algorithms) - res.Aborted))
 	s.racersCancelled.Add(int64(res.Cancelled))
@@ -890,7 +905,7 @@ func (p race) run(s *Service, ts *stageTimes, _ *arena.Arena, r resolved) (sim.R
 	// full sim.Result survives the race (losers are summarized into
 	// RacerResult scalars), so probe totals count winner work only.
 	r.alg, r.faults = p.Algorithms[res.Winner], res.WinnerFaults
-	return res.Res, out, r, nil
+	return res.Res, res.Rep, out, r, nil
 }
 
 // serve is the one request pipeline behind Solve and SolvePortfolio. It
@@ -934,7 +949,7 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 	}
 	sv, err := s.startOrJoin(r.hash, string(key), sol.width(s.cfg.Workers), func(ts *stageTimes, ar *arena.Arena) (*entry, error) {
 		rsp := obs.StartSpan()
-		res, out, in, err := sol.run(s, ts, ar, r)
+		res, rep, out, in, err := sol.run(s, ts, ar, r)
 		ts.sim = rsp.Mark("sim")
 		s.stageSim.Record(ts.sim.Seconds())
 		if err != nil {
@@ -943,7 +958,7 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 		if ts.repair = repairShare(res, ts.sim); ts.repair > 0 {
 			s.stageRepair.Record(ts.repair.Seconds())
 		}
-		s.recordSimProbes(res)
+		s.recordSimProbes(in.alg.Name(), res, rep)
 		body, err := json.Marshal(out)
 		ts.marshal = rsp.Mark("marshal")
 		s.stageMarshal.Record(ts.marshal.Seconds())
@@ -956,13 +971,17 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 	return s.finish(ep, sv, sp, topt, err)
 }
 
-// recordSimProbes folds one completed run's event-loop probe counters into
-// the registry totals.
-func (s *Service) recordSimProbes(res sim.Result) {
+// recordSimProbes folds one completed run of algorithm alg — its event-loop
+// probe counters and its correctness signals — into the registry totals.
+func (s *Service) recordSimProbes(alg string, res sim.Result, rep *dftp.Report) {
 	s.simSteps.Add(res.Steps)
 	s.simLooks.Add(res.Looks)
 	s.simMoves.Add(res.Moves)
 	s.simWakes.Add(int64(res.Awakened))
+	if !res.AllAwake {
+		s.incompleteRuns[alg].Inc()
+	}
+	s.scheduleMisses[alg].Add(int64(len(rep.Misses)))
 	if f := res.Faults; f.Injected() != 0 || f.RosterSkips != 0 || f.Repairs != 0 {
 		s.faultsInjected["crash-stop"].Add(f.CrashStops)
 		s.faultsInjected["crash-recovery"].Add(f.Recoveries)

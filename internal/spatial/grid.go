@@ -1,8 +1,7 @@
 // Package spatial provides a uniform grid hash over the plane supporting
 // near-constant-time radius queries. The simulator uses it to implement the
-// robots' radius-1 "look" primitive without scanning the whole swarm, the
-// disk-graph builder uses it to enumerate δ-neighbors, and the connectivity
-// threshold ℓ* is derived with its nearest-neighbor search.
+// robots' radius-1 "look" primitive without scanning the whole swarm, and
+// the disk-graph builder uses it to enumerate δ-neighbors.
 package spatial
 
 import (
@@ -15,17 +14,27 @@ import (
 // into square cells of a fixed size. Query cost is proportional to the number
 // of items in the cells overlapping the query ball.
 //
-// Radius queries and nearest-neighbor searches are evaluated under the grid's
-// metric (ℓ2 unless built with NewGridIn). The cell bookkeeping itself is
-// metric-independent: a metric ball of radius r is always contained in the
-// axis-aligned square of half-width r because every supported metric
-// dominates the Chebyshev distance (see geom.Metric).
+// Radius queries are evaluated under the grid's metric (ℓ2 unless built with
+// NewGridIn). The cell bookkeeping itself is metric-independent: a metric
+// ball of radius r is always contained in the axis-aligned square of
+// half-width r because every supported metric dominates the Chebyshev
+// distance (see geom.Metric).
 //
 // Cells store their members as parallel id/point slices, so query scans walk
 // contiguous points (and can hand whole cells to geom.DistBatch) instead of
-// chasing a map lookup per member. Cells are retained (empty) when their last
-// member leaves, so an item oscillating between two cells — the simulator's
-// move loop — allocates nothing in steady state.
+// chasing a map lookup per member. Only occupied cells are indexed: when a
+// cell's last member leaves, the cell is deleted from the map and kept on a
+// free list, and the next cell to open reuses it. The map therefore holds at
+// most one cell per item however far the items travel, and an item sweeping
+// across fresh territory — the simulator's move loop — allocates nothing in
+// steady state.
+//
+// Cell keys pack the two cell indices as int32 halves of one uint64, so
+// every probe takes the runtime's 8-byte map fast path. Cells whose indices
+// differ by a multiple of 2³² therefore share a bucket. Every member is
+// still distance-checked, so query results stay exact; only the order of
+// results inside such a shared bucket could differ from a per-cell index,
+// and only for items ≳ 2³¹ cells apart.
 //
 // Grid is not safe for concurrent use; the simulator serializes all access.
 type Grid struct {
@@ -34,21 +43,18 @@ type Grid struct {
 	euclid bool // cached IsL2(metric): keeps the Dist2 fast path branch cheap
 	batch  bool // geom.BatchAccelerated(metric): big cells go through DistBatch
 	items  map[int]geom.Point
-	cells  map[[2]int]*gridCell
+	cells  map[uint64]*gridCell
+	// free holds emptied cells, member slices truncated but retained, for
+	// newCell to hand out again.
+	free []*gridCell
 	// dists is the DistBatch scratch for metric cell scans, grown to the
 	// largest cell ever scanned and reused across queries.
 	dists []float64
-	// Grow-only bounds of every cell that ever held an item: a constant-time
-	// upper bound on useful ring expansion in Nearest (stale-but-larger
-	// bounds only cost extra empty rings when no eligible item exists).
-	hasBounds    bool
-	minCX, maxCX int
-	minCY, maxCY int
-	// cellBlock bump-allocates gridCell structs in chunks, so an item
-	// sweeping across fresh territory (a racer engine's robots crossing
-	// thousands of never-seen cells) costs one allocation per block rather
-	// than one per cell. Handed-out pointers stay valid when a block fills:
-	// the full block is abandoned to the cells map and a fresh one started.
+	// cellBlock bump-allocates gridCell structs in chunks, so populating a
+	// grid (a robot swarm, a disk-graph vertex set) costs one allocation per
+	// block rather than one per cell. Handed-out pointers stay valid when a
+	// block fills: the full block is abandoned to its cells and a fresh one
+	// started.
 	cellBlock []gridCell
 	// idBlock/ptBlock seed each new cell with a small capacity-clipped
 	// window carved from a shared array, so a cell's first members don't
@@ -68,8 +74,14 @@ const (
 	cellSeedCap   = 2
 )
 
-// newCell hands out a zeroed cell from the bump blocks.
+// newCell hands out an empty cell: a freed one if any, else a zeroed one
+// from the bump blocks.
 func (g *Grid) newCell() *gridCell {
+	if n := len(g.free); n > 0 {
+		c := g.free[n-1]
+		g.free = g.free[:n-1]
+		return c
+	}
 	if len(g.cellBlock) == cap(g.cellBlock) {
 		g.cellBlock = make([]gridCell, 0, cellBlockSize)
 	}
@@ -110,8 +122,8 @@ const batchScanMin = 8
 // positive.
 func NewGrid(cellSize float64) *Grid { return NewGridIn(nil, cellSize) }
 
-// NewGridIn builds an empty grid whose radius and nearest queries measure
-// under m (nil defaults to ℓ2).
+// NewGridIn builds an empty grid whose radius queries measure under m (nil
+// defaults to ℓ2).
 func NewGridIn(m geom.Metric, cellSize float64) *Grid {
 	return NewGridInCap(m, cellSize, 0)
 }
@@ -133,17 +145,17 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 		euclid: geom.IsL2(metric),
 		batch:  geom.BatchAccelerated(metric),
 		items:  make(map[int]geom.Point, n),
-		cells:  make(map[[2]int]*gridCell, n),
+		cells:  make(map[uint64]*gridCell, n),
 	}
 }
 
 // Reset empties the grid for reuse under metric m (nil defaults to ℓ2),
-// retaining all allocated storage: the item index, every cell's member
-// slices, and the batch scratch survive, so a simulation engine re-running
-// an instance of the same shape re-populates the grid without allocating.
-// Cells left empty by Reset are harmless to queries — they are skipped like
-// any other empty cell — and their capacity is exactly what the next run of
-// the same shape needs.
+// retaining all allocated storage: the item index, the cell map, every
+// cell (returned to the free list with its member slices), and the batch
+// scratch survive, so a simulation engine re-running instances of one shape
+// settles to re-populating the grid without allocating. (Freed cells come
+// back in map order, so a crowded cell may first draw a small one and grow
+// it.)
 func (g *Grid) Reset(m geom.Metric) {
 	metric := geom.MetricOrL2(m)
 	g.metric = metric
@@ -151,24 +163,27 @@ func (g *Grid) Reset(m geom.Metric) {
 	g.batch = geom.BatchAccelerated(metric)
 	clear(g.items)
 	for _, c := range g.cells {
-		c.ids = c.ids[:0]
-		c.pts = c.pts[:0]
+		g.release(c)
 	}
-	g.hasBounds = false
-	g.minCX, g.maxCX, g.minCY, g.maxCY = 0, 0, 0, 0
+	clear(g.cells)
+}
+
+// release truncates c's members and puts it on the free list.
+func (g *Grid) release(c *gridCell) {
+	c.ids = c.ids[:0]
+	c.pts = c.pts[:0]
+	g.free = append(g.free, c)
 }
 
 // Len returns the number of indexed items.
 func (g *Grid) Len() int { return len(g.items) }
 
-// CellSize returns the configured cell size.
-func (g *Grid) CellSize() float64 { return g.cell }
+// cellKey packs cell indices (cx, cy) into one map key, each truncated to
+// its low 32 bits.
+func cellKey(cx, cy int) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
 
-// Metric returns the metric the grid's queries measure under.
-func (g *Grid) Metric() geom.Metric { return g.metric }
-
-func (g *Grid) key(p geom.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+func (g *Grid) key(p geom.Point) uint64 {
+	return cellKey(int(math.Floor(p.X/g.cell)), int(math.Floor(p.Y/g.cell)))
 }
 
 // Insert adds or moves item id to point p.
@@ -185,16 +200,6 @@ func (g *Grid) Insert(id int, p geom.Point) {
 	}
 	c.ids = append(c.ids, id)
 	c.pts = append(c.pts, p)
-	if !g.hasBounds {
-		g.hasBounds = true
-		g.minCX, g.maxCX = k[0], k[0]
-		g.minCY, g.maxCY = k[1], k[1]
-		return
-	}
-	g.minCX = min(g.minCX, k[0])
-	g.maxCX = max(g.maxCX, k[0])
-	g.minCY = min(g.minCY, k[1])
-	g.maxCY = max(g.maxCY, k[1])
 }
 
 // Remove deletes item id; unknown ids are a no-op.
@@ -208,7 +213,8 @@ func (g *Grid) Remove(id int) {
 }
 
 func (g *Grid) removeFromCell(id int, p geom.Point) {
-	c := g.cells[g.key(p)]
+	k := g.key(p)
+	c := g.cells[k]
 	if c == nil {
 		return
 	}
@@ -217,8 +223,12 @@ func (g *Grid) removeFromCell(id int, p geom.Point) {
 			last := len(c.ids) - 1
 			c.ids[i] = c.ids[last]
 			c.pts[i] = c.pts[last]
-			c.ids = c.ids[:last] // keep the empty slices for reuse
+			c.ids = c.ids[:last]
 			c.pts = c.pts[:last]
+			if last == 0 {
+				delete(g.cells, k)
+				g.release(c)
+			}
 			return
 		}
 	}
@@ -261,7 +271,7 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 	rEps := r + geom.Eps
 	for cx := minX; cx <= maxX; cx++ {
 		for cy := minY; cy <= maxY; cy++ {
-			c := g.cells[[2]int{cx, cy}]
+			c := g.cells[cellKey(cx, cy)]
 			if c == nil {
 				continue
 			}
@@ -290,115 +300,4 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 		}
 	}
 	return dst
-}
-
-// InRect appends to dst the ids of items inside rectangle r (closed, Eps
-// slack) and returns the extended slice.
-func (g *Grid) InRect(dst []int, r geom.Rect) []int {
-	minX := int(math.Floor(r.Min.X / g.cell))
-	maxX := int(math.Floor(r.Max.X / g.cell))
-	minY := int(math.Floor(r.Min.Y / g.cell))
-	maxY := int(math.Floor(r.Max.Y / g.cell))
-	for cx := minX; cx <= maxX; cx++ {
-		for cy := minY; cy <= maxY; cy++ {
-			c := g.cells[[2]int{cx, cy}]
-			if c == nil {
-				continue
-			}
-			for i, q := range c.pts {
-				if r.Contains(q) {
-					dst = append(dst, c.ids[i])
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Nearest returns the id of the indexed item closest to p under the grid's
-// metric, excluding ids for which skip returns true, along with its distance.
-// ok is false when no eligible item exists. skip may be nil.
-//
-// The search expands square rings of cells outward from p. Once a candidate
-// is found at distance d, the search only needs to continue until the ring
-// boundary exceeds d (any item in ring k is at Chebyshev distance, hence at
-// metric distance, > (k−1)·cell); the ring count is additionally capped by
-// the grid's populated-cell bounds, so the loop always terminates.
-//
-// Populated cells hand their whole point block to the batch kernel; the
-// running minimum then folds over the block in index order, which is the
-// same comparison sequence as the per-point loop, so the winner (and its
-// exact distance bits) never depends on which path ran.
-func (g *Grid) Nearest(p geom.Point, skip func(id int) bool) (id int, dist float64, ok bool) {
-	if len(g.items) == 0 {
-		return 0, 0, false
-	}
-	ck := g.key(p)
-	maxRing := g.maxRingFrom(ck)
-	best := math.Inf(1)
-	bestID := 0
-	found := false
-	for ring := 0; ring <= maxRing; ring++ {
-		for cx := ck[0] - ring; cx <= ck[0]+ring; cx++ {
-			for cy := ck[1] - ring; cy <= ck[1]+ring; cy++ {
-				if ring > 0 && cx > ck[0]-ring && cx < ck[0]+ring &&
-					cy > ck[1]-ring && cy < ck[1]+ring {
-					continue // interior cells scanned in earlier rings
-				}
-				c := g.cells[[2]int{cx, cy}]
-				if c == nil {
-					continue
-				}
-				if g.batch && len(c.pts) >= batchScanMin {
-					for i, d := range g.cellDists(p, c) {
-						if d < best {
-							id := c.ids[i]
-							if skip != nil && skip(id) {
-								continue
-							}
-							best, bestID, found = d, id, true
-						}
-					}
-					continue
-				}
-				for i, id := range c.ids {
-					if skip != nil && skip(id) {
-						continue
-					}
-					if d := g.metric.Dist(c.pts[i], p); d < best {
-						best, bestID, found = d, id, true
-					}
-				}
-			}
-		}
-		// Any item in ring k is at distance > (k-1)·cell, so once the current
-		// best is within ring·cell no farther ring can improve it.
-		if found && best <= float64(ring)*g.cell {
-			break
-		}
-	}
-	if !found {
-		return 0, 0, false
-	}
-	return bestID, best, true
-}
-
-// maxRingFrom returns the largest Chebyshev cell-distance from origin cell ck
-// to any cell that ever held an item — the upper bound on useful ring
-// expansion, from the grow-only bounds in constant time.
-func (g *Grid) maxRingFrom(ck [2]int) int {
-	if !g.hasBounds {
-		return 0
-	}
-	ring := max(g.maxCX-ck[0], ck[0]-g.minCX)
-	ring = max(ring, g.maxCY-ck[1])
-	ring = max(ring, ck[1]-g.minCY)
-	return max(ring, 0)
-}
-
-// ForEach calls fn for every (id, point) pair in unspecified order.
-func (g *Grid) ForEach(fn func(id int, p geom.Point)) {
-	for id, p := range g.items {
-		fn(id, p)
-	}
 }

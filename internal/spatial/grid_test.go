@@ -1,8 +1,10 @@
 package spatial
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,63 +71,6 @@ func TestWithin(t *testing.T) {
 	}
 }
 
-func TestInRect(t *testing.T) {
-	g := NewGrid(2)
-	g.Insert(1, geom.Pt(0, 0))
-	g.Insert(2, geom.Pt(3, 3))
-	g.Insert(3, geom.Pt(5, 5))
-	ids := g.InRect(nil, geom.NewRect(geom.Pt(-1, -1), geom.Pt(4, 4)))
-	sort.Ints(ids)
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("InRect = %v", ids)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	g := NewGrid(1)
-	if _, _, ok := g.Nearest(geom.Pt(0, 0), nil); ok {
-		t.Fatal("Nearest on empty grid should report !ok")
-	}
-	g.Insert(1, geom.Pt(10, 0))
-	g.Insert(2, geom.Pt(3, 4))
-	g.Insert(3, geom.Pt(-1, -1))
-	id, d, ok := g.Nearest(geom.Pt(0, 0), nil)
-	if !ok || id != 3 || math.Abs(d-math.Sqrt2) > 1e-9 {
-		t.Fatalf("Nearest = %d, %v, %v", id, d, ok)
-	}
-	// Skip the closest: should find the next.
-	id, d, ok = g.Nearest(geom.Pt(0, 0), func(i int) bool { return i == 3 })
-	if !ok || id != 2 || math.Abs(d-5) > 1e-9 {
-		t.Fatalf("Nearest with skip = %d, %v, %v", id, d, ok)
-	}
-	// Skip everything.
-	if _, _, ok := g.Nearest(geom.Pt(0, 0), func(int) bool { return true }); ok {
-		t.Fatal("Nearest skipping all should report !ok")
-	}
-}
-
-func TestNearestFarQuery(t *testing.T) {
-	// Query point far outside the populated region: ring expansion must still
-	// reach the items.
-	g := NewGrid(1)
-	g.Insert(7, geom.Pt(100, 100))
-	id, d, ok := g.Nearest(geom.Pt(0, 0), nil)
-	if !ok || id != 7 || math.Abs(d-100*math.Sqrt2) > 1e-6 {
-		t.Fatalf("Nearest far = %d %v %v", id, d, ok)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	g := NewGrid(1)
-	g.Insert(1, geom.Pt(0, 0))
-	g.Insert(2, geom.Pt(5, 5))
-	seen := map[int]geom.Point{}
-	g.ForEach(func(id int, p geom.Point) { seen[id] = p })
-	if len(seen) != 2 || !seen[2].Eq(geom.Pt(5, 5)) {
-		t.Fatalf("ForEach = %v", seen)
-	}
-}
-
 func TestNewGridPanicsOnBadCell(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -169,35 +114,6 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: Nearest agrees with brute force.
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		g := NewGrid(1)
-		n := 1 + rng.Intn(40)
-		pts := make(map[int]geom.Point, n)
-		for i := 0; i < n; i++ {
-			p := geom.Pt(rng.Float64()*60-30, rng.Float64()*60-30)
-			pts[i] = p
-			g.Insert(i, p)
-		}
-		q := geom.Pt(rng.Float64()*60-30, rng.Float64()*60-30)
-		_, gotD, ok := g.Nearest(q, nil)
-		if !ok {
-			t.Fatalf("trial %d: Nearest !ok with %d items", trial, n)
-		}
-		best := math.Inf(1)
-		for _, p := range pts {
-			if d := p.Dist(q); d < best {
-				best = d
-			}
-		}
-		if math.Abs(gotD-best) > 1e-9 {
-			t.Fatalf("trial %d: Nearest dist = %v, brute = %v", trial, gotD, best)
-		}
-	}
-}
-
 // Property (quick): inserting then querying with radius 0 finds the item.
 func TestInsertFindSelf(t *testing.T) {
 	f := func(x, y float64) bool {
@@ -213,5 +129,127 @@ func TestInsertFindSelf(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// churnItems is the brute-force mirror of a grid under churn: the live
+// items and their positions.
+type churnItems map[int]geom.Point
+
+// check compares Within against a brute-force scan of the live items,
+// querying at every live item and at a few random points.
+func (live churnItems) check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metric, step int) {
+	t.Helper()
+	queries := make([]geom.Point, 0, len(live)+3)
+	for _, p := range live {
+		queries = append(queries, p)
+	}
+	for range 3 {
+		queries = append(queries, geom.Pt(rng.Float64()*24-12, rng.Float64()*24-12))
+	}
+	var got, want []int
+	for _, q := range queries {
+		r := rng.Float64() * 2.5
+		got = g.Within(got[:0], q, r)
+		sort.Ints(got)
+		want = want[:0]
+		for id, p := range live {
+			if m.Dist(p, q) <= r+geom.Eps {
+				want = append(want, id)
+			}
+		}
+		sort.Ints(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: Within(%v, %g) = %v, brute force %v", step, q, r, got, want)
+		}
+	}
+	if g.Len() != len(live) {
+		t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(live))
+	}
+}
+
+// Property: under random sequences of inserts, moves, removals and resets,
+// Within agrees with a brute-force scan after every step, under every
+// metric family. The sequences mix in the patterns that open, empty and
+// recycle cells: an item sweeping fresh cells, two items oscillating
+// between two cells, removals that empty cells, and a pair of items whose
+// cell indices differ by exactly 2³², which share a key bucket.
+func TestWithinMatchesBruteForceUnderChurn(t *testing.T) {
+	const (
+		sweeper = 100 + iota
+		oscA
+		oscB
+		aliasLo
+		aliasHi
+	)
+	for _, m := range []geom.Metric{geom.L2, geom.L1, geom.LInf, mustLp(t, 3)} {
+		t.Run(m.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			g := NewGridIn(m, 1)
+			live := churnItems{}
+			put := func(id int, p geom.Point) {
+				g.Insert(id, p)
+				live[id] = p
+			}
+			putAliased := func() {
+				put(aliasLo, geom.Pt(-3.5, 2.25))
+				put(aliasHi, geom.Pt(-3.5+(1<<32), 2.25))
+			}
+			putAliased()
+			sweep := 0
+			for step := 0; step < 1000; step++ {
+				switch op := rng.Intn(20); {
+				case op < 7: // insert or move an ordinary item
+					put(rng.Intn(24), geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10))
+				case op < 11: // the sweeper steps into the next cell of a 16-wide lattice
+					put(sweeper, geom.Pt(float64(sweep%16)-8+0.5, float64(sweep/16%16)-8+0.5))
+					sweep++
+				case op < 14: // the pair swaps between two adjacent cells
+					a, b := geom.Pt(1.5, -0.5), geom.Pt(2.5, -0.5)
+					if step%2 == 0 {
+						a, b = b, a
+					}
+					put(oscA, a)
+					put(oscB, b)
+				case op < 19 && len(live) > 0: // remove a random live item, usually emptying its cell
+					ids := slices.Sorted(maps.Keys(live))
+					id := ids[rng.Intn(len(ids))]
+					g.Remove(id)
+					delete(live, id)
+				default:
+					g.Reset(m)
+					clear(live)
+					putAliased()
+				}
+				live.check(t, rng, g, m, step)
+			}
+		})
+	}
+}
+
+// The index holds occupied cells only: one item sweeping 10,000 fresh cells
+// leaves one cell behind, Reset leaves none, and once the free list is warm
+// the sweep — a move and a radius-1 Within per cell, the simulator's Look
+// and move loop — allocates nothing.
+func TestGridIndexesOccupiedCellsOnly(t *testing.T) {
+	g := NewGrid(1)
+	var buf []int
+	sweep := func() {
+		for i := range 10000 {
+			p := geom.Pt(float64(i%100)+0.5, float64(i/100)+0.5)
+			g.Insert(1, p)
+			buf = g.Within(buf[:0], p, 1)
+		}
+	}
+	sweep()
+	if n := len(g.cells); n != 1 {
+		t.Fatalf("after a 10,000-cell sweep the index holds %d cells, want 1", n)
+	}
+	g.Reset(nil)
+	if n := len(g.cells); n != 0 {
+		t.Fatalf("after Reset the index holds %d cells, want 0", n)
+	}
+	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+		t.Fatalf("a warmed sweep allocates %.1f times, want 0", allocs)
 	}
 }

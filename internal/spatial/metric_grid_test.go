@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,8 +9,8 @@ import (
 )
 
 // Metric-aware grids must agree with an O(n) brute-force scan for every
-// query — the ring/box pruning may only skip cells that provably cannot
-// contain a match.
+// query — the box pruning may only skip cells that provably cannot contain
+// a match.
 func TestGridWithinMatchesBruteForceUnderMetrics(t *testing.T) {
 	metrics := []geom.Metric{geom.L1, geom.LInf, mustLp(t, 2.5)}
 	for _, m := range metrics {
@@ -43,43 +42,6 @@ func TestGridWithinMatchesBruteForceUnderMetrics(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("Within(%v, %g): got %v, want %v", q, r, got, want)
 					}
-				}
-			}
-		})
-	}
-}
-
-func TestGridNearestMatchesBruteForceUnderMetrics(t *testing.T) {
-	for _, m := range []geom.Metric{geom.L1, geom.LInf} {
-		t.Run(m.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			g := NewGridIn(m, 1.5)
-			pts := make(map[int]geom.Point)
-			for id := 0; id < 200; id++ {
-				p := geom.Pt((rng.Float64()-0.5)*30, (rng.Float64()-0.5)*30)
-				pts[id] = p
-				g.Insert(id, p)
-			}
-			for trial := 0; trial < 200; trial++ {
-				q := geom.Pt((rng.Float64()-0.5)*36, (rng.Float64()-0.5)*36)
-				skip := func(id int) bool { return id%7 == trial%7 }
-				_, gotD, ok := g.Nearest(q, skip)
-				bestD := math.Inf(1)
-				for id, p := range pts {
-					if skip(id) {
-						continue
-					}
-					if d := m.Dist(p, q); d < bestD {
-						bestD = d
-					}
-				}
-				if !ok {
-					t.Fatalf("Nearest(%v) found nothing, brute force %v", q, bestD)
-				}
-				// Ties between equidistant items may resolve differently;
-				// the distance itself must be optimal.
-				if gotD != bestD {
-					t.Fatalf("Nearest(%v) = %v, brute force %v", q, gotD, bestD)
 				}
 			}
 		})
