@@ -334,11 +334,20 @@ func BenchmarkWakeup_BuildTree(b *testing.B) {
 	}
 }
 
+// BenchmarkExplore_PlanRect walks a 64×64 rectangle's sweep lattice stop by
+// stop, as a sweep does: planning holds O(1) memory, so it allocates nothing.
 func BenchmarkExplore_PlanRect(b *testing.B) {
 	r := geom.RectWH(geom.Origin, 64, 64)
-	for i := 0; i < b.N; i++ {
-		pl := explore.PlanRect(r)
-		if len(pl.Stops) == 0 {
+	b.ReportAllocs()
+	for b.Loop() {
+		l := explore.RectLattice(nil, r)
+		var sum geom.Point
+		for row := 0; row < l.Rows; row++ {
+			for col := 0; col < l.Cols; col++ {
+				sum = sum.Add(l.Stop(row, col))
+			}
+		}
+		if sum.X <= 0 {
 			b.Fatal("empty plan")
 		}
 	}
@@ -508,7 +517,7 @@ func BenchmarkService_SolveSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkService_PortfolioRace measures a full served four-entrant race
+// BenchmarkService_PortfolioRace measures a full served three-entrant race
 // (cold, distinct seed per iteration): the third leg of the sim-hot-path
 // baseline snapshotted in BENCH_4.json alongside SolveCold and SolveCached.
 func BenchmarkService_PortfolioRace(b *testing.B) {

@@ -124,6 +124,7 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 			}
 			res, err := explore.Rect(p, team, r, dest)
 			if err != nil {
+				explore.Recycle(p, res)
 				rep.miss("estimate explore: %v", err)
 				return Estimate{Rho: s.Width, Team: team, Known: known}
 			}
@@ -138,6 +139,7 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 					occupied = true
 				}
 			}
+			explore.Recycle(p, res)
 		}
 		if !occupied {
 			// Empty separator: P is confined to the inside of s (Cor. 2),

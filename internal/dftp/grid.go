@@ -181,6 +181,7 @@ func (g *gridRun) exploreWake(p *sim.Proc, s geom.Square, cont func(*sim.Proc)) 
 	}
 	res, err := explore.Rect(p, nil, s.Rect(), s.Center)
 	if err != nil {
+		explore.Recycle(p, res)
 		g.rep.miss("explore: %v", err)
 		return
 	}

@@ -197,6 +197,7 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 				disc[id] = pos
 			}
 		}
+		explore.Recycle(q, res)
 	}
 
 	// (iv) Recruitment: seeds X_i are the initial positions in sep(sub) of
@@ -355,6 +356,7 @@ func (c *sepCtx) baseExploreWake(p *sim.Proc, members []int, S geom.Square,
 	for id, pos := range res.Asleep {
 		merged[id] = pos
 	}
+	explore.Recycle(p, res)
 	targets := make([]wakeup.Target, 0, len(merged))
 	for _, id := range sortedIDs(asleepNow(c.eng, merged)) {
 		pos := merged[id]

@@ -183,11 +183,13 @@ func exploreDuration(w, h float64, k int) (float64, error) {
 		}
 		start := p.Now()
 		res, err := explore.Rect(p, members, geom.RectWH(geom.Origin, w, h), geom.Pt(w/2, h/2))
+		found := len(res.Asleep) > 0
+		explore.Recycle(p, res)
 		if err != nil {
 			rerr = err
 			return
 		}
-		if len(res.Asleep) == 0 {
+		if !found {
 			rerr = fmt.Errorf("probe robot not found in %vx%v sweep", w, h)
 			return
 		}

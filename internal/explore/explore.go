@@ -6,7 +6,8 @@
 //   - the Archimedean spiral search used as the single-robot discovery
 //     baseline (the Θ(D²) cow-path argument from the introduction).
 //
-// Planning is pure (waypoint lists), execution runs on the simulator.
+// Planning is pure (stop lattices and waypoint lists), execution runs on
+// the simulator.
 package explore
 
 import (
@@ -17,42 +18,31 @@ import (
 	"freezetag/internal/sim"
 )
 
-// snapPitch is the Euclidean snapshot and row pitch √2: a radius-1 view
-// contains the axis-parallel square of width √2 centered on the robot, so a
-// √2 × √2 grid of snapshot points covers the plane. Under other metrics the
-// pitch is the metric's inscribed-square width (1 for ℓ1, 2 for ℓ∞); see
-// PlanRectIn.
-var snapPitch = math.Sqrt2
-
 // Plan is a deterministic exploration trajectory: the robot visits Stops in
 // order and performs a Look at each.
 type Plan struct {
 	Stops []geom.Point
 }
 
-// PlanRect returns the single-robot zigzag plan covering rectangle r under
-// Euclidean looks: every point of r is within distance 1 of some stop. Rows
-// alternate direction so consecutive stops stay close (serpentine order).
-// Degenerate rectangles yield a single-stop plan at the center.
-func PlanRect(r geom.Rect) Plan { return planRectPitch(r, snapPitch) }
-
-// PlanRectIn returns the zigzag plan covering r with radius-1 looks under
-// metric m: the pitch is the side of the largest axis-aligned square
-// inscribed in m's unit ball, so the stop lattice still covers every point
-// of r. A tighter ball (ℓ1) means a finer lattice and a longer sweep; a
-// looser one (ℓ∞) a coarser, cheaper sweep.
-func PlanRectIn(m geom.Metric, r geom.Rect) Plan {
-	return planRectPitch(r, geom.MetricOrL2(m).InscribedSquare())
+// Lattice is the stop lattice of Lemma 1's rectangle sweep: Rows rows of
+// Cols stops each, walked in serpentine order (rows bottom-up, even rows
+// left to right, odd rows right to left) so consecutive stops stay close.
+// Stops are computed from their (row, col) on demand, so a lattice holds
+// O(1) memory whatever the rectangle's area.
+type Lattice struct {
+	Rows, Cols int
+	min        geom.Point
+	dx, dy     float64
 }
 
-func planRectPitch(r geom.Rect, pitch float64) Plan {
-	return planRectInto(r, pitch, nil)
-}
-
-// planRectInto is planRectPitch writing the stop lattice into the provided
-// buffer when it is large enough (the arena-backed serving path feeds it
-// pooled buffers); the emitted stops are bit-identical either way.
-func planRectInto(r geom.Rect, pitch float64, stops []geom.Point) Plan {
+// RectLattice returns the sweep lattice covering rectangle r with radius-1
+// looks under metric m (nil means ℓ2): every point of r is within distance
+// 1 of some stop. The pitch is the side of the largest axis-aligned square
+// inscribed in m's unit ball (√2 under ℓ2, 1 under ℓ1, 2 under ℓ∞), so a
+// tighter ball means a finer lattice and a longer sweep. A degenerate
+// rectangle yields a single stop at its center.
+func RectLattice(m geom.Metric, r geom.Rect) Lattice {
+	pitch := geom.MetricOrL2(m).InscribedSquare()
 	w, h := r.Width(), r.Height()
 	nx := int(math.Ceil(w / pitch))
 	if nx < 1 {
@@ -62,21 +52,25 @@ func planRectInto(r geom.Rect, pitch float64, stops []geom.Point) Plan {
 	if ny < 1 {
 		ny = 1
 	}
-	dx, dy := w/float64(nx), h/float64(ny)
-	if cap(stops) < nx*ny {
-		stops = make([]geom.Point, 0, nx*ny)
-	} else {
-		stops = stops[:0]
+	return Lattice{Rows: ny, Cols: nx, min: r.Min, dx: w / float64(nx), dy: h / float64(ny)}
+}
+
+// Stop returns the col-th stop the sweep visits on row row.
+func (l Lattice) Stop(row, col int) geom.Point {
+	if row%2 == 1 {
+		col = l.Cols - 1 - col // serpentine
 	}
-	for row := 0; row < ny; row++ {
-		y := r.Min.Y + (float64(row)+0.5)*dy
-		for col := 0; col < nx; col++ {
-			c := col
-			if row%2 == 1 {
-				c = nx - 1 - col // serpentine
-			}
-			x := r.Min.X + (float64(c)+0.5)*dx
-			stops = append(stops, geom.Pt(x, y))
+	return geom.Pt(l.min.X+(float64(col)+0.5)*l.dx, l.min.Y+(float64(row)+0.5)*l.dy)
+}
+
+// PlanRect returns the single-robot zigzag plan covering rectangle r under
+// Euclidean looks: RectLattice's stops, materialized in walk order.
+func PlanRect(r geom.Rect) Plan {
+	l := RectLattice(nil, r)
+	stops := make([]geom.Point, 0, l.Rows*l.Cols)
+	for row := 0; row < l.Rows; row++ {
+		for col := 0; col < l.Cols; col++ {
+			stops = append(stops, l.Stop(row, col))
 		}
 	}
 	return Plan{Stops: stops}
@@ -133,13 +127,12 @@ func newResult() *Result {
 }
 
 // rectScratch is the per-engine exploration pool: recycled Results (their
-// maps keep capacity; they are cleared on checkout) and stop-lattice
-// buffers checked out for the duration of one plan. It lives in the
-// engine's scratch stash, so a pooled engine's repeated runs settle into
-// allocation-free exploration.
+// maps keep capacity; they are cleared on checkout) and team records. It
+// lives in the engine's scratch stash, so a pooled engine's repeated runs
+// settle into allocation-free exploration.
 type rectScratch struct {
 	resFree  []*Result
-	stopFree [][]geom.Point
+	teamFree []*team
 	// keyseq disambiguates barrier keys (several explorations can share an
 	// (ID, Now) pair). It counts within one run and rewinds with the engine,
 	// so the keys, which appear on traces, depend only on the run.
@@ -170,15 +163,6 @@ func (sc *rectScratch) getResult() *Result {
 	return newResult()
 }
 
-func (sc *rectScratch) getStops() []geom.Point {
-	if n := len(sc.stopFree); n > 0 {
-		s := sc.stopFree[n-1]
-		sc.stopFree = sc.stopFree[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
 // Recycle returns a Result obtained from Rect to the engine's exploration
 // pool. Callers that are done with a result — typically right after copying
 // the sightings they need — recycle it so the next exploration reuses its
@@ -200,17 +184,52 @@ func (res *Result) absorb(snap sim.Snapshot) {
 	}
 }
 
-// runPlan drives one robot through pl, looking at every stop, then moves it
-// to dest. Budget exhaustion aborts the remaining stops but still reports
-// what was seen; the error is returned alongside.
-func runPlan(p *sim.Proc, pl Plan, dest geom.Point, res *Result) error {
-	for _, stop := range pl.Stops {
-		if err := p.MoveTo(stop); err != nil {
-			return err
+// runPlan drives one robot through r's sweep lattice, looking at every
+// stop, then moves it to dest. Each snapshot is absorbed before the next
+// move. Budget exhaustion aborts the remaining stops but still reports what
+// was seen; the error is returned alongside.
+func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
+	l := RectLattice(p.Engine().Metric(), r)
+	for row := 0; row < l.Rows; row++ {
+		for col := 0; col < l.Cols; col++ {
+			if err := p.MoveTo(l.Stop(row, col)); err != nil {
+				return err
+			}
+			res.absorb(p.Look())
 		}
-		res.absorb(p.Look())
 	}
 	return p.MoveTo(dest)
+}
+
+// team is the per-call state of one team sweep, pooled on the engine's
+// exploration scratch. The member handlers live in it, like wakeup's
+// propHandler slab, so spawning k members captures no closures.
+type team struct {
+	r       geom.Rect
+	dest    geom.Point
+	key     string
+	results []*Result // one per strip; strip 0 is the caller's
+	errs    []error
+	members []member // members[i] sweeps strip i; members[0] is unused
+	// arrived counts the members that finished their strip, and so wrote
+	// their Result for the last time.
+	arrived int
+}
+
+// member is the process body of the team member sweeping strip i.
+type member struct {
+	t *team
+	i int
+}
+
+// RunProc implements sim.Handler. Nothing of the team record is read after
+// the barrier: the caller may recycle it as soon as the barrier releases.
+func (m *member) RunProc(q *sim.Proc) {
+	t := m.t
+	k := len(t.results)
+	t.errs[m.i] = runPlan(q, t.r.HStrip(m.i, k), t.dest, t.results[m.i])
+	t.arrived++
+	q.Barrier(t.key, k)
 }
 
 // Rect explores rectangle r with the caller plus the passive awake team
@@ -221,59 +240,73 @@ func runPlan(p *sim.Proc, pl Plan, dest geom.Point, res *Result) error {
 //
 // Team members must be awake and co-located with the caller; they run
 // temporary processes and are passive again (parked at dest) on return.
+//
+// The returned Result comes from the engine's exploration pool: the caller
+// owns it until it hands it back with Recycle, which it should do once it
+// has copied what it needs. A sweep holds O(1) plan memory whatever the
+// rectangle's area, and on a pooled engine the team path reuses its Results
+// and per-call state across calls and runs.
 func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, error) {
-	metric := p.Engine().Metric()
+	e := p.Engine()
+	sc := scratchOf(e)
 	if len(memberIDs) == 0 {
 		// Lemma 1 with k = 1 degenerates to a single sweep of r itself
-		// (HStrips(1) returns r bit-for-bit), and a one-party barrier
-		// releases its arriver immediately, so its only observable effect is
-		// the trace event. The solo path therefore plans straight over r out
-		// of the engine's pooled buffers and touches the barrier machinery
-		// only when a trace sink is listening; stops and looks are
-		// bit-identical to the general path.
-		e := p.Engine()
-		sc := scratchOf(e)
+		// (HStrip(0, 1) is r bit-for-bit), and a one-party barrier releases
+		// its arriver immediately, so its only observable effect is the
+		// trace event. The solo path therefore sweeps r directly and touches
+		// the barrier machinery only when a trace sink is listening; stops
+		// and looks are bit-identical to the general path.
 		res := sc.getResult()
 		var key string
 		if e.Tracing() {
 			key = sc.barrierKey(p)
 		}
-		pl := planRectInto(r, geom.MetricOrL2(metric).InscribedSquare(), sc.getStops())
-		err := runPlan(p, pl, dest, res)
-		sc.stopFree = append(sc.stopFree, pl.Stops)
+		err := runPlan(p, r, dest, res)
 		if e.Tracing() {
 			p.Barrier(key, 1)
 		}
 		return res, err
 	}
 	k := 1 + len(memberIDs)
-	strips := r.HStrips(k)
-	key := scratchOf(p.Engine()).barrierKey(p)
-	results := make([]*Result, k)
-	errs := make([]error, k)
-	for i, id := range memberIDs {
-		i, id := i, id
-		results[i+1] = newResult()
-		p.Engine().Spawn(id, func(q *sim.Proc) {
-			errs[i+1] = runPlan(q, PlanRectIn(metric, strips[i+1]), dest, results[i+1])
-			q.Barrier(key, k)
-		})
+	var t *team
+	if n := len(sc.teamFree); n > 0 {
+		t, sc.teamFree = sc.teamFree[n-1], sc.teamFree[:n-1]
+	} else {
+		t = &team{}
 	}
-	results[0] = newResult()
-	errs[0] = runPlan(p, PlanRectIn(metric, strips[0]), dest, results[0])
-	p.Barrier(key, k)
-	merged := newResult()
+	t.r, t.dest, t.key, t.arrived = r, dest, sc.barrierKey(p), 0
+	t.results, t.errs = t.results[:0], t.errs[:0]
+	for i := 0; i < k; i++ {
+		t.results = append(t.results, sc.getResult())
+		t.errs = append(t.errs, nil)
+	}
+	for i := len(t.members); i < k; i++ {
+		t.members = append(t.members, member{t: t, i: i})
+	}
+	for i, id := range memberIDs {
+		e.SpawnH(id, &t.members[i+1])
+	}
+	t.errs[0] = runPlan(p, r.HStrip(0, k), dest, t.results[0])
+	p.Barrier(t.key, k)
+	merged := sc.getResult()
 	var firstErr error
-	for i, res := range results {
+	for i, res := range t.results {
 		for id, pos := range res.Asleep {
 			merged.Asleep[id] = pos
 		}
 		for id, pos := range res.AwakeSeen {
 			merged.AwakeSeen[id] = pos
 		}
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
+		if t.errs[i] != nil && firstErr == nil {
+			firstErr = t.errs[i]
 		}
+	}
+	// Recycle only after a normal release: a barrier voided by
+	// ReleaseStalled under faults can free the caller while a member is
+	// still sweeping into its Result, so that call's state goes to the GC.
+	if t.arrived == len(memberIDs) {
+		sc.resFree = append(sc.resFree, t.results...)
+		sc.teamFree = append(sc.teamFree, t)
 	}
 	return merged, firstErr
 }

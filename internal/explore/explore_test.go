@@ -56,6 +56,117 @@ func TestPlanDegenerate(t *testing.T) {
 	}
 }
 
+// refPlanRect is the sweep's stop list as it was materialized before
+// lattices computed their stops on demand: nx·ny stops, row by row,
+// serpentine.
+func refPlanRect(r geom.Rect, pitch float64) []geom.Point {
+	w, h := r.Width(), r.Height()
+	nx := int(math.Ceil(w / pitch))
+	if nx < 1 {
+		nx = 1
+	}
+	ny := int(math.Ceil(h / pitch))
+	if ny < 1 {
+		ny = 1
+	}
+	dx, dy := w/float64(nx), h/float64(ny)
+	stops := make([]geom.Point, 0, nx*ny)
+	for row := 0; row < ny; row++ {
+		y := r.Min.Y + (float64(row)+0.5)*dy
+		for col := 0; col < nx; col++ {
+			c := col
+			if row%2 == 1 {
+				c = nx - 1 - col // serpentine
+			}
+			x := r.Min.X + (float64(c)+0.5)*dx
+			stops = append(stops, geom.Pt(x, y))
+		}
+	}
+	return stops
+}
+
+// The lattice walks exactly the materialized stop list, bit for bit, under
+// every metric's pitch, on random, thin and degenerate rectangles.
+func TestLatticeMatchesMaterializedPlan(t *testing.T) {
+	lp3, err := geom.Lp(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, m := range []geom.Metric{geom.L2, geom.L1, geom.LInf, lp3} {
+		for trial := 0; trial < 200; trial++ {
+			w, h := rng.Float64()*40, rng.Float64()*40
+			switch trial % 5 {
+			case 1:
+				w = rng.Float64() * 0.5 // one column
+			case 2:
+				h = rng.Float64() * 1e-9 // one row
+			case 3:
+				h = 0 // a segment
+			case 4:
+				w, h = 0, 0 // a point
+			}
+			r := geom.RectWH(geom.Pt(rng.Float64()*2e3-1e3, rng.Float64()*2e3-1e3), w, h)
+			want := refPlanRect(r, geom.MetricOrL2(m).InscribedSquare())
+			l := RectLattice(m, r)
+			var got []geom.Point
+			for row := 0; row < l.Rows; row++ {
+				for col := 0; col < l.Cols; col++ {
+					got = append(got, l.Stop(row, col))
+				}
+			}
+			if m == geom.L2 {
+				if pl := PlanRect(r); !sameBits(pl.Stops, got) {
+					t.Fatalf("PlanRect(%v) differs from its lattice", r)
+				}
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s lattice of %v: %d stops differ from the materialized plan's %d",
+					m.Name(), r, len(got), len(want))
+			}
+		}
+	}
+}
+
+func sameBits(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
+			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// A lattice holds O(1) memory: planning a 10⁹ × 10⁹ sweep, whose stop list
+// would not fit in an int-indexed slice, and reading its first and last
+// stops allocates nothing. The stops cover the corners they start and end
+// at.
+func TestLatticeOfHugeRectAllocatesNothing(t *testing.T) {
+	r := geom.RectWH(geom.Origin, 1e9, 1e9)
+	var first, last geom.Point
+	allocs := testing.AllocsPerRun(10, func() {
+		l := RectLattice(nil, r)
+		first, last = l.Stop(0, 0), l.Stop(l.Rows-1, l.Cols-1)
+	})
+	if allocs != 0 {
+		t.Fatalf("planning a 1e9 × 1e9 sweep allocates %.0f times, want 0", allocs)
+	}
+	l := RectLattice(nil, r)
+	if l.Rows%2 != 0 {
+		t.Fatalf("%d rows: the test expects an even count, so the walk ends on the left", l.Rows)
+	}
+	if d := first.Dist(r.Min); d > 1+1e-6 {
+		t.Errorf("first stop %v is %v from the lower-left corner", first, d)
+	}
+	if d := last.Dist(geom.Pt(r.Min.X, r.Max.Y)); d > 1+1e-6 {
+		t.Errorf("last stop %v is %v from the upper-left corner", last, d)
+	}
+}
+
 func TestRectFindsAllSleepers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	region := geom.RectWH(geom.Origin, 8, 8)

@@ -134,23 +134,20 @@ func (r Rect) Quadrants() [4]Rect {
 	}
 }
 
-// HStrips partitions r into k horizontal strips of equal height, bottom-up.
-// k must be positive. This is the Lemma 1 team-exploration partition.
-func (r Rect) HStrips(k int) []Rect {
-	if k <= 0 {
-		panic("geom: HStrips requires k > 0")
+// HStrip returns the i-th (0-based, bottom-up) of the k horizontal strips
+// of equal height that partition r; the top strip ends exactly at r.Max.Y.
+// It requires 0 ≤ i < k. This is the Lemma 1 team-exploration partition.
+func (r Rect) HStrip(i, k int) Rect {
+	if i < 0 || i >= k {
+		panic(fmt.Sprintf("geom: HStrip %d of %d", i, k))
 	}
-	strips := make([]Rect, k)
 	h := r.Height() / float64(k)
-	for i := 0; i < k; i++ {
-		y0 := r.Min.Y + float64(i)*h
-		y1 := r.Min.Y + float64(i+1)*h
-		if i == k-1 {
-			y1 = r.Max.Y // absorb rounding on the top strip
-		}
-		strips[i] = Rect{Point{r.Min.X, y0}, Point{r.Max.X, y1}}
+	y0 := r.Min.Y + float64(i)*h
+	y1 := r.Min.Y + float64(i+1)*h
+	if i == k-1 {
+		y1 = r.Max.Y // absorb rounding on the top strip
 	}
-	return strips
+	return Rect{Point{r.Min.X, y0}, Point{r.Max.X, y1}}
 }
 
 // BoundingRect returns the smallest axis-parallel rectangle containing pts.

@@ -143,9 +143,18 @@ func TestQuadrants(t *testing.T) {
 	}
 }
 
+// hstrips collects r's k strips, bottom-up.
+func hstrips(r Rect, k int) []Rect {
+	strips := make([]Rect, k)
+	for i := range strips {
+		strips[i] = r.HStrip(i, k)
+	}
+	return strips
+}
+
 func TestHStrips(t *testing.T) {
 	r := RectWH(Pt(0, 0), 4, 3)
-	strips := r.HStrips(3)
+	strips := hstrips(r, 3)
 	if len(strips) != 3 {
 		t.Fatalf("len = %d", len(strips))
 	}
@@ -162,10 +171,10 @@ func TestHStrips(t *testing.T) {
 func TestHStripsPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("HStrips(0) should panic")
+			t.Fatal("HStrip(0, 0) should panic")
 		}
 	}()
-	RectWH(Pt(0, 0), 1, 1).HStrips(0)
+	RectWH(Pt(0, 0), 1, 1).HStrip(0, 0)
 }
 
 func TestBoundingRect(t *testing.T) {
@@ -196,11 +205,11 @@ func TestClampProperty(t *testing.T) {
 	}
 }
 
-// Property: HStrips tile the rectangle — every random interior point lies in
+// Property: the HStrip strips tile the rectangle — every random interior point lies in
 // exactly one strip (strict containment).
 func TestHStripsTileProperty(t *testing.T) {
 	r := RectWH(Pt(0, 0), 7, 5)
-	strips := r.HStrips(4)
+	strips := hstrips(r, 4)
 	f := func(px, py float64) bool {
 		p := Pt(math.Mod(math.Abs(px), 7), math.Mod(math.Abs(py), 5))
 		n := 0

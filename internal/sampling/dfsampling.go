@@ -167,6 +167,7 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 			sweepers = members // ablation: only the original team sweeps
 		}
 		res, err := explore.Rect(p, sweepers, clip, cur)
+		defer explore.Recycle(p, res)
 		if err != nil {
 			return err
 		}

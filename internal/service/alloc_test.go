@@ -5,8 +5,8 @@
 // allocation-free apart from key scratch, and a steady-state solve — same
 // request shape, distinct budget, so the whole resolve → simulate → marshal
 // chain runs on the worker arena — must stay within a small fixed budget
-// (the pre-arena figure was ~2600 allocs per solve). A served cold race must
-// stay within a heap-byte budget.
+// (the pre-arena figure was ~2600 allocs per solve), per algorithm. A served
+// cold race must stay within a heap-byte budget.
 //
 // Excluded under -race: the race runtime instruments allocations and breaks
 // AllocsPerRun and TotalAlloc accounting. CI runs this file in its own
@@ -42,43 +42,62 @@ func TestAllocs_CacheHit(t *testing.T) {
 	}
 }
 
-// TestAllocs_SteadyStateSolve gates the arena path: each iteration is a real
-// simulation (the budget changes, so neither cache nor memo can serve it),
-// but the request shape repeats, so the worker arena's engine, spatial
-// grids, wake-tree builder, and explore pools are all reused. Mirrors
-// BenchmarkService_SolveSteadyState; budget 50 versus ~2600 pre-arena.
+// TestAllocs_SteadyStateSolve gates the arena path for every algorithm:
+// each iteration is a real simulation (the budget changes, so neither cache
+// nor memo can serve it), but the request shape repeats, so the worker
+// arena's engine, spatial grids, wake-tree builder, and explore pools are
+// all reused. Mirrors BenchmarkService_SolveSteadyState. AGrid's budget is
+// 50 versus ~2600 pre-arena; the others carry what is not pooled yet
+// (their knowledge maps and string barrier keys).
 func TestAllocs_SteadyStateSolve(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, CacheBytes: 1, QueueDepth: 1})
-	req := walkRequest(7)
-	// Warm the arena: first runs of a shape grow the slabs and pools.
-	for i := 0; i < 3; i++ {
-		req.Budget = 2e6 + float64(i)
-		if _, err := s.Solve(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	budget := 1e6
-	allocs := testing.AllocsPerRun(100, func() {
-		budget++
-		req.Budget = budget
-		sv, err := s.Solve(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv.Hit {
-			t.Fatal("steady-state iteration unexpectedly served from cache")
-		}
-	})
-	if allocs > 50 {
-		t.Fatalf("steady-state solve allocates %.1f allocs/op, budget is 50", allocs)
+	for _, tc := range []struct {
+		alg    string
+		budget float64
+	}{
+		{"agrid", 50},
+		{"aseparator", 300},
+		{"aseparatorauto", 500},
+		{"awave", 1000},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			s := newTestService(t, Config{Workers: 1, CacheBytes: 1, QueueDepth: 1})
+			req := walkRequest(7)
+			req.Algorithm = tc.alg
+			// Warm the arena: first runs of a shape grow the slabs and pools.
+			for i := 0; i < 3; i++ {
+				req.Budget = 2e6 + float64(i)
+				if _, err := s.Solve(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			budget := 1e6
+			allocs := testing.AllocsPerRun(100, func() {
+				budget++
+				req.Budget = budget
+				sv, err := s.Solve(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sv.Hit {
+					t.Fatal("steady-state iteration unexpectedly served from cache")
+				}
+			})
+			if allocs > tc.budget {
+				t.Fatalf("steady-state %s solve allocates %.1f allocs/op, budget is %.0f", tc.alg, allocs, tc.budget)
+			}
+			t.Logf("%.0f allocs/op", allocs)
+		})
 	}
 }
 
 // TestAllocs_PortfolioRaceBytes gates a served race's heap footprint: cold
 // three-entrant races on fresh walk-24 instances, nothing cached, so every
 // race builds its racers' engines and runs AWave's 256-wide wave squares.
-// The budget is 5 MiB per race; a simulator grid that keeps an empty cell
-// for every unit square a robot ever crossed costs about 10 MiB.
+// The budget is 1 MiB per race; a race measures about 0.6 MiB. Either of
+// two byte sinks coming back breaks it: keeping every Look's sightings for
+// the rest of the run, or materializing each sweep's stop lattice, cost
+// about 2.6 MiB together, and a simulator grid that keeps an empty cell for
+// every unit square a robot ever crossed costs about 10 MiB.
 func TestAllocs_PortfolioRaceBytes(t *testing.T) {
 	s := newTestService(t, Config{CacheBytes: 1})
 	race := func(seed int64) {
@@ -102,7 +121,7 @@ func TestAllocs_PortfolioRaceBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRace := float64(after.TotalAlloc-before.TotalAlloc) / races
-	const budget = 5 << 20
+	const budget = 1 << 20
 	if perRace > budget {
 		t.Fatalf("a served race allocates %.2f MiB, budget is %d MiB", perRace/(1<<20), budget>>20)
 	}

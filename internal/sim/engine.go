@@ -114,11 +114,17 @@ type Engine struct {
 	// engines (NewEngine) keep the one-shot lifecycle: spawn, run, discard.
 	pooled   bool
 	procFree []*Proc
-	// sight backs every Look snapshot of the run; energyBuf backs
-	// Result.EnergyByRobot. Both are invalidated by Reset, which is safe
-	// because nothing built from a pooled run may outlive its job.
-	sight     arena.Slab[Sighting]
-	energyBuf []float64
+	// lookAsleep and lookAwake back the latest Look's snapshot (see
+	// Proc.Look); they grow to the largest single Look and are refilled by
+	// the next one. energyBuf backs Result.EnergyByRobot and is invalidated
+	// by Reset, which is safe because nothing built from a pooled run may
+	// outlive its job.
+	lookAsleep []Sighting
+	lookAwake  []Sighting
+	energyBuf  []float64
+	// barrierFree holds released barrier records for reuse, waiter slices
+	// truncated but retained.
+	barrierFree []*barrier
 	// scratch holds per-algorithm reusable state keyed by algorithm name
 	// (see ScratchOf); values implementing RunScratch rewind on Reset.
 	scratch map[string]any
@@ -345,10 +351,10 @@ func (e *Engine) populate(cfg Config) {
 
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, both spatial grids, the event
-// heap, the Look slab, and all algorithm scratch (values implementing
-// RunScratch are rewound). The idle process-goroutine pool survives. Every
-// slice handed out by the previous run (Look snapshots, EnergyByRobot) is
-// invalidated.
+// heap, the Look buffers, barrier records, and all algorithm scratch (values
+// implementing RunScratch are rewound). The idle process-goroutine pool
+// survives. Every slice handed out by the previous run (Look snapshots,
+// EnergyByRobot) is invalidated.
 func (e *Engine) Reset(cfg Config) {
 	if !e.pooled {
 		panic("sim: Reset on a non-pooled engine")
@@ -367,7 +373,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.lastWake = 0
 	e.violations = e.violations[:0]
 	e.running = false
-	e.sight.Reset()
 	e.faults = nil
 	e.wakeRand = nil
 	e.fstats = FaultStats{}
@@ -675,6 +680,27 @@ func (e *Engine) awakeWithin(p geom.Point, d float64) []int {
 	e.queryBuf = e.awake.Within(e.queryBuf[:0], p, d)
 	sort.Ints(e.queryBuf)
 	return e.queryBuf
+}
+
+// sightings refills buf with the current positions of the robots in ids,
+// skipping robot skip (-1 skips none), and returns it. A buffer too small
+// for this Look is replaced by one of exactly its size, so buf never holds
+// more than the largest single Look's sightings.
+func (e *Engine) sightings(buf []Sighting, ids []int, skip int) []Sighting {
+	n := len(ids)
+	if skip >= 0 {
+		n-- // the caller is in its own awake query
+	}
+	if cap(buf) < n {
+		buf = make([]Sighting, 0, n)
+	}
+	buf = buf[:0]
+	for _, id := range ids {
+		if id != skip {
+			buf = append(buf, Sighting{ID: id, Pos: e.Robot(id).pos})
+		}
+	}
+	return buf
 }
 
 // wake flips robot id to Awake at the current time. Caller guarantees

@@ -204,32 +204,20 @@ type Sighting struct {
 }
 
 // Look performs a discrete snapshot: all robots within metric distance 1 of
-// the caller, in ascending id order. The caller itself is excluded. The
-// engine-level queries below share one scratch buffer (each result is
-// consumed before the next query runs); the returned Snapshot's slices are
-// carved from the engine's run-lifetime sighting slab, so callers may retain
-// them for the rest of the run — they are invalidated only when a pooled
-// engine is Reset for its next job.
+// the caller, in ascending id order. The caller itself is excluded.
+//
+// The snapshot's slices are the engine's own Look buffers, so a Look
+// allocates nothing once they have grown to the largest Look of the run.
+// A snapshot is valid until the next Look on the same engine, by any
+// process: a caller that keeps sightings across a call that can block
+// (MoveTo, Wait, Barrier, ...) copies them first.
 func (p *Proc) Look() Snapshot {
-	p.eng.looks++
-	var snap Snapshot
-	if ids := p.eng.sleepingWithin(p.r.pos, 1); len(ids) > 0 {
-		snap.Asleep = p.eng.sight.Take(len(ids))
-		for _, id := range ids {
-			snap.Asleep = append(snap.Asleep, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
-		}
-	}
-	if ids := p.eng.awakeWithin(p.r.pos, 1); len(ids) > 0 {
-		snap.Awake = p.eng.sight.Take(len(ids) - 1)
-		for _, id := range ids {
-			if id == p.r.id {
-				continue
-			}
-			snap.Awake = append(snap.Awake, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
-		}
-	}
-	p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
-	return snap
+	e := p.eng
+	e.looks++
+	e.lookAsleep = e.sightings(e.lookAsleep, e.sleepingWithin(p.r.pos, 1), -1)
+	e.lookAwake = e.sightings(e.lookAwake, e.awakeWithin(p.r.pos, 1), p.r.id)
+	e.emit(Event{T: e.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
+	return Snapshot{Asleep: e.lookAsleep, Awake: e.lookAwake}
 }
 
 // Wake awakens the co-located sleeping robot id. If handler is non-nil a new
@@ -345,7 +333,8 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 
 // Barrier parks the process until need processes in total have arrived at the
 // same key, then releases them all at the arrival time of the last. Keys are
-// single-use: the barrier is deleted on release.
+// single-use: the barrier is deleted on release, and its record is kept for
+// the engine's next barrier.
 func (p *Proc) Barrier(key string, need int) {
 	if need <= 0 {
 		panic("sim: Barrier needs a positive count")
@@ -363,7 +352,13 @@ func (p *Proc) Barrier(key string, need int) {
 	}
 	b := p.eng.barriers[key]
 	if b == nil {
-		b = &barrier{need: need}
+		if n := len(p.eng.barrierFree); n > 0 {
+			b = p.eng.barrierFree[n-1]
+			p.eng.barrierFree = p.eng.barrierFree[:n-1]
+			b.need = need
+		} else {
+			b = &barrier{need: need}
+		}
 		p.eng.barriers[key] = b
 	}
 	if b.need != need {
@@ -384,6 +379,8 @@ func (p *Proc) Barrier(key string, need int) {
 		for _, w := range ws {
 			p.eng.push(w, p.eng.now)
 		}
+		b.waiters = ws[:0]
+		p.eng.barrierFree = append(p.eng.barrierFree, b)
 		return
 	}
 	b.waiters = append(b.waiters, p)

@@ -6,6 +6,7 @@ package spatial
 
 import (
 	"math"
+	"math/bits"
 
 	"freezetag/internal/geom"
 )
@@ -44,9 +45,15 @@ type Grid struct {
 	batch  bool // geom.BatchAccelerated(metric): big cells go through DistBatch
 	items  map[int]geom.Point
 	cells  map[uint64]*gridCell
-	// free holds emptied cells, member slices truncated but retained, for
-	// newCell to hand out again.
+	// free holds emptied cells, without member storage, for newCell to
+	// hand out again.
 	free []*gridCell
+	// spare holds member storage no cell is using, by capacity class:
+	// class k holds cellSeedCap<<k members. A cell draws the next class
+	// each time it fills and returns its storage when it empties, so the
+	// capacity a crowded cell grew to goes to the next cell that grows,
+	// wherever that cell opens.
+	spare [bits.UintSize][]gridCell
 	// dists is the DistBatch scratch for metric cell scans, grown to the
 	// largest cell ever scanned and reused across queries.
 	dists []float64
@@ -56,26 +63,25 @@ type Grid struct {
 	// block fills: the full block is abandoned to its cells and a fresh one
 	// started.
 	cellBlock []gridCell
-	// idBlock/ptBlock seed each new cell with a small capacity-clipped
-	// window carved from a shared array, so a cell's first members don't
-	// cost a slice allocation each. Appends past the window's capacity fall
-	// off into an ordinary grown slice; the three-index clip guarantees a
-	// growing cell can never overwrite its neighbour's window.
+	// idBlock/ptBlock back the class-0 storage: capacity-clipped windows
+	// carved from a shared array, so a cell's first members don't cost a
+	// slice allocation each. The three-index clip guarantees a cell can
+	// never overwrite its neighbour's window.
 	idBlock []int
 	ptBlock []geom.Point
 }
 
-// cellBlockSize is how many gridCell structs (and seed windows) each bump
-// block holds; cellSeedCap is the member capacity a fresh cell starts with.
-// Most cells a moving robot sweeps through hold one or two members at a
-// time, so the seed window absorbs the common case outright.
+// cellBlockSize is how many gridCell structs (and class-0 windows) each
+// bump block holds; cellSeedCap is the member capacity of class 0. Most
+// cells a moving robot sweeps through hold one or two members at a time, so
+// class 0 absorbs the common case outright.
 const (
 	cellBlockSize = 256
 	cellSeedCap   = 2
 )
 
-// newCell hands out an empty cell: a freed one if any, else a zeroed one
-// from the bump blocks.
+// newCell hands out an empty cell without member storage: a freed one if
+// any, else a zeroed one from the bump blocks.
 func (g *Grid) newCell() *gridCell {
 	if n := len(g.free); n > 0 {
 		c := g.free[n-1]
@@ -86,20 +92,53 @@ func (g *Grid) newCell() *gridCell {
 		g.cellBlock = make([]gridCell, 0, cellBlockSize)
 	}
 	g.cellBlock = g.cellBlock[:len(g.cellBlock)+1]
-	c := &g.cellBlock[len(g.cellBlock)-1]
+	return &g.cellBlock[len(g.cellBlock)-1]
+}
+
+// storage returns empty member storage of capacity class k: a spare one if
+// any, else a window of the class-0 blocks or a fresh allocation.
+func (g *Grid) storage(k int) gridCell {
+	if n := len(g.spare[k]); n > 0 {
+		s := g.spare[k][n-1]
+		g.spare[k] = g.spare[k][:n-1]
+		return s
+	}
+	if k > 0 {
+		n := cellSeedCap << k
+		return gridCell{ids: make([]int, 0, n), pts: make([]geom.Point, 0, n)}
+	}
 	if cap(g.idBlock)-len(g.idBlock) < cellSeedCap {
 		g.idBlock = make([]int, 0, cellBlockSize*cellSeedCap)
-	}
-	off := len(g.idBlock)
-	c.ids = g.idBlock[off : off : off+cellSeedCap]
-	g.idBlock = g.idBlock[:off+cellSeedCap]
-	if cap(g.ptBlock)-len(g.ptBlock) < cellSeedCap {
 		g.ptBlock = make([]geom.Point, 0, cellBlockSize*cellSeedCap)
 	}
-	off = len(g.ptBlock)
-	c.pts = g.ptBlock[off : off : off+cellSeedCap]
+	off := len(g.idBlock)
+	g.idBlock = g.idBlock[:off+cellSeedCap]
 	g.ptBlock = g.ptBlock[:off+cellSeedCap]
-	return c
+	return gridCell{ids: g.idBlock[off : off : off+cellSeedCap], pts: g.ptBlock[off : off : off+cellSeedCap]}
+}
+
+// class returns the capacity class of storage holding n = cellSeedCap<<k
+// members.
+func class(n int) int { return bits.Len(uint(n/cellSeedCap)) - 1 }
+
+// grow moves c's members into storage of the next capacity class and
+// returns c's outgrown storage, if any, to the spare lists.
+func (g *Grid) grow(c *gridCell) {
+	if cap(c.ids) == 0 {
+		*c = g.storage(0)
+		return
+	}
+	s := g.storage(class(cap(c.ids)) + 1)
+	s.ids = append(s.ids, c.ids...)
+	s.pts = append(s.pts, c.pts...)
+	g.retire(*c)
+	*c = s
+}
+
+// retire returns member storage s, truncated, to its class's spare list.
+func (g *Grid) retire(s gridCell) {
+	k := class(cap(s.ids))
+	g.spare[k] = append(g.spare[k], gridCell{ids: s.ids[:0], pts: s.pts[:0]})
 }
 
 // gridCell holds one cell's members as parallel slices: ids[i] sits at
@@ -150,12 +189,12 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 }
 
 // Reset empties the grid for reuse under metric m (nil defaults to ℓ2),
-// retaining all allocated storage: the item index, the cell map, every
-// cell (returned to the free list with its member slices), and the batch
-// scratch survive, so a simulation engine re-running instances of one shape
-// settles to re-populating the grid without allocating. (Freed cells come
-// back in map order, so a crowded cell may first draw a small one and grow
-// it.)
+// retaining all allocated storage: the item index, the cell map, every cell
+// (returned to the free list), every cell's member storage (returned to the
+// spare lists by capacity class), and the batch scratch survive, so a
+// simulation engine re-running instances of one shape settles to
+// re-populating the grid without allocating, whatever order the items come
+// back in.
 func (g *Grid) Reset(m geom.Metric) {
 	metric := geom.MetricOrL2(m)
 	g.metric = metric
@@ -168,10 +207,11 @@ func (g *Grid) Reset(m geom.Metric) {
 	clear(g.cells)
 }
 
-// release truncates c's members and puts it on the free list.
+// release returns c's member storage to the spare lists and c to the free
+// list.
 func (g *Grid) release(c *gridCell) {
-	c.ids = c.ids[:0]
-	c.pts = c.pts[:0]
+	g.retire(*c)
+	*c = gridCell{}
 	g.free = append(g.free, c)
 }
 
@@ -197,6 +237,9 @@ func (g *Grid) Insert(id int, p geom.Point) {
 	if c == nil {
 		c = g.newCell()
 		g.cells[k] = c
+	}
+	if len(c.ids) == cap(c.ids) {
+		g.grow(c)
 	}
 	c.ids = append(c.ids, id)
 	c.pts = append(c.pts, p)

@@ -253,3 +253,39 @@ func TestGridIndexesOccupiedCellsOnly(t *testing.T) {
 		t.Fatalf("a warmed sweep allocates %.1f times, want 0", allocs)
 	}
 }
+
+// A pooled grid re-populated with one crowded point set — robot teams
+// gathered in a few cells among scattered single robots, as AGrid leaves
+// them — settles into allocation-free rounds whatever order the points come
+// back in: the member storage a crowded cell grew goes to whichever cell
+// grows next, not to whichever cell reuses the crowded cell's record.
+func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
+	var pts []geom.Point
+	for gi, size := range []int{40, 12, 5, 3} {
+		for range size {
+			pts = append(pts, geom.Pt(float64(3*gi)+0.5, -2.5))
+		}
+	}
+	for i := range 150 {
+		pts = append(pts, geom.Pt(float64(i%15)*2+0.5, float64(i/15)*2+0.5))
+	}
+	rng := rand.New(rand.NewSource(17))
+	order := rng.Perm(len(pts))
+	g := NewGrid(1)
+	round := func() {
+		g.Reset(nil)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, i := range order {
+			g.Insert(i, pts[i])
+		}
+	}
+	for range 10 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a warmed re-population allocates %.1f times, want 0", allocs)
+	}
+	if n := len(g.Within(nil, geom.Pt(0.5, -2.5), 0.1)); n != 40 {
+		t.Fatalf("crowded cell holds %d items, want 40", n)
+	}
+}
