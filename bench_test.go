@@ -112,7 +112,7 @@ func BenchmarkRunner_Parallel(b *testing.B) {
 
 func benchAlgorithm(b *testing.B, alg dftp.Algorithm, inst *instance.Instance) {
 	b.Helper()
-	tup := dftp.TupleFor(inst)
+	tup := dftp.TupleForIn(nil, inst)
 	var mk, en float64
 	for i := 0; i < b.N; i++ {
 		res, rep, err := dftp.Solve(alg, inst, tup, 0)
@@ -157,7 +157,7 @@ func BenchmarkEndToEnd_ASeparatorAuto_Line32(b *testing.B) {
 // three rows can be compared honestly.
 func BenchmarkEndToEnd_Faulted(b *testing.B) {
 	in := instance.UniformDisk(rand.New(rand.NewSource(5)), 60, 12)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	specs := []struct {
 		name   string
 		faults *dftp.Faults
@@ -224,7 +224,7 @@ func BenchmarkSim_MoveLookCycle(b *testing.B) {
 }
 
 func BenchmarkSpatial_Within(b *testing.B) {
-	g := spatial.NewGrid(1)
+	g := spatial.NewGridIn(nil, 1)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10000; i++ {
 		g.Insert(i, geom.Pt(rng.Float64()*100, rng.Float64()*100))
@@ -244,7 +244,7 @@ func BenchmarkSpatial_Within(b *testing.B) {
 // clustered near the origin like a small swarm. One op is the whole sweep.
 func BenchmarkSpatial_Sweep(b *testing.B) {
 	const side = 256
-	g := spatial.NewGrid(1)
+	g := spatial.NewGridIn(nil, 1)
 	rng := rand.New(rand.NewSource(6))
 	for i := 1; i <= 24; i++ {
 		g.Insert(i, geom.Pt(rng.Float64()*10, rng.Float64()*10))
@@ -269,7 +269,7 @@ func BenchmarkDiskGraph_Params(b *testing.B) {
 	inst := instance.RandomWalk(rand.New(rand.NewSource(5)), 300, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = diskgraph.ComputeParams(inst.Source, inst.Points)
+		_ = diskgraph.ComputeParamsIn(nil, inst.Source, inst.Points)
 	}
 }
 
@@ -327,7 +327,7 @@ func BenchmarkWakeup_BuildTree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		root := wakeup.BuildTree(geom.Origin, ts)
+		root := wakeup.BuildTreeIn(nil, geom.Origin, ts)
 		if wakeup.Size(root) != len(ts) {
 			b.Fatal("bad tree")
 		}
@@ -371,7 +371,7 @@ func benchPortfolioAlgs() []dftp.Algorithm {
 // _FirstUnderCancel (the early-stop objective, which cancels the losers).
 func BenchmarkPortfolio_Race(b *testing.B) {
 	in := benchPortfolioInstance()
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	pf := portfolio.Portfolio{Algorithms: benchPortfolioAlgs(), Objective: portfolio.MinMakespan{}}
 	var mk float64
 	for i := 0; i < b.N; i++ {
@@ -388,7 +388,7 @@ func BenchmarkPortfolio_Race(b *testing.B) {
 // algorithm the race would declare the winner.
 func BenchmarkPortfolio_BestFixed(b *testing.B) {
 	in := benchPortfolioInstance()
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	pf := portfolio.Portfolio{Algorithms: benchPortfolioAlgs(), Objective: portfolio.MinMakespan{}}
 	res, err := portfolio.Race(pf, in, tup, 0, portfolio.Options{})
 	if err != nil {
@@ -404,7 +404,7 @@ func BenchmarkPortfolio_BestFixed(b *testing.B) {
 // the early-stop speed win over the full race.
 func BenchmarkPortfolio_FirstUnderCancel(b *testing.B) {
 	in := benchPortfolioInstance()
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	pf := portfolio.Portfolio{Algorithms: benchPortfolioAlgs(), Objective: portfolio.FirstUnder{MaxMakespan: 1e9}}
 	var cancelled int
 	for i := 0; i < b.N; i++ {
@@ -649,11 +649,11 @@ func BenchmarkEndToEnd_Heterogeneous(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tup := dftp.TupleFor(in)
+		tup := dftp.TupleForIn(nil, in)
 		b.Run(name, func(b *testing.B) {
 			var mk float64
 			for i := 0; i < b.N; i++ {
-				res, _, err := freezetag.Solve(freezetag.AGrid, in, tup, 0)
+				res, _, err := freezetag.SolveIn(nil, freezetag.AGrid, in, tup, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -74,7 +74,7 @@ func run() error {
 		return fmt.Errorf("unknown family %q", *family)
 	}
 
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	fmt.Printf("generated %s: n=%d ℓ*=%.4g ρ*=%.4g ξ=%.4g\n", in.Name, in.N(), p.Ell, p.Rho, p.Xi)
 	if *out != "" {
 		if err := in.Save(*out); err != nil {

@@ -93,7 +93,7 @@ func run() error {
 		}
 		inst.Profiles = profiles
 	}
-	if err := inst.ValidateProfiles(); err != nil {
+	if err := inst.Validate(); err != nil {
 		return err
 	}
 	faults, err := parseFaults(*faultStr)
@@ -328,7 +328,7 @@ func loadOrGenerate(path, family string, n int, param float64, seed int64) (*ins
 // parseProfiles parses the -profiles spec: a comma-separated list of
 // "speed" or "speed:capacity" entries, one per sleeping robot, e.g.
 // "2,1:5,0.5:3". Validation of the parsed values (speeds finite and > 0)
-// happens in instance.ValidateProfiles.
+// happens in instance.Validate.
 func parseProfiles(spec string) ([]instance.Profile, error) {
 	parts := strings.Split(spec, ",")
 	profiles := make([]instance.Profile, 0, len(parts))

@@ -66,7 +66,7 @@ func run() error {
 
 	rec := trace.New()
 	e := sim.NewEngine(sim.Config{Source: inst.Source, Sleepers: inst.Points, Trace: rec.Record})
-	tup := dftp.TupleFor(inst)
+	tup := dftp.TupleForIn(nil, inst)
 	rep := alg.Install(e, tup)
 	res, err := e.Run()
 	if err != nil {

@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("Theorem 3 energy threshold (ℓ=%g, threshold π(ℓ²−1)/2 ≈ %.1f)\n",
 		ell3, 3.14159*(ell3*ell3-1)/2)
 	for _, mult := range []float64{0.25, 0.5, 1.0, 8.0, 14.0} {
-		res := adversary.Theorem3(ell3, mult*res3Threshold(ell3))
+		res := adversary.Theorem3In(nil, ell3, mult*res3Threshold(ell3))
 		verdict := "robot NOT found — budget below the discovery bound"
 		if res.Found {
 			verdict = fmt.Sprintf("robot found after %.1f distance", res.Energy)

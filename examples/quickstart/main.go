@@ -19,11 +19,11 @@ func main() {
 
 	// The tuple (ℓ, ρ, n) is the knowledge the source starts with; derive
 	// an admissible one from the instance's exact parameters.
-	tup := freezetag.TupleFor(swarm)
+	tup := freezetag.TupleForIn(nil, swarm)
 	fmt.Printf("swarm %q: n=%d, tuple (ℓ=%.3g, ρ=%.3g)\n",
 		swarm.Name, swarm.N(), tup.Ell, tup.Rho)
 
-	res, rep, err := freezetag.Solve(freezetag.ASeparator, swarm, tup, 0 /* unlimited energy */)
+	res, rep, err := freezetag.SolveIn(nil, freezetag.ASeparator, swarm, tup, 0 /* unlimited energy */)
 	if err != nil {
 		log.Fatalf("simulation failed: %v", err)
 	}

@@ -21,8 +21,8 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	// Three camps of beacons strung along a ridge, 6 units apart.
 	swarm := freezetag.ClusterChain(rng, 3, 10, 6.0, 1.0)
-	p := freezetag.ParamsOf(swarm)
-	tup := freezetag.TupleFor(swarm)
+	p := freezetag.ParamsOfIn(nil, swarm)
+	tup := freezetag.TupleForIn(nil, swarm)
 	fmt.Printf("beacon field: n=%d, ℓ*=%.3g, ρ*=%.3g, ξ=%.3g\n\n",
 		swarm.N(), p.Ell, p.Rho, p.Xi)
 
@@ -33,7 +33,7 @@ func main() {
 		freezetag.AGrid, freezetag.AWave,
 	}
 	for _, alg := range algs {
-		res, rep, err := freezetag.Solve(alg, swarm, tup, 0)
+		res, rep, err := freezetag.SolveIn(nil, alg, swarm, tup, 0)
 		if err != nil {
 			log.Fatalf("%s: %v", alg.Name(), err)
 		}

@@ -28,7 +28,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "family\tn\tℓ*\tρ*\tξ\tn·ℓ*\tProp.1 ok\tASep model\tAGrid model")
 	for _, in := range families {
-		p := freezetag.ParamsOf(in)
+		p := freezetag.ParamsOfIn(nil, in)
 		ok := p.Ell <= p.Rho+1e-9 && p.Rho <= p.Xi+1e-9 && p.Xi <= float64(p.N)*p.Ell+1e-9
 		asep := p.Rho + p.Ell*p.Ell*math.Log2(math.Max(2, p.Rho/p.Ell))
 		agrid := p.Ell * p.Xi

@@ -36,15 +36,15 @@ func buildWarehouse(aisles, perAisle int, pitch, gap float64) *freezetag.Instanc
 
 func main() {
 	fleet := buildWarehouse(4, 12, 1.0, 4.0)
-	p := freezetag.ParamsOf(fleet)
-	tup := freezetag.TupleFor(fleet)
+	p := freezetag.ParamsOfIn(nil, fleet)
+	tup := freezetag.TupleForIn(nil, fleet)
 	fmt.Printf("warehouse fleet: n=%d, ℓ*=%.3g, ρ*=%.3g, ξ=%.3g\n",
 		fleet.N(), p.Ell, p.Rho, p.Xi)
 
 	// AGrid on the paper's minimal energy regime Θ(ℓ²).
 	r := 2 * tup.Ell
 	gridBudget := 10 * (r*r + 20*r)
-	res, _, err := freezetag.Solve(freezetag.AGrid, fleet, tup, gridBudget)
+	res, _, err := freezetag.SolveIn(nil, freezetag.AGrid, fleet, tup, gridBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 		res.AllAwake, res.Makespan, res.MaxEnergy)
 
 	// AWave with its Θ(ℓ²logℓ) energy appetite.
-	res2, _, err := freezetag.Solve(freezetag.AWave, fleet, tup, 0)
+	res2, _, err := freezetag.SolveIn(nil, freezetag.AWave, fleet, tup, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	// Starving AGrid demonstrates the Theorem 3 regime: with too little
 	// energy the fleet cannot even be discovered.
 	tiny := tup.Ell * tup.Ell / 2
-	res3, _, err := freezetag.Solve(freezetag.AGrid, fleet, tup, tiny)
+	res3, _, err := freezetag.SolveIn(nil, freezetag.AGrid, fleet, tup, tiny)
 	if err != nil {
 		log.Fatal(err)
 	}

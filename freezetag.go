@@ -11,9 +11,12 @@
 // Quickstart:
 //
 //	swarm := freezetag.RandomWalk(rand.New(rand.NewSource(1)), 40, 0.9)
-//	tup := freezetag.TupleFor(swarm)                 // the (ℓ, ρ, n) knowledge
-//	res, rep, err := freezetag.Solve(freezetag.AGrid, swarm, tup, 0)
+//	tup := freezetag.TupleForIn(nil, swarm)          // the (ℓ, ρ, n) knowledge
+//	res, rep, err := freezetag.SolveIn(nil, freezetag.AGrid, swarm, tup, 0)
 //	// res.Makespan, res.MaxEnergy, res.AllAwake, rep.Rounds ...
+//
+// Every function that measures distances takes a Metric first; nil means
+// ℓ2, the paper's Euclidean plane.
 //
 // Four algorithms are available, mirroring the paper's Table 1 plus the §5
 // extension:
@@ -24,8 +27,8 @@
 //	ASeparatorAuto ASeparator needing only ℓ (estimates ρ, §5)
 //
 // Everything below is a thin facade over the implementation packages in
-// internal/; see DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction results.
+// internal/; the README describes the architecture and how to regenerate
+// the reproduction results.
 package freezetag
 
 import (
@@ -49,8 +52,8 @@ func Pt(x, y float64) Point { return geom.Pt(x, y) }
 // in the model — travel time, energy, the radius-1 look, and the derived
 // (ℓ, ρ) knowledge — is measured in it; wake-up-time bounds and algorithm
 // behavior change qualitatively between ℓ1, ℓ2 and ℓ∞, which is exactly the
-// experiment axis the *In variants below open. The default everywhere is ℓ2,
-// the paper's setting.
+// experiment axis the metric argument of the functions below opens. A nil
+// Metric means ℓ2, the paper's setting.
 type Metric = geom.Metric
 
 // The built-in metrics: Manhattan, Euclidean, Chebyshev.
@@ -86,13 +89,10 @@ func LoadInstance(path string) (*Instance, error) { return instance.Load(path) }
 // the swarm size n (never actually used by the algorithms, per §5).
 type Tuple = dftp.Tuple
 
-// TupleFor derives an admissible tuple from an instance's exact Euclidean
-// parameters.
-func TupleFor(in *Instance) Tuple { return dftp.TupleFor(in) }
-
-// TupleForIn derives the admissible tuple under metric m: ℓ* and ρ* are
-// metric-dependent, so the knowledge handed to the source must be measured
-// in the metric the simulation runs in.
+// TupleForIn derives an admissible tuple from an instance's exact
+// parameters under metric m: ℓ* and ρ* are metric-dependent, so the
+// knowledge handed to the source must be measured in the metric the
+// simulation runs in.
 func TupleForIn(m Metric, in *Instance) Tuple { return dftp.TupleForIn(m, in) }
 
 // Result summarizes a run: makespan, per-robot and total energy, completion.
@@ -112,22 +112,17 @@ var (
 	ASeparatorAuto Algorithm = dftp.ASeparatorAuto{}
 )
 
-// Solve runs alg on the instance with the given per-robot energy budget
+// SolveIn runs alg on the instance with the given per-robot energy budget
 // (≤ 0 means unconstrained) and returns the simulation result and report.
+// Every distance is measured under metric m: travel times, energy, and the
+// radius-1 look; pass a tuple measured in the same metric (TupleForIn).
 // Runs are deterministic: identical inputs give identical results.
-func Solve(alg Algorithm, in *Instance, tup Tuple, budget float64) (Result, *Report, error) {
-	return dftp.Solve(alg, in, tup, budget)
-}
-
-// SolveIn is Solve with every distance measured under metric m (nil means
-// ℓ2): travel times, energy, and the radius-1 look. Pass a tuple measured in
-// the same metric (TupleForIn).
 func SolveIn(m Metric, alg Algorithm, in *Instance, tup Tuple, budget float64) (Result, *Report, error) {
 	return dftp.SolveFaulted(context.Background(), nil, m, alg, in, tup, budget, nil, nil)
 }
 
 // Portfolio is the racing meta-algorithm: an ordered list of entrant
-// algorithms plus an Objective. SolvePortfolio races the entrants
+// algorithms plus an Objective. SolvePortfolioIn races the entrants
 // concurrently on one instance and returns the best schedule; see
 // internal/portfolio for the determinism contract (same portfolio, same
 // instance ⇒ identical winner and stats at any worker count).
@@ -147,40 +142,30 @@ type PortfolioResult = portfolio.Result
 // min-makespan.
 func ParseObjective(s string) (Objective, error) { return portfolio.ParseObjective(s) }
 
-// SolvePortfolio races every algorithm of p concurrently on the instance
+// SolvePortfolioIn races every algorithm of p concurrently on the instance
 // with the given per-robot energy budget and returns the winner under p's
-// objective. When a racer meets a first-under-budget target, every entrant
-// behind it in portfolio order is cancelled mid-simulation; entrants ahead
-// of it still run to completion (any of them may supersede it), so put the
-// cheapest likely-satisfying algorithms first.
-func SolvePortfolio(p Portfolio, in *Instance, tup Tuple, budget float64) (*PortfolioResult, error) {
-	return portfolio.Race(p, in, tup, budget, portfolio.Options{})
-}
-
-// SolvePortfolioIn is SolvePortfolio with every racer simulating under
-// metric m — the objectives thereby score makespan and energy in the
-// instance's metric automatically.
+// objective. Every racer simulates under metric m, so the objectives score
+// makespan and energy in the instance's metric. When a racer meets a
+// first-under-budget target, every entrant behind it in portfolio order is
+// cancelled mid-simulation; entrants ahead of it still run to completion
+// (any of them may supersede it), so put the cheapest likely-satisfying
+// algorithms first.
 func SolvePortfolioIn(m Metric, p Portfolio, in *Instance, tup Tuple, budget float64) (*PortfolioResult, error) {
 	return portfolio.Race(p, in, tup, budget, portfolio.Options{Metric: m})
 }
 
-// HashRequest returns the content-addressed key of a solve request: the
-// SHA-256 hex of a canonical encoding of (algorithm, instance, tuple,
-// budget) with stable field order and normalized floats. Because Solve is
-// deterministic, the key identifies the result as well as the request — it
-// is the cache key of the solver service (cmd/dftp-serve) and the "hash"
-// field of its responses. Budgets ≤ 0 all mean "unconstrained" and hash
-// identically.
-func HashRequest(alg Algorithm, in *Instance, tup Tuple, budget float64) string {
-	return instance.HashRequest(alg.Name(), in, tup.Ell, tup.Rho, tup.N, budget)
-}
-
-// HashRequestIn is HashRequest under metric m. ℓ2 (or nil) produces the
-// pre-metric encoding byte-for-byte — existing cache keys survive — while
-// any other metric hashes under a bumped encoding version that includes the
-// metric's canonical name.
+// HashRequestIn returns the content-addressed key of a solve request: the
+// SHA-256 hex of a canonical encoding of (metric, algorithm, instance,
+// tuple, budget) with stable field order and normalized floats. Because
+// SolveIn is deterministic, the key identifies the result as well as the
+// request — it is the cache key of the solver service (cmd/dftp-serve) and
+// the "hash" field of its responses. Budgets ≤ 0 all mean "unconstrained"
+// and hash identically. ℓ2 (or nil) produces the pre-metric encoding
+// byte-for-byte — existing cache keys survive — while any other metric
+// hashes under a bumped encoding version that includes the metric's
+// canonical name.
 func HashRequestIn(m Metric, alg Algorithm, in *Instance, tup Tuple, budget float64) string {
-	return instance.HashRequestIn(m, alg.Name(), in, tup.Ell, tup.Rho, tup.N, budget)
+	return instance.HashRequestFaulted(m, alg.Name(), in, tup.Ell, tup.Rho, tup.N, budget, "")
 }
 
 // --- Instance generators -----------------------------------------------------
@@ -247,12 +232,6 @@ type Params struct {
 	Ell float64 // ℓ*: connectivity threshold
 	Xi  float64 // ξ: ℓ*-eccentricity of the source
 	N   int
-}
-
-// ParamsOf computes the exact Euclidean parameters of an instance.
-func ParamsOf(in *Instance) Params {
-	p := in.Params()
-	return Params{Rho: p.Rho, Ell: p.Ell, Xi: p.Xi, N: p.N}
 }
 
 // ParamsOfIn computes the exact parameters of an instance under metric m —

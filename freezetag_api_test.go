@@ -10,11 +10,11 @@ import (
 
 func TestPublicAPISolve(t *testing.T) {
 	swarm := freezetag.RandomWalk(rand.New(rand.NewSource(1)), 25, 0.9)
-	tup := freezetag.TupleFor(swarm)
+	tup := freezetag.TupleForIn(nil, swarm)
 	for _, alg := range []freezetag.Algorithm{
 		freezetag.ASeparator, freezetag.AGrid, freezetag.ASeparatorAuto,
 	} {
-		res, rep, err := freezetag.Solve(alg, swarm, tup, 0)
+		res, rep, err := freezetag.SolveIn(nil, alg, swarm, tup, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -45,7 +45,7 @@ func TestPublicAPIInstanceRoundTrip(t *testing.T) {
 
 func TestPublicAPIParams(t *testing.T) {
 	in := freezetag.Line(10, 2)
-	p := freezetag.ParamsOf(in)
+	p := freezetag.ParamsOfIn(nil, in)
 	if p.Ell != 2 || p.Rho != 20 || p.Xi != 20 || p.N != 10 {
 		t.Fatalf("params = %+v", p)
 	}
@@ -69,9 +69,9 @@ func TestPublicAPIGenerators(t *testing.T) {
 
 func TestPublicAPIBudget(t *testing.T) {
 	in := freezetag.Line(10, 1)
-	tup := freezetag.TupleFor(in)
+	tup := freezetag.TupleForIn(nil, in)
 	// Starve the run: it must report honestly rather than succeed.
-	res, _, err := freezetag.Solve(freezetag.AGrid, in, tup, 0.5)
+	res, _, err := freezetag.SolveIn(nil, freezetag.AGrid, in, tup, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPublicAPIBudget(t *testing.T) {
 
 func TestPublicAPISolvePortfolio(t *testing.T) {
 	swarm := freezetag.RandomWalk(rand.New(rand.NewSource(3)), 24, 0.9)
-	tup := freezetag.TupleFor(swarm)
+	tup := freezetag.TupleForIn(nil, swarm)
 	obj, err := freezetag.ParseObjective("min-makespan")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestPublicAPISolvePortfolio(t *testing.T) {
 		Algorithms: []freezetag.Algorithm{freezetag.ASeparator, freezetag.AGrid},
 		Objective:  obj,
 	}
-	res, err := freezetag.SolvePortfolio(p, swarm, tup, 0)
+	res, err := freezetag.SolvePortfolioIn(nil, p, swarm, tup, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +117,20 @@ func TestPublicAPISolvePortfolio(t *testing.T) {
 
 func TestPublicAPIHashRequest(t *testing.T) {
 	in := freezetag.Line(10, 1)
-	tup := freezetag.TupleFor(in)
-	h1 := freezetag.HashRequest(freezetag.AGrid, in, tup, 0)
-	h2 := freezetag.HashRequest(freezetag.AGrid, in, tup, 0)
+	tup := freezetag.TupleForIn(nil, in)
+	h1 := freezetag.HashRequestIn(nil, freezetag.AGrid, in, tup, 0)
+	h2 := freezetag.HashRequestIn(nil, freezetag.AGrid, in, tup, 0)
 	if h1 != h2 {
 		t.Fatalf("identical requests hashed differently: %s vs %s", h1, h2)
 	}
 	if len(h1) != 64 {
 		t.Fatalf("hash %q is not sha256 hex", h1)
 	}
-	if h1 == freezetag.HashRequest(freezetag.AWave, in, tup, 0) {
+	if h1 == freezetag.HashRequestIn(nil, freezetag.AWave, in, tup, 0) {
 		t.Fatal("different algorithms share a request hash")
 	}
 	// Unconstrained budgets (≤ 0) are one key.
-	if h1 != freezetag.HashRequest(freezetag.AGrid, in, tup, -1) {
+	if h1 != freezetag.HashRequestIn(nil, freezetag.AGrid, in, tup, -1) {
 		t.Fatal("budget 0 and -1 should share a request hash")
 	}
 }
@@ -143,7 +143,7 @@ func TestPublicAPIHeterogeneous(t *testing.T) {
 	if len(swarm.Profiles) != 10 {
 		t.Fatalf("speedband family carries %d profiles, want 10", len(swarm.Profiles))
 	}
-	res, rep, err := freezetag.Solve(freezetag.AGrid, swarm, freezetag.TupleFor(swarm), 0)
+	res, rep, err := freezetag.SolveIn(nil, freezetag.AGrid, swarm, freezetag.TupleForIn(nil, swarm), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestPublicAPIHeterogeneous(t *testing.T) {
 
 	// Explicit profiles change the request hash; plain instances keep theirs.
 	plain := freezetag.Line(10, 1)
-	tup := freezetag.TupleFor(plain)
-	h1 := freezetag.HashRequest(freezetag.AGrid, plain, tup, 0)
+	tup := freezetag.TupleForIn(nil, plain)
+	h1 := freezetag.HashRequestIn(nil, freezetag.AGrid, plain, tup, 0)
 	prof := freezetag.NewInstance(plain.Name, plain.Source, plain.Points)
 	prof.Profiles = freezetag.UniformProfiles(10, freezetag.Profile{Speed: 0.5})
-	if h2 := freezetag.HashRequest(freezetag.AGrid, prof, tup, 0); h2 == h1 {
+	if h2 := freezetag.HashRequestIn(nil, freezetag.AGrid, prof, tup, 0); h2 == h1 {
 		t.Fatal("profiles did not change the request hash")
 	}
 }

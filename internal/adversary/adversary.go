@@ -10,9 +10,9 @@
 // its first discovery in each disk; a handful of rounds realizes the
 // Ω(area/2) sweeping cost the bounds rest on.
 //
-// Substitution note (DESIGN.md §6): coverage is tracked on a finite cell
-// grid (resolution ℓ/16), so placements are adversarial up to one cell — a
-// (1−ε) factor on the area argument, irrelevant to the Ω(·) shape.
+// Substitution note: coverage is tracked on a finite cell grid (resolution
+// ℓ/16), so placements are adversarial up to one cell — a (1−ε) factor on
+// the area argument, irrelevant to the Ω(·) shape.
 package adversary
 
 import (
@@ -33,15 +33,9 @@ type Tracker struct {
 	firstCover []float64
 }
 
-// NewTracker builds a tracker over region with the given cell size and
-// Euclidean looks.
-func NewTracker(region geom.Rect, cell float64) *Tracker {
-	return NewTrackerIn(nil, region, cell)
-}
-
-// NewTrackerIn builds a tracker whose radius-1 looks are measured under
-// metric m (nil defaults to ℓ2), matching a simulation run under the same
-// metric.
+// NewTrackerIn builds a tracker over region with the given cell size, whose
+// radius-1 looks are measured under metric m, matching a simulation run
+// under the same metric.
 func NewTrackerIn(m geom.Metric, region geom.Rect, cell float64) *Tracker {
 	if cell <= 0 {
 		panic("adversary: cell size must be positive")

@@ -11,7 +11,7 @@ import (
 
 func TestTrackerMarkAndQuery(t *testing.T) {
 	region := geom.RectWH(geom.Pt(-5, -5), 10, 10)
-	tr := NewTracker(region, 0.25)
+	tr := NewTrackerIn(nil, region, 0.25)
 	d := geom.DiskAt(geom.Origin, 2)
 	if f := tr.CoveredFraction(d); f != 0 {
 		t.Fatalf("initial coverage = %v", f)
@@ -37,7 +37,7 @@ func TestTrackerMarkAndQuery(t *testing.T) {
 
 func TestTrackerFullCoverage(t *testing.T) {
 	region := geom.RectWH(geom.Pt(-3, -3), 6, 6)
-	tr := NewTracker(region, 0.2)
+	tr := NewTrackerIn(nil, region, 0.2)
 	d := geom.DiskAt(geom.Origin, 1.5)
 	// Cover everything with a dense sweep; later snapshots must win the
 	// last-covered query.
@@ -69,7 +69,7 @@ func TestTrackerFullCoverage(t *testing.T) {
 func TestTheorem3BelowThreshold(t *testing.T) {
 	ell := 6.0
 	threshold := math.Pi * (ell*ell - 1) / 2 // ≈ 55
-	res := Theorem3(ell, threshold*0.3)
+	res := Theorem3In(nil, ell, threshold*0.3)
 	if res.Found {
 		t.Errorf("budget %.3g (0.3×threshold %.3g) should not find the adversarial robot",
 			res.Budget, threshold)
@@ -79,7 +79,7 @@ func TestTheorem3BelowThreshold(t *testing.T) {
 func TestTheorem3AmpleBudget(t *testing.T) {
 	ell := 6.0
 	// The spiral needs ~πℓ²/pitch plus slack; give a generous multiple.
-	res := Theorem3(ell, 12*math.Pi*ell*ell)
+	res := Theorem3In(nil, ell, 12*math.Pi*ell*ell)
 	if !res.Found {
 		t.Errorf("ample budget should find the robot (energy %v)", res.Energy)
 	}
@@ -90,7 +90,7 @@ func TestTheorem3Monotone(t *testing.T) {
 	ell := 5.0
 	prev := false
 	for _, mult := range []float64{0.2, 0.5, 1, 3, 8, 15} {
-		res := Theorem3(ell, mult*math.Pi*ell*ell/2)
+		res := Theorem3In(nil, ell, mult*math.Pi*ell*ell/2)
 		if prev && !res.Found {
 			t.Errorf("found at smaller budget but not at %v×", mult)
 		}
@@ -112,7 +112,7 @@ func TestTheorem2HardensInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := out.Instance.Params()
+	p := out.Instance.ParamsIn(nil)
 	if p.Ell > ell+1e-9 {
 		t.Errorf("hardened ℓ* = %v exceeds ℓ = %v (Lemma 13 broken)", p.Ell, ell)
 	}

@@ -47,7 +47,7 @@ func Theorem2(alg dftp.Algorithm, rho, ell float64, n, replays int) (Theorem2Res
 			Source: geom.Origin,
 			Points: pts,
 		}
-		tracker := NewTracker(region, ell/16)
+		tracker := NewTrackerIn(nil, region, ell/16)
 		e := sim.NewEngine(sim.Config{
 			Source:   inst.Source,
 			Sleepers: inst.Points,
@@ -94,21 +94,17 @@ type Theorem3Result struct {
 	Threshold float64 // the paper's π(ℓ²−1)/2 bound, A·(ℓ²−1)/2 per metric
 }
 
-// Theorem3 probes the energy lower bound: a single hidden robot in B(0, ℓ)
+// Theorem3In probes the energy lower bound: a single hidden robot in B(0, ℓ)
 // placed at the spot a budget-B spiral searcher covers last. Because the
 // spiral trajectory is oblivious (it does not depend on the target until
 // discovery), a single replay realizes the exact adversary. Per Theorem 3,
 // budgets below π(ℓ²−1)/2 cannot find the robot.
-func Theorem3(ell, budget float64) Theorem3Result {
-	return Theorem3In(nil, ell, budget)
-}
-
-// Theorem3In is Theorem 3 under metric m (nil defaults to ℓ2): the hidden
-// robot lives in the metric ball B_m(0, ℓ), the spiral's winding pitch,
-// travel costs, and looks all follow m, and the area argument generalizes
-// with the metric's unit-ball area A — sweeping B_m(0, ℓ) minus the freebie
-// radius-1 look costs A(ℓ²−1)/2, so that is the reported Threshold (2 for
-// ℓ1, π for ℓ2, 4 for ℓ∞).
+//
+// Under metric m the hidden robot lives in the metric ball B_m(0, ℓ), the
+// spiral's winding pitch, travel costs, and looks all follow m, and the
+// area argument generalizes with the metric's unit-ball area A — sweeping
+// B_m(0, ℓ) minus the freebie radius-1 look costs A(ℓ²−1)/2, so that is the
+// reported Threshold (2 for ℓ1, π for ℓ2, 4 for ℓ∞).
 func Theorem3In(m geom.Metric, ell, budget float64) Theorem3Result {
 	m = geom.MetricOrL2(m)
 	disk := geom.DiskAt(geom.Origin, ell)

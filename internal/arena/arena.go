@@ -1,7 +1,9 @@
-// Package arena provides per-job scratch reuse for the serving tier: a
-// worker slot owns one Arena for its whole lifetime, and the entire
-// resolve → derive → simulate → marshal chain of each job allocates from it,
-// so repeated request shapes converge to (near-)zero allocations per solve.
+// Package arena provides per-worker scratch reuse for the serving tier: a
+// worker slot owns one Arena for its whole lifetime, and the arena keeps the
+// worker's pooled simulation engine, which each job resets against its
+// instance instead of rebuilding, so repeated request shapes converge to
+// (near-)zero allocations per simulation. Request resolution, hashing and
+// marshaling allocate from the heap as usual.
 //
 // Two mechanisms compose:
 //
@@ -9,13 +11,13 @@
 //     hands out a zero-length, capacity-n sub-slice of a retained chunk;
 //     Reset rewinds the whole slab without freeing. Nothing is ever freed
 //     individually — the intended lifetime of every Take is "until the owner
-//     resets", which is what makes the bump pointer sound.
+//     resets", which is what makes the bump pointer sound. The pooled
+//     engine's scratch (the wake-up tree builder, for one) is built on it.
 //
-//   - the stash: a string-keyed registry of reusable structures (a simulation
-//     engine, a hash scratch, an algorithm's round registry). Maps and
-//     long-lived object graphs cannot be bump-allocated, so they are reused
-//     in place instead: fetched by key with Of, cleared by their owner on
-//     checkout, and retained across Reset.
+//   - the stash: a string-keyed registry of reusable structures, today the
+//     simulation engine. Maps and long-lived object graphs cannot be
+//     bump-allocated, so they are reused in place instead: fetched by key
+//     with Of and reset by their owner on checkout.
 //
 // An Arena is confined to one goroutine at a time (the worker that owns it);
 // it performs no locking. The race test in arena_test.go pins the contract
@@ -65,48 +67,17 @@ func (s *Slab[T]) Take(n int) []T {
 // is retained, so the slab's capacity is monotone.
 func (s *Slab[T]) Reset() { s.cur = s.cur[:0] }
 
-// Cap returns the capacity of the slab's current chunk, for tests and
-// telemetry.
-func (s *Slab[T]) Cap() int { return cap(s.cur) }
-
-// Arena is one worker slot's reusable scratch: a stash of keyed structures
-// plus a byte slab for encodings. It is not safe for concurrent use — each
-// worker owns exactly one.
+// Arena is one worker slot's reusable scratch: a stash of keyed
+// structures. It is not safe for concurrent use — each worker owns exactly
+// one.
 type Arena struct {
-	owner string
 	stash map[string]any
-	bytes Slab[byte]
 }
 
 // New builds an empty arena. The owner tag names the worker slot that owns
-// it; it exists for diagnostics and the no-alias race test.
+// it, for the reader of the call site; the arena does not keep it.
 func New(owner string) *Arena {
-	return &Arena{owner: owner, stash: make(map[string]any)}
-}
-
-// Owner returns the arena's owner tag.
-func (a *Arena) Owner() string { return a.owner }
-
-// Bytes bump-allocates a zero-length byte slice with capacity n from the
-// arena's byte slab; it is invalidated by the next Reset.
-func (a *Arena) Bytes(n int) []byte { return a.bytes.Take(n) }
-
-// JobReset is implemented by stashed values that must rewind between jobs;
-// Arena.Reset invokes it on every stashed value that has it. Values whose
-// reuse is parameterized (e.g. a simulation engine reset against a new
-// instance) reset themselves on checkout instead.
-type JobReset interface{ ResetJob() }
-
-// Reset marks the boundary between two jobs: the byte slab rewinds and every
-// stashed JobReset fires. Stashed structures themselves persist — reuse, not
-// reallocation, is the point.
-func (a *Arena) Reset() {
-	a.bytes.Reset()
-	for _, v := range a.stash {
-		if r, ok := v.(JobReset); ok {
-			r.ResetJob()
-		}
-	}
+	return &Arena{stash: make(map[string]any)}
 }
 
 // closer matches stashed values owning resources beyond memory (an engine's

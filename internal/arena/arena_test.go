@@ -73,32 +73,14 @@ func TestArenaOfAndReset(t *testing.T) {
 	b1 := Of(a, "box", func() *box { return &box{} })
 	b1.n = 7
 	b2 := Of(a, "box", func() *box { t.Fatal("mk ran twice"); return nil })
-	if b1 != b2 {
+	if b1 != b2 || b2.n != 7 {
 		t.Fatal("Of returned a different value on second lookup")
 	}
-	a.Reset()
-	if b3 := Of(a, "box", func() *box { t.Fatal("mk ran after Reset"); return nil }); b3.n != 7 {
-		t.Fatal("Reset dropped stashed value")
-	}
 }
-
-type resettable struct{ resets int }
-
-func (r *resettable) ResetJob() { r.resets++ }
 
 type closable struct{ closed *bool }
 
 func (c *closable) Close() { *c.closed = true }
-
-func TestArenaResetFiresJobReset(t *testing.T) {
-	a := New("w0")
-	r := Of(a, "r", func() *resettable { return &resettable{} })
-	a.Reset()
-	a.Reset()
-	if r.resets != 2 {
-		t.Fatalf("ResetJob fired %d times, want 2", r.resets)
-	}
-}
 
 func TestArenaCloseFiresCloseAndEmpties(t *testing.T) {
 	a := New("w0")
@@ -131,29 +113,17 @@ func TestArenasNeverAlias(t *testing.T) {
 			defer a.Close()
 			type scratch struct {
 				ints Slab[int]
-				buf  []byte
 			}
 			sc := Of(a, "scratch", func() *scratch { return &scratch{} })
 			for j := 0; j < jobs; j++ {
-				a.Reset()
 				sc.ints.Reset()
 				xs := sc.ints.Take(64)
 				for i := 0; i < 64; i++ {
 					xs = append(xs, w*1_000_000+j*64+i)
 				}
-				bs := a.Bytes(128)
-				for i := 0; i < 128; i++ {
-					bs = append(bs, byte(w))
-				}
 				for i, v := range xs {
 					if v != w*1_000_000+j*64+i {
 						t.Errorf("worker %d job %d: slab cross-talk at %d: %d", w, j, i, v)
-						return
-					}
-				}
-				for i, b := range bs {
-					if b != byte(w) {
-						t.Errorf("worker %d job %d: byte slab cross-talk at %d: %d", w, j, i, b)
 						return
 					}
 				}

@@ -22,9 +22,6 @@ import (
 func TestArenaTraceMatchesFresh(t *testing.T) {
 	record := func(ar *arena.Arena, m geom.Metric, alg Algorithm, inst *instance.Instance, faults *Faults) []sim.Event {
 		t.Helper()
-		if ar != nil {
-			ar.Reset()
-		}
 		rec := trace.New()
 		if _, _, err := SolveFaulted(context.Background(), ar, m, alg, inst, TupleForIn(m, inst), 0, faults, rec.Record); err != nil {
 			t.Fatalf("%s on %s: %v", alg.Name(), inst.Name, err)

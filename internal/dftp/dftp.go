@@ -9,11 +9,11 @@
 //     each woken by ASeparator; energy O(ℓ²logℓ), makespan
 //     O(ξℓ + ℓ²log(ξℓ/ℓ)).
 //
-// Implementation deviations from the paper, documented in DESIGN.md §6:
-// round schedules use 9 slot-widths per round instead of 8 (one slot of
-// explicit slack for gathering and late wake-ups), and the slot-work
-// constants t(·) are explicit calibrated upper bounds for this codebase's
-// exploration and wake-tree constants. Neither changes any asymptotic bound.
+// Implementation deviations from the paper: round schedules use 9
+// slot-widths per round instead of 8 (one slot of explicit slack for
+// gathering and late wake-ups), and the slot-work constants t(·) are
+// explicit calibrated upper bounds for this codebase's exploration and
+// wake-tree constants. Neither changes any asymptotic bound.
 package dftp
 
 import (
@@ -52,13 +52,10 @@ func (t Tuple) Admissible() bool {
 	return t.Ell > 0 && t.Rho >= t.Ell && t.Rho <= float64(t.N)*t.Ell
 }
 
-// TupleFor computes an admissible tuple from an instance's exact Euclidean
-// parameters, rounding ℓ and ρ up to integers as the paper assumes.
-func TupleFor(inst *instance.Instance) Tuple { return TupleForIn(nil, inst) }
-
-// TupleForIn computes the admissible tuple under metric m (nil defaults to
-// ℓ2): ℓ* and ρ* are metric-dependent, so the knowledge handed to the source
-// must be measured in the metric the simulation runs in.
+// TupleForIn computes an admissible tuple from an instance's exact
+// parameters under metric m, rounding ℓ and ρ up to integers as the paper
+// assumes. ℓ* and ρ* are metric-dependent, so the knowledge handed to the
+// source must be measured in the metric the simulation runs in.
 func TupleForIn(m geom.Metric, inst *instance.Instance) Tuple {
 	return TupleFromParams(inst.ParamsIn(m))
 }

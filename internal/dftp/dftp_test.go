@@ -13,7 +13,7 @@ import (
 // engine errors, no deadline misses, and no budget violations.
 func runAlg(t *testing.T, alg Algorithm, inst *instance.Instance, budget float64) (sim.Result, *Report) {
 	t.Helper()
-	tup := TupleFor(inst)
+	tup := TupleForIn(nil, inst)
 	res, rep, err := Solve(alg, inst, tup, budget)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", alg.Name(), inst.Name, err)
@@ -47,7 +47,7 @@ func TestTuple(t *testing.T) {
 
 func TestTupleFor(t *testing.T) {
 	in := instance.Line(10, 1.5)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	if tup.Ell != 2 || tup.Rho != 15 || tup.N != 10 {
 		t.Errorf("tuple = %+v", tup)
 	}
@@ -137,7 +137,7 @@ func TestASeparatorDenseCluster(t *testing.T) {
 func TestAGridLine(t *testing.T) {
 	in := instance.Line(15, 1)
 	res, _ := runAlg(t, AGrid{}, in, 0)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	// Theorem 4 energy bound: O(ℓ²) per robot. Constant from the
 	// implementation: ≤ 8 slots × (sweep + travel + wake) ≈ 10·(R²+20R).
 	r := 2 * tup.Ell
@@ -163,7 +163,7 @@ func TestAGridClusterChain(t *testing.T) {
 func TestAGridWithBudget(t *testing.T) {
 	// AGrid must succeed under an O(ℓ²) per-robot budget (Theorem 4).
 	in := instance.Line(12, 1)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	r := 2 * tup.Ell
 	budget := 10 * (r*r + 20*r)
 	res, _ := runAlg(t, AGrid{}, in, budget)

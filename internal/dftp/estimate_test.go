@@ -20,8 +20,8 @@ func TestEstimateRhoAccuracy(t *testing.T) {
 		instance.GridSwarm(7, 1.2),
 	}
 	for _, in := range cases {
-		p := in.Params()
-		tup := TupleFor(in)
+		p := in.ParamsIn(nil)
+		tup := TupleForIn(nil, in)
 		e := sim.NewEngine(sim.Config{Source: in.Source, Sleepers: in.Points})
 		rep := &Report{}
 		var est Estimate
@@ -52,7 +52,7 @@ func TestEstimateRhoAccuracy(t *testing.T) {
 func TestEstimateRhoCoveredSmallSwarm(t *testing.T) {
 	// A tiny swarm saturates below 4ℓ: the estimate must be exact.
 	in := instance.Line(3, 1)
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	e := sim.NewEngine(sim.Config{Source: in.Source, Sleepers: in.Points})
 	rep := &Report{}
 	var est Estimate
@@ -89,7 +89,7 @@ func TestASeparatorAutoWakesAll(t *testing.T) {
 func TestASeparatorAutoIgnoresRho(t *testing.T) {
 	// Even a wildly wrong ρ in the tuple must not matter.
 	in := instance.Line(25, 1)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	tup.Rho = 1 // nonsense
 	res, rep, err := Solve(ASeparatorAuto{}, in, tup, 0)
 	if err != nil {

@@ -36,11 +36,6 @@ type Faults struct {
 	Repair bool `json:"repair,omitempty"`
 }
 
-// FaultKindNames lists the accepted Faults.Kind spellings.
-func FaultKindNames() []string {
-	return []string{"crash-stop", "crash-recovery", "wake-drop", "wake-dup", "byzantine"}
-}
-
 // simKind maps the wire spelling to the engine's kind.
 func (f *Faults) simKind() (sim.FaultKind, bool) {
 	switch f.Kind {

@@ -18,7 +18,7 @@ func faultAlgs() []Algorithm {
 
 func solveFaulted(t *testing.T, alg Algorithm, in *instance.Instance, f *Faults, traceFn func(sim.Event)) (sim.Result, *Report) {
 	t.Helper()
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	res, rep, err := SolveFaulted(context.Background(), nil, nil, alg, in, tup, math.Inf(1), f, traceFn)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", alg.Name(), in.Name, err)

@@ -77,7 +77,7 @@ func TestHeteroTightCapacitiesDegradeGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{ASeparator{}, AGrid{}, AWave{}} {
-		res, _, err := SolveFaulted(context.Background(), nil, nil, alg, in, TupleFor(in), 0, nil, nil)
+		res, _, err := SolveFaulted(context.Background(), nil, nil, alg, in, TupleForIn(nil, in), 0, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}

@@ -17,9 +17,9 @@ func TestMakespanTravelFloor(t *testing.T) {
 	algs := []Algorithm{ASeparator{}, ASeparatorAuto{}, AGrid{}}
 	for trial := 0; trial < 4; trial++ {
 		in := instance.RandomWalk(rng, 15+rng.Intn(25), 0.9)
-		p := in.Params()
+		p := in.ParamsIn(nil)
 		for _, alg := range algs {
-			tup := TupleFor(in)
+			tup := TupleForIn(nil, in)
 			e := sim.NewEngine(sim.Config{Source: in.Source, Sleepers: in.Points})
 			rep := alg.Install(e, tup)
 			res, err := e.Run()
@@ -79,7 +79,7 @@ func TestAGridOnPath(t *testing.T) {
 // its per-robot travel is O(ρ + ℓ²log(ρ/ℓ)) with moderate constants.
 func TestASeparatorWithinGenerousBudget(t *testing.T) {
 	in := instance.Line(32, 1)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	budget := 100 * (tup.Rho + tup.Ell*tup.Ell*8)
 	res, _ := runAlg(t, ASeparator{}, in, budget)
 	if res.MaxEnergy > budget {

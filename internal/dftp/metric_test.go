@@ -68,7 +68,7 @@ func solveEngine(t *testing.T, m geom.Metric, alg Algorithm, in *instance.Instan
 // result for result.
 func TestSolveFaultedL2MatchesSolve(t *testing.T) {
 	in := instance.RandomWalk(rand.New(rand.NewSource(2)), 20, 0.9)
-	tup := TupleFor(in)
+	tup := TupleForIn(nil, in)
 	base, baseRep, err := Solve(AGrid{}, in, tup, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestStressASeparatorLongLine(t *testing.T) {
 	}
 	in := instance.Line(500, 1)
 	res, _ := runAlg(t, ASeparator{}, in, 0)
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	// Makespan stays within the usual constant of the model even at scale.
 	model := p.Rho + 1*8 // ℓ=1: lg(500) ≈ 9
 	if res.Makespan > 40*model {

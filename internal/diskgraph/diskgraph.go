@@ -32,11 +32,6 @@ type edge struct {
 	w  float64
 }
 
-// New builds the Euclidean δ-disk graph of {source} ∪ points.
-func New(source geom.Point, points []geom.Point, delta float64) *Graph {
-	return NewIn(nil, source, points, delta)
-}
-
 // NewIn builds the δ-ball graph of {source} ∪ points under metric m (nil
 // defaults to ℓ2). The adjacency lists are built with a spatial grid, so
 // construction is near-linear for bounded density; it degrades gracefully

@@ -19,7 +19,7 @@ func linePoints(n int, step float64) []geom.Point {
 func TestNewAdjacency(t *testing.T) {
 	// Source at origin, points at 1, 2, 3 on the x-axis; δ = 1 connects
 	// consecutive vertices only.
-	g := New(geom.Origin, linePoints(3, 1), 1)
+	g := NewIn(nil, geom.Origin, linePoints(3, 1), 1)
 	if g.N() != 4 {
 		t.Fatalf("N = %d", g.N())
 	}
@@ -35,7 +35,7 @@ func TestNewAdjacency(t *testing.T) {
 }
 
 func TestZeroDelta(t *testing.T) {
-	g := New(geom.Origin, linePoints(3, 1), 0)
+	g := NewIn(nil, geom.Origin, linePoints(3, 1), 0)
 	for v := 0; v < g.N(); v++ {
 		if g.Degree(v) != 0 {
 			t.Errorf("Degree(%d) = %d with δ=0", v, g.Degree(v))
@@ -47,19 +47,19 @@ func TestZeroDelta(t *testing.T) {
 }
 
 func TestConnected(t *testing.T) {
-	if !New(geom.Origin, nil, 1).Connected() {
+	if !NewIn(nil, geom.Origin, nil, 1).Connected() {
 		t.Error("single vertex should be connected")
 	}
-	if !New(geom.Origin, linePoints(5, 1), 1).Connected() {
+	if !NewIn(nil, geom.Origin, linePoints(5, 1), 1).Connected() {
 		t.Error("unit-spaced line should be connected at δ=1")
 	}
-	if New(geom.Origin, linePoints(5, 1.01), 1).Connected() {
+	if NewIn(nil, geom.Origin, linePoints(5, 1.01), 1).Connected() {
 		t.Error("1.01-spaced line should be disconnected at δ=1")
 	}
 }
 
 func TestShortestDists(t *testing.T) {
-	g := New(geom.Origin, linePoints(4, 1), 1)
+	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
 	dist := g.ShortestDists(0)
 	for i, want := range []float64{0, 1, 2, 3, 4} {
 		if math.Abs(dist[i]-want) > 1e-9 {
@@ -70,7 +70,7 @@ func TestShortestDists(t *testing.T) {
 
 func TestShortestDistsUnreachable(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 0), geom.Pt(10, 0)}
-	g := New(geom.Origin, pts, 1)
+	g := NewIn(nil, geom.Origin, pts, 1)
 	dist := g.ShortestDists(0)
 	if !math.IsInf(dist[2], 1) {
 		t.Errorf("unreachable vertex dist = %v", dist[2])
@@ -78,19 +78,19 @@ func TestShortestDistsUnreachable(t *testing.T) {
 }
 
 func TestEccentricity(t *testing.T) {
-	g := New(geom.Origin, linePoints(4, 1), 1)
+	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
 	if ecc := g.Eccentricity(0); math.Abs(ecc-4) > 1e-9 {
 		t.Errorf("Eccentricity = %v, want 4", ecc)
 	}
 	// Shortcut edge: δ=2 allows 2-hops.
-	g2 := New(geom.Origin, linePoints(4, 1), 2)
+	g2 := NewIn(nil, geom.Origin, linePoints(4, 1), 2)
 	if ecc := g2.Eccentricity(0); math.Abs(ecc-4) > 1e-9 {
 		t.Errorf("Eccentricity with δ=2 = %v, want 4 (geodesic on a line)", ecc)
 	}
 }
 
 func TestHopDists(t *testing.T) {
-	g := New(geom.Origin, linePoints(4, 1), 2)
+	g := NewIn(nil, geom.Origin, linePoints(4, 1), 2)
 	hops := g.HopDists(0)
 	// δ=2 on unit line: hop distance is ceil(i/2).
 	want := []int{0, 1, 1, 2, 2}
@@ -102,7 +102,7 @@ func TestHopDists(t *testing.T) {
 }
 
 func TestShortestPath(t *testing.T) {
-	g := New(geom.Origin, linePoints(4, 1), 1)
+	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
 	path := g.ShortestPath(0, 4)
 	want := []int{0, 1, 2, 3, 4}
 	if len(path) != len(want) {
@@ -114,7 +114,7 @@ func TestShortestPath(t *testing.T) {
 		}
 	}
 	// Unreachable.
-	g2 := New(geom.Origin, []geom.Point{geom.Pt(100, 0)}, 1)
+	g2 := NewIn(nil, geom.Origin, []geom.Point{geom.Pt(100, 0)}, 1)
 	if p := g2.ShortestPath(0, 1); p != nil {
 		t.Errorf("unreachable path = %v", p)
 	}
@@ -122,16 +122,16 @@ func TestShortestPath(t *testing.T) {
 
 func TestConnectivityThreshold(t *testing.T) {
 	// Unit line: threshold exactly 1.
-	if ell := ConnectivityThreshold(geom.Origin, linePoints(5, 1)); math.Abs(ell-1) > 1e-9 {
+	if ell := ConnectivityThresholdIn(nil, geom.Origin, linePoints(5, 1)); math.Abs(ell-1) > 1e-9 {
 		t.Errorf("ℓ* = %v, want 1", ell)
 	}
 	// A gap of 3 dominates.
 	pts := append(linePoints(3, 1), geom.Pt(6, 0), geom.Pt(7, 0))
-	if ell := ConnectivityThreshold(geom.Origin, pts); math.Abs(ell-3) > 1e-9 {
+	if ell := ConnectivityThresholdIn(nil, geom.Origin, pts); math.Abs(ell-3) > 1e-9 {
 		t.Errorf("ℓ* = %v, want 3", ell)
 	}
 	// Empty set.
-	if ell := ConnectivityThreshold(geom.Origin, nil); ell != 0 {
+	if ell := ConnectivityThresholdIn(nil, geom.Origin, nil); ell != 0 {
 		t.Errorf("ℓ* of empty = %v", ell)
 	}
 }
@@ -144,11 +144,11 @@ func TestConnectivityThresholdIsTight(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(rng.Float64()*20, rng.Float64()*20)
 		}
-		ell := ConnectivityThreshold(geom.Origin, pts)
-		if !New(geom.Origin, pts, ell).Connected() {
+		ell := ConnectivityThresholdIn(nil, geom.Origin, pts)
+		if !NewIn(nil, geom.Origin, pts, ell).Connected() {
 			t.Fatalf("trial %d: graph at δ=ℓ* must be connected", trial)
 		}
-		if ell > 1e-6 && New(geom.Origin, pts, ell*0.999).Connected() {
+		if ell > 1e-6 && NewIn(nil, geom.Origin, pts, ell*0.999).Connected() {
 			t.Fatalf("trial %d: graph just below ℓ* must be disconnected", trial)
 		}
 	}
@@ -156,14 +156,14 @@ func TestConnectivityThresholdIsTight(t *testing.T) {
 
 func TestXiAt(t *testing.T) {
 	// Unit line of 4 points: ξ₁ = 4.
-	if xi := XiAt(geom.Origin, linePoints(4, 1), 1); math.Abs(xi-4) > 1e-9 {
+	if xi := XiAtIn(nil, geom.Origin, linePoints(4, 1), 1); math.Abs(xi-4) > 1e-9 {
 		t.Errorf("ξ = %v, want 4", xi)
 	}
 	// Disconnected at small ℓ.
-	if xi := XiAt(geom.Origin, linePoints(4, 1), 0.5); !math.IsInf(xi, 1) {
+	if xi := XiAtIn(nil, geom.Origin, linePoints(4, 1), 0.5); !math.IsInf(xi, 1) {
 		t.Errorf("ξ below threshold = %v, want +Inf", xi)
 	}
-	if xi := XiAt(geom.Origin, nil, 1); xi != 0 {
+	if xi := XiAtIn(nil, geom.Origin, nil, 1); xi != 0 {
 		t.Errorf("ξ of empty = %v", xi)
 	}
 }
@@ -201,7 +201,7 @@ func TestProposition1Random(t *testing.T) {
 			pts[i] = cur
 		}
 		if !CheckProposition1(geom.Origin, pts) {
-			p := ComputeParams(geom.Origin, pts)
+			p := ComputeParamsIn(nil, geom.Origin, pts)
 			t.Fatalf("trial %d: Proposition 1 violated: %+v", trial, p)
 		}
 	}
@@ -219,16 +219,16 @@ func TestLemma6Random(t *testing.T) {
 			cur = cur.Add(geom.Pt(rng.Float64()*1.2-0.6, rng.Float64()*1.2-0.6))
 			pts[i] = cur
 		}
-		p := ComputeParams(geom.Origin, pts)
+		p := ComputeParamsIn(nil, geom.Origin, pts)
 		for _, ell := range []float64{p.Ell, p.Ell * 1.5, p.Ell * 3} {
-			xi := XiAt(geom.Origin, pts, ell)
+			xi := XiAtIn(nil, geom.Origin, pts, ell)
 			if math.IsInf(xi, 1) {
 				t.Fatalf("trial %d: disconnected at ℓ ≥ ℓ*", trial)
 			}
 			if xi > 12*p.Rho*p.Rho/ell+1e-9 {
 				t.Fatalf("trial %d: ξ=%v > 12ρ²/ℓ=%v", trial, xi, 12*p.Rho*p.Rho/ell)
 			}
-			g := New(geom.Origin, pts, ell)
+			g := NewIn(nil, geom.Origin, pts, ell)
 			hops := g.HopDists(0)
 			for v, h := range hops {
 				if float64(h) > 1+2*xi/ell+1e-9 {
@@ -251,10 +251,10 @@ func TestXiMonotoneInEll(t *testing.T) {
 			cur = cur.Add(geom.Pt(rng.Float64()*2-1, rng.Float64()*2-1))
 			pts[i] = cur
 		}
-		ell := ConnectivityThreshold(geom.Origin, pts)
+		ell := ConnectivityThresholdIn(nil, geom.Origin, pts)
 		prev := math.Inf(1)
 		for _, mult := range []float64{1, 1.2, 1.5, 2, 4} {
-			xi := XiAt(geom.Origin, pts, ell*mult)
+			xi := XiAtIn(nil, geom.Origin, pts, ell*mult)
 			if xi > prev+1e-9 {
 				t.Fatalf("trial %d: ξ increased from %v to %v as ℓ grew", trial, prev, xi)
 			}

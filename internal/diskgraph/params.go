@@ -11,13 +11,8 @@ import (
 type Params struct {
 	Rho float64 // ρ*: max distance from the source to any point of P
 	Ell float64 // ℓ*: connectivity threshold of (P, s)
-	Xi  float64 // ξℓ*: ℓ*-eccentricity of the source (see XiAt for other ℓ)
+	Xi  float64 // ξℓ*: ℓ*-eccentricity of the source (see XiAtIn for other ℓ)
 	N   int     // |P|
-}
-
-// ComputeParams returns the exact Euclidean (ρ*, ℓ*, ξ_{ℓ*}) of the instance.
-func ComputeParams(source geom.Point, points []geom.Point) Params {
-	return ComputeParamsIn(nil, source, points)
 }
 
 // ComputeParamsIn returns the exact (ρ*, ℓ*, ξ_{ℓ*}) of the instance under
@@ -45,11 +40,6 @@ func ComputeParamsIn(m geom.Metric, source geom.Point, points []geom.Point) Para
 		p.Xi = newFromPts(m, pts, p.Ell).Eccentricity(0)
 	}
 	return p
-}
-
-// ConnectivityThreshold computes the Euclidean ℓ*.
-func ConnectivityThreshold(source geom.Point, points []geom.Point) float64 {
-	return ConnectivityThresholdIn(nil, source, points)
 }
 
 // ConnectivityThresholdIn computes ℓ* under metric m: the least δ making the
@@ -150,11 +140,6 @@ func bottleneckDenseIn(m geom.Metric, pts []geom.Point) float64 {
 	return bottleneck
 }
 
-// XiAt computes the Euclidean ℓ-eccentricity ξℓ of the source.
-func XiAt(source geom.Point, points []geom.Point, ell float64) float64 {
-	return XiAtIn(nil, source, points, ell)
-}
-
 // XiAtIn computes ξℓ under metric m: the maximum shortest-path distance from
 // s in the ℓ-ball graph of P ∪ {s}, equivalently the minimum weighted depth
 // over spanning trees rooted at s. Returns +Inf when the ℓ-ball graph is
@@ -181,7 +166,7 @@ func CheckProposition1(source geom.Point, points []geom.Point) bool {
 	if len(points) == 0 {
 		return true
 	}
-	p := ComputeParams(source, points)
+	p := ComputeParamsIn(nil, source, points)
 	eps := geom.Eps * float64(len(points)+1)
 	return p.Ell > 0 &&
 		p.Ell <= p.Rho+eps &&

@@ -32,7 +32,7 @@ func (r *Runner) A1TreeQuality(scale Scale) (*report.Table, error) {
 					Pos: geom.Pt(tr.RNG.Float64()*8-4, tr.RNG.Float64()*8-4)}
 			}
 			opt := wakeup.OptimalMakespan(geom.Origin, ts)
-			heur := wakeup.Makespan(geom.Origin, wakeup.BuildTree(geom.Origin, ts))
+			heur := wakeup.MakespanIn(nil, geom.Origin, wakeup.BuildTreeIn(nil, geom.Origin, ts))
 			if opt > 0 {
 				ratios = append(ratios, heur/opt)
 			}
@@ -56,12 +56,12 @@ func (r *Runner) A2RhoEstimation(scale Scale) (*report.Table, error) {
 		"n", "rho*", "auto makespan", "base makespan", "overhead")
 	err := Sweep(r, t, ns, func(_ *Trial, n int) (Row, error) {
 		in := instance.Line(n, 1)
-		p := in.Params()
-		mkAuto, _, err := solveOn(dftp.ASeparatorAuto{}, in, 0)
+		p := in.ParamsIn(nil)
+		mkAuto, _, err := solveOnIn(nil, dftp.ASeparatorAuto{}, in, 0)
 		if err != nil {
 			return nil, err
 		}
-		mkBase, _, err := solveOn(dftp.ASeparator{}, in, 0)
+		mkBase, _, err := solveOnIn(nil, dftp.ASeparator{}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func (r *Runner) A4EllRobustness(scale Scale) (*report.Table, error) {
 		"ell given", "ASeparator makespan", "AGrid makespan", "AGrid maxEnergy")
 	err := Sweep(r, t, mults, func(_ *Trial, m float64) (Row, error) {
 		in := instance.Line(32, 1)
-		tup := dftp.TupleFor(in)
+		tup := dftp.TupleForIn(nil, in)
 		tup.Ell = tup.Ell * m
 		sepRes, _, err := dftp.Solve(dftp.ASeparator{}, in, tup, 0)
 		if err != nil {
@@ -183,7 +183,7 @@ func (r *Runner) A5Baseline(scale Scale) (*report.Table, error) {
 				Pos: geom.Pt(tr.RNG.Float64()*20-10, tr.RNG.Float64()*20-10)}
 		}
 		chain := wakeup.ChainMakespan(geom.Origin, ts)
-		tree := wakeup.Makespan(geom.Origin, wakeup.BuildTree(geom.Origin, ts))
+		tree := wakeup.MakespanIn(nil, geom.Origin, wakeup.BuildTreeIn(nil, geom.Origin, ts))
 		return Row{n, chain, tree, chain / tree}, nil
 	})
 	if err != nil {

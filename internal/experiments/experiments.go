@@ -10,7 +10,8 @@
 // The paper reports asymptotic bounds rather than absolute numbers, so each
 // experiment reports the measured quantity next to the paper's model term
 // and their ratio; a flat ratio column (and a log-log growth exponent close
-// to the model's) is the reproduction criterion recorded in EXPERIMENTS.md.
+// to the model's) is the reproduction criterion (see the README's
+// "Experiments and benchmarks" section).
 package experiments
 
 import (
@@ -45,13 +46,8 @@ func lg2(x float64) float64 {
 	return math.Log2(x)
 }
 
-// solveOn runs alg on the instance and returns (makespan, maxEnergy).
-func solveOn(alg dftp.Algorithm, in *instance.Instance, budget float64) (float64, float64, error) {
-	return solveOnIn(nil, alg, in, budget)
-}
-
-// solveOnIn is solveOn under metric m (nil defaults to ℓ2): the tuple is
-// derived and the simulation run in m.
+// solveOnIn runs alg on the instance under metric m and returns
+// (makespan, maxEnergy): the tuple is derived and the simulation run in m.
 func solveOnIn(m geom.Metric, alg dftp.Algorithm, in *instance.Instance, budget float64) (float64, float64, error) {
 	tup := dftp.TupleForIn(m, in)
 	res, rep, err := dftp.SolveFaulted(context.Background(), nil, m, alg, in, tup, budget, nil, nil)
@@ -83,7 +79,7 @@ func (r *Runner) E1RhoSweep(scale Scale) (*report.Table, error) {
 	}
 	points, err := Map(r, ns, func(_ *Trial, n int) (point, error) {
 		in := instance.Line(n, 1)
-		mk, _, err := solveOn(dftp.ASeparator{}, in, 0)
+		mk, _, err := solveOnIn(nil, dftp.ASeparator{}, in, 0)
 		if err != nil {
 			return point{}, err
 		}
@@ -116,7 +112,7 @@ func (r *Runner) E1EllSweep(scale Scale) (*report.Table, error) {
 	err := Sweep(r, t, ells, func(_ *Trial, ell float64) (Row, error) {
 		n := int(rho / ell)
 		in := instance.Line(n, ell)
-		mk, _, err := solveOn(dftp.ASeparator{}, in, 0)
+		mk, _, err := solveOnIn(nil, dftp.ASeparator{}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +178,7 @@ func (r *Runner) E3AGrid(scale Scale) (*report.Table, error) {
 		"ell", "xi", "makespan", "model ℓ·ξ", "ratio", "maxEnergy", "energy/ℓ²")
 	err := Sweep(r, t, cfgs, func(_ *Trial, c cfg) (Row, error) {
 		in := instance.Line(c.n, c.ell)
-		mk, en, err := solveOn(dftp.AGrid{}, in, 0)
+		mk, en, err := solveOnIn(nil, dftp.AGrid{}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +209,7 @@ func (r *Runner) E4AWave(scale Scale) (*report.Table, error) {
 		"ell", "xi", "makespan", "model ξ+ℓ²lg(ξ/ℓ)", "ratio", "maxEnergy", "energy/ℓ²lgℓ")
 	err := Sweep(r, t, cfgs, func(_ *Trial, c cfg) (Row, error) {
 		in := instance.Line(c.n, c.ell)
-		mk, en, err := solveOn(dftp.AWave{}, in, 0)
+		mk, en, err := solveOnIn(nil, dftp.AWave{}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -276,9 +272,9 @@ func (r *Runner) E6Path(scale Scale) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := in.Params()
-		floor := diskgraph.XiAt(in.Source, in.Points, spec.B)
-		mk, _, err := solveOn(dftp.ASeparator{}, in, 0)
+		p := in.ParamsIn(nil)
+		floor := diskgraph.XiAtIn(nil, in.Source, in.Points, spec.B)
+		mk, _, err := solveOnIn(nil, dftp.ASeparator{}, in, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func (r *Runner) F8FaultResilience(scale Scale) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tup := dftp.TupleFor(in)
+		tup := dftp.TupleForIn(nil, in)
 		base, _, err := dftp.Solve(c.alg, in, tup, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", c.alg.Name(), err)

@@ -40,7 +40,7 @@ func (r *Runner) F1Phases(scale Scale) (*report.Table, error) {
 
 func f1Phases(n int) ([]Row, error) {
 	in := instance.DiskGridStatic(12, 2, n)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 
 	type depthStat struct {
 		branches int
@@ -215,7 +215,7 @@ func (r *Runner) F5Construction(scale Scale) (*report.Table, error) {
 	err := Sweep(r, t, cfgs, func(_ *Trial, c cfg) (Row, error) {
 		centers := instance.CentersC(c.rho, c.ell)
 		in := instance.DiskGridStatic(c.rho, c.ell, 1<<20)
-		p := in.Params()
+		p := in.ParamsIn(nil)
 		return Row{c.rho, c.ell, len(centers), 1 + c.rho*c.rho/(c.ell*c.ell),
 			p.Ell, fmt.Sprintf("%v", p.Ell <= c.ell+1e-9)}, nil
 	})
@@ -246,7 +246,7 @@ func (r *Runner) L2WakeTree(scale Scale) (*report.Table, error) {
 				ts[i] = wakeup.Target{ID: i + 1,
 					Pos: geom.Pt((tr.RNG.Float64()-0.5)*w, (tr.RNG.Float64()-0.5)*w)}
 			}
-			m := wakeup.Makespan(geom.Origin, wakeup.BuildTree(geom.Origin, ts))
+			m := wakeup.MakespanIn(nil, geom.Origin, wakeup.BuildTreeIn(nil, geom.Origin, ts))
 			ratios = append(ratios, m/w)
 		}
 		return Row{w, trials, metrics.Mean(ratios), metrics.Max(ratios)}, nil
@@ -335,7 +335,7 @@ func (r *Runner) XiSanity() (*report.Table, error) {
 		instance.DiskGridStatic(10, 2, 40),
 	}
 	err := Sweep(r, t, families, func(_ *Trial, in *instance.Instance) (Row, error) {
-		p := in.Params()
+		p := in.ParamsIn(nil)
 		ok := diskgraph.CheckProposition1(in.Source, in.Points)
 		return Row{in.Name, p.Ell, p.Rho, p.Xi, fmt.Sprintf("%v", ok)}, nil
 	})

@@ -63,7 +63,7 @@ func (r *Runner) H1Heterogeneous(scale Scale) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tup := dftp.TupleFor(in)
+		tup := dftp.TupleForIn(nil, in)
 		pf := portfolio.Portfolio{Algorithms: entrants, Objective: portfolio.MinMakespan{}, Seed: r.seed}
 		res, err := portfolio.Race(pf, in, tup, 0, portfolio.Options{})
 		if err != nil {

@@ -39,7 +39,7 @@ func (r *Runner) P1Portfolio(scale Scale) (*report.Table, error) {
 		"family", "n", "ASeparator", "AGrid", "AWave", "portfolio", "winner", "portfolio/best")
 	err := Sweep(r, t, cfgs, func(tr *Trial, c cfg) (Row, error) {
 		in := c.build(tr)
-		tup := dftp.TupleFor(in)
+		tup := dftp.TupleForIn(nil, in)
 		pf := portfolio.Portfolio{Algorithms: entrants, Objective: portfolio.MinMakespan{}, Seed: r.seed}
 		res, err := portfolio.Race(pf, in, tup, 0, portfolio.Options{})
 		if err != nil {

@@ -76,11 +76,8 @@ func PlanRect(r geom.Rect) Plan {
 	return Plan{Stops: stops}
 }
 
-// Length returns the Euclidean travel length of the plan starting from
+// LengthIn returns the plan's travel length under metric m, starting from
 // `from` and ending at `to` (entry and exit legs included).
-func (pl Plan) Length(from, to geom.Point) float64 { return pl.LengthIn(nil, from, to) }
-
-// LengthIn returns the plan's travel length under metric m.
 func (pl Plan) LengthIn(m geom.Metric, from, to geom.Point) float64 {
 	mm := geom.MetricOrL2(m)
 	if len(pl.Stops) == 0 {
@@ -90,12 +87,9 @@ func (pl Plan) LengthIn(m geom.Metric, from, to geom.Point) float64 {
 		mm.Dist(pl.Stops[len(pl.Stops)-1], to)
 }
 
-// Covers reports whether every one of the probe points is within Euclidean
+// CoversIn reports whether every one of the probe points is within metric
 // distance 1 of some stop; used by the property tests as the Lemma 1
 // validity check.
-func (pl Plan) Covers(probes []geom.Point) bool { return pl.CoversIn(nil, probes) }
-
-// CoversIn is Covers with visibility measured under metric m.
 func (pl Plan) CoversIn(m geom.Metric, probes []geom.Point) bool {
 	mm := geom.MetricOrL2(m)
 	for _, q := range probes {
@@ -309,12 +303,6 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 		sc.teamFree = append(sc.teamFree, t)
 	}
 	return merged, firstErr
-}
-
-// SpiralPlan returns snapshot stops along an Archimedean spiral under
-// Euclidean looks; see SpiralPlanIn.
-func SpiralPlan(center geom.Point, maxR float64) Plan {
-	return SpiralPlanIn(nil, center, maxR)
 }
 
 // SpiralPlanIn returns snapshot stops along an Archimedean spiral r = a·θ,

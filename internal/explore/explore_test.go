@@ -27,7 +27,7 @@ func TestPlanRectCoverage(t *testing.T) {
 		for _, c := range r.Corners() {
 			probes = append(probes, c)
 		}
-		if !pl.Covers(probes) {
+		if !pl.CoversIn(nil, probes) {
 			t.Fatalf("trial %d: plan does not cover rect %v", trial, r)
 		}
 	}
@@ -40,7 +40,7 @@ func TestPlanRectLengthBound(t *testing.T) {
 		w, h := dim[0], dim[1]
 		r := geom.RectWH(geom.Origin, w, h)
 		pl := PlanRect(r)
-		length := pl.Length(r.Min, r.Min)
+		length := pl.LengthIn(nil, r.Min, r.Min)
 		bound := w*h + 3*(w+h) + 10
 		if length > bound {
 			t.Errorf("plan length %v exceeds bound %v for %vx%v", length, bound, w, h)
@@ -326,13 +326,13 @@ func TestSpiralMissReturnsNotFound(t *testing.T) {
 }
 
 func TestSpiralPlanCoverage(t *testing.T) {
-	pl := SpiralPlan(geom.Origin, 6)
+	pl := SpiralPlanIn(nil, geom.Origin, 6)
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 300; i++ {
 		ang := rng.Float64() * 2 * math.Pi
 		r := rng.Float64() * 5 // stay a pitch inside maxR
 		probe := geom.Pt(r*math.Cos(ang), r*math.Sin(ang))
-		if !pl.Covers([]geom.Point{probe}) {
+		if !pl.CoversIn(nil, []geom.Point{probe}) {
 			t.Fatalf("spiral misses %v (r=%v)", probe, r)
 		}
 	}
@@ -367,13 +367,13 @@ func TestSpiralPlanCoverageIn(t *testing.T) {
 	}
 }
 
-// The ℓ2 spiral is the same plan it always was (Stretch = 1 ⇒ pitch 1),
-// and the ℓ1 spiral is strictly finer (pitch 1/√2).
+// The ℓ2 spiral is the same plan whether ℓ2 is passed or defaulted
+// (Stretch = 1 ⇒ pitch 1), and the ℓ1 spiral is strictly finer (pitch 1/√2).
 func TestSpiralPlanPitchPerMetric(t *testing.T) {
-	l2 := SpiralPlan(geom.Origin, 4)
+	l2 := SpiralPlanIn(nil, geom.Origin, 4)
 	l2In := SpiralPlanIn(geom.L2, geom.Origin, 4)
 	if len(l2.Stops) != len(l2In.Stops) {
-		t.Fatalf("ℓ2 SpiralPlanIn diverged from SpiralPlan: %d vs %d stops", len(l2In.Stops), len(l2.Stops))
+		t.Fatalf("explicit ℓ2 spiral diverged from the nil-metric one: %d vs %d stops", len(l2In.Stops), len(l2.Stops))
 	}
 	for i := range l2.Stops {
 		if l2.Stops[i] != l2In.Stops[i] {

@@ -5,16 +5,16 @@ import (
 	"sort"
 )
 
-// This file holds grid-accelerated variants of the quadratic/linear point
-// scans in metric.go. They bucket the slice into square cells once per call
+// This file holds a grid-accelerated variant of the linear farthest-point
+// scan in metric.go. It buckets the slice into square cells once per call
 // (spatial.Grid imports geom, so geom carries its own one-shot bucketing)
-// and return exactly the same float64 the brute-force scans return — the
-// pruning arguments below only ever discard points that cannot change the
-// extremum, so the winning Dist call is the same call the dense scan makes.
+// and returns exactly the same float64 the brute-force scan returns — the
+// pruning argument below only ever discards points that cannot change the
+// maximum, so the winning Dist call is the same call the dense scan makes.
 
-// gridScanMinN is the size below which the dense scans win: bucketing costs
-// a map build, which only amortizes once the quadratic (or the full linear
-// max pass) is big enough to matter.
+// gridScanMinN is the size below which the dense scan wins: bucketing costs
+// a map build, which only amortizes once the full linear max pass is big
+// enough to matter.
 const gridScanMinN = 48
 
 // scanBoundMargin inflates cell pruning bounds by a hair so that the few
@@ -25,7 +25,7 @@ const gridScanMinN = 48
 const scanBoundMargin = 1 + 1e-9
 
 // bboxOf returns the bounding box of pts; ok is false when any coordinate
-// is NaN (the dense scans own that degenerate case).
+// is NaN (the dense scan owns that degenerate case).
 func bboxOf(pts []Point) (minX, minY, maxX, maxY float64, ok bool) {
 	minX, minY = math.Inf(1), math.Inf(1)
 	maxX, maxY = math.Inf(-1), math.Inf(-1)
@@ -41,19 +41,9 @@ func bboxOf(pts []Point) (minX, minY, maxX, maxY float64, ok bool) {
 	return minX, minY, maxX, maxY, true
 }
 
-// bucketPts assigns every point index to its cell of the given size.
-func bucketPts(pts []Point, cell float64) map[[2]int][]int32 {
-	buckets := make(map[[2]int][]int32, len(pts))
-	for i, p := range pts {
-		k := [2]int{int(math.Floor(p.X / cell)), int(math.Floor(p.Y / cell))}
-		buckets[k] = append(buckets[k], int32(i))
-	}
-	return buckets
-}
-
-// bucketPoints buckets the points themselves — the farthest-point scan never
-// needs indices, and contiguous per-cell blocks are what lets it scan
-// sequentially and feed whole cells to DistBatch.
+// bucketPoints buckets the points themselves — contiguous per-cell blocks
+// are what lets the farthest-point scan run sequentially and feed whole
+// cells to DistBatch.
 func bucketPoints(pts []Point, cell float64) map[[2]int][]Point {
 	buckets := make(map[[2]int][]Point, len(pts))
 	for _, p := range pts {
@@ -66,75 +56,6 @@ func bucketPoints(pts []Point, cell float64) map[[2]int][]Point {
 // scanBatchMin is the cell population below which the farthest-point scan
 // stays per-point; both paths fold identical bits in identical order.
 const scanBatchMin = 8
-
-// MinPairDistGridIn is MinPairDistIn accelerated with cell bucketing:
-// near-linear for well-spread sets instead of O(n²), and exactly equal to
-// the dense scan (same float64). Every supported metric dominates Chebyshev,
-// so a pair at metric distance ≤ cell lands in adjacent cells and a 3×3
-// neighborhood scan sees it; when the first pass proves nothing that close
-// exists, one rescan at the observed candidate distance certifies it.
-func MinPairDistGridIn(m Metric, pts []Point) float64 {
-	if len(pts) < gridScanMinN {
-		return MinPairDistIn(m, pts)
-	}
-	m = MetricOrL2(m)
-	minX, minY, maxX, maxY, ok := bboxOf(pts)
-	if !ok {
-		return MinPairDistIn(m, pts)
-	}
-	ext := math.Max(maxX-minX, maxY-minY)
-	if ext == 0 {
-		// All points coincide: the dense scan's minimum is Dist(p, p) = 0.
-		return 0
-	}
-	cell := ext / math.Sqrt(float64(len(pts)))
-	if cell == 0 {
-		return MinPairDistIn(m, pts) // subnormal extent: cell size underflowed
-	}
-	// Cell coordinates come from floating-point division, so a pair within
-	// distance d is guaranteed adjacent only for d a hair below the cell
-	// size; certify and rescan with that margin (the closest-pair analogue
-	// of the bottleneck pass's ringSafety), keeping the result bit-equal to
-	// the dense scan.
-	const certify = 1 - 1e-9
-	for {
-		best := minPairScan(m, pts, cell)
-		if best <= cell*certify {
-			return best // certified: a closer pair would have been adjacent
-		}
-		if !math.IsInf(best, 1) {
-			// A candidate exists but wasn't certified by this cell size; one
-			// rescan at the candidate distance (margin-inflated) sees every
-			// pair that could beat it.
-			return minPairScan(m, pts, best/certify)
-		}
-		cell *= 2 // no neighbor pairs at all; coarsen until some cell pairs up
-	}
-}
-
-// minPairScan returns the smallest metric distance among pairs whose cells
-// are within one step of each other, +Inf if no such pair exists.
-func minPairScan(m Metric, pts []Point, cell float64) float64 {
-	buckets := bucketPts(pts, cell)
-	best := math.Inf(1)
-	for i, p := range pts {
-		cx := int(math.Floor(p.X / cell))
-		cy := int(math.Floor(p.Y / cell))
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range buckets[[2]int{cx + dx, cy + dy}] {
-					if int(j) <= i {
-						continue // each pair once, in the dense scan's (i, j) order
-					}
-					if d := m.Dist(p, pts[j]); d < best {
-						best = d
-					}
-				}
-			}
-		}
-	}
-	return best
-}
 
 // MaxDistFromGridIn is MaxDistFromIn accelerated with cell bucketing and
 // best-first pruning: cells are visited in decreasing order of an upper

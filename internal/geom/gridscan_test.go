@@ -40,9 +40,6 @@ func TestGridScansMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, m := range builtins(t) {
 		for trial, pts := range gridScanInstances(rng) {
-			if got, want := MinPairDistGridIn(m, pts), MinPairDistIn(m, pts); got != want {
-				t.Errorf("%s instance %d: MinPairDistGridIn = %x, dense = %x", m.Name(), trial, got, want)
-			}
 			o := Pt(rng.Float64()*10-5, rng.Float64()*10-5)
 			if got, want := MaxDistFromGridIn(m, o, pts), MaxDistFromIn(m, o, pts); got != want {
 				t.Errorf("%s instance %d: MaxDistFromGridIn = %x, dense = %x", m.Name(), trial, got, want)
@@ -51,8 +48,8 @@ func TestGridScansMatchBruteForce(t *testing.T) {
 	}
 }
 
-// Fuzz small random sets across scales so the certify/rescan logic of the
-// closest-pair pass and the corner-bound pruning see many cell geometries.
+// Fuzz small random sets across scales so the corner-bound pruning sees
+// many cell geometries.
 func TestGridScansFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, m := range builtins(t) {
@@ -64,10 +61,7 @@ func TestGridScansFuzzed(t *testing.T) {
 				pts[j] = Pt((rng.Float64()-0.5)*scale, (rng.Float64()-0.5)*scale)
 			}
 			if rng.Intn(3) == 0 {
-				pts[n-1] = pts[rng.Intn(n-1)] // exact duplicate: min pair 0
-			}
-			if got, want := MinPairDistGridIn(m, pts), MinPairDistIn(m, pts); got != want {
-				t.Fatalf("%s n=%d scale=%g: MinPairDistGridIn = %x, dense = %x", m.Name(), n, scale, got, want)
+				pts[n-1] = pts[rng.Intn(n-1)] // exact duplicate
 			}
 			o := randPt(rng)
 			if got, want := MaxDistFromGridIn(m, o, pts), MaxDistFromIn(m, o, pts); got != want {
@@ -82,14 +76,8 @@ func TestGridScansDegenerate(t *testing.T) {
 	for i := range same {
 		same[i] = Pt(3, 4)
 	}
-	if got := MinPairDistGridIn(nil, same); got != 0 {
-		t.Errorf("coincident MinPairDistGridIn = %v, want 0", got)
-	}
 	if got := MaxDistFromGridIn(nil, Origin, same); got != 5 {
 		t.Errorf("coincident MaxDistFromGridIn = %v, want 5", got)
-	}
-	if got := MinPairDistGridIn(nil, nil); !math.IsInf(got, 1) {
-		t.Errorf("empty MinPairDistGridIn = %v, want +Inf", got)
 	}
 	if got := MaxDistFromGridIn(nil, Origin, nil); got != 0 {
 		t.Errorf("empty MaxDistFromGridIn = %v, want 0", got)

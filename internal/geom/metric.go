@@ -21,6 +21,10 @@ import (
 // for all p, q. Every ℓp metric with p ≥ 1 satisfies this; the invariant is
 // what lets spatial.Grid bound a metric ball query by a square of cells and
 // keep its ring-expansion nearest-neighbor search correct.
+//
+// A function that measures under a metric takes it as its first argument,
+// and a nil metric means ℓ2, the paper's Euclidean plane: MetricOrL2 is the
+// one place that default is spelled, so no function has an ℓ2 twin.
 type Metric interface {
 	// Name is the canonical CLI/wire spelling — "l1", "l2", "linf", or
 	// "lp:<p>" — and is part of the content-addressed request hash for every
@@ -383,19 +387,4 @@ func MaxDistFromIn(m Metric, o Point, pts []Point) float64 {
 		}
 	}
 	return r
-}
-
-// MinPairDistIn returns the smallest pairwise metric distance among pts, or
-// +Inf for fewer than two points. O(n²); tests and generators only.
-func MinPairDistIn(m Metric, pts []Point) float64 {
-	m = MetricOrL2(m)
-	best := math.Inf(1)
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := m.Dist(pts[i], pts[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return best
 }

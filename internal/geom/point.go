@@ -88,16 +88,6 @@ func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g,%.6g)", p.X, p.Y) }
 
-// PathLength returns the total Euclidean length of the polyline through pts.
-// Fewer than two points have length zero.
-func PathLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
-}
-
 // Centroid returns the arithmetic mean of pts. It panics on an empty slice;
 // callers own the non-emptiness invariant.
 func Centroid(pts []Point) Point {
@@ -109,30 +99,4 @@ func Centroid(pts []Point) Point {
 		c = c.Add(p)
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// MaxDistFrom returns the largest distance from origin o to any point of pts,
-// i.e. the radius ρ* when o is the source. Empty input yields 0.
-func MaxDistFrom(o Point, pts []Point) float64 {
-	var r float64
-	for _, p := range pts {
-		if d := o.Dist(p); d > r {
-			r = d
-		}
-	}
-	return r
-}
-
-// MinPairDist returns the smallest pairwise distance among pts, or +Inf for
-// fewer than two points. O(n²); used by tests and generators, not hot paths.
-func MinPairDist(pts []Point) float64 {
-	best := math.Inf(1)
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return best
 }

@@ -62,14 +62,14 @@ func TestLerpMidpoint(t *testing.T) {
 }
 
 func TestPathLength(t *testing.T) {
-	if l := PathLength(nil); l != 0 {
+	if l := PathLengthIn(nil, nil); l != 0 {
 		t.Errorf("empty path length = %v", l)
 	}
-	if l := PathLength([]Point{Pt(0, 0)}); l != 0 {
+	if l := PathLengthIn(nil, []Point{Pt(0, 0)}); l != 0 {
 		t.Errorf("single point path length = %v", l)
 	}
 	path := []Point{Pt(0, 0), Pt(3, 4), Pt(3, 0)}
-	if l := PathLength(path); math.Abs(l-9) > 1e-12 {
+	if l := PathLengthIn(nil, path); math.Abs(l-9) > 1e-12 {
 		t.Errorf("path length = %v, want 9", l)
 	}
 }
@@ -79,21 +79,11 @@ func TestCentroidMaxDist(t *testing.T) {
 	if c := Centroid(pts); !c.Eq(Pt(1, 1)) {
 		t.Errorf("Centroid = %v", c)
 	}
-	if r := MaxDistFrom(Pt(0, 0), pts); math.Abs(r-2*math.Sqrt2) > 1e-12 {
-		t.Errorf("MaxDistFrom = %v", r)
+	if r := MaxDistFromIn(nil, Pt(0, 0), pts); math.Abs(r-2*math.Sqrt2) > 1e-12 {
+		t.Errorf("MaxDistFromIn = %v", r)
 	}
-	if r := MaxDistFrom(Pt(0, 0), nil); r != 0 {
-		t.Errorf("MaxDistFrom(empty) = %v", r)
-	}
-}
-
-func TestMinPairDist(t *testing.T) {
-	if d := MinPairDist([]Point{Pt(0, 0)}); !math.IsInf(d, 1) {
-		t.Errorf("MinPairDist singleton = %v", d)
-	}
-	pts := []Point{Pt(0, 0), Pt(10, 0), Pt(10.5, 0)}
-	if d := MinPairDist(pts); math.Abs(d-0.5) > 1e-12 {
-		t.Errorf("MinPairDist = %v", d)
+	if r := MaxDistFromIn(nil, Pt(0, 0), nil); r != 0 {
+		t.Errorf("MaxDistFromIn(empty) = %v", r)
 	}
 }
 

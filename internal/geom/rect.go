@@ -72,11 +72,6 @@ func (r Rect) Intersects(q Rect) bool {
 		r.Min.Y <= q.Max.Y+Eps && q.Min.Y <= r.Max.Y+Eps
 }
 
-// ContainsRect reports whether q is entirely inside r (Eps slack).
-func (r Rect) ContainsRect(q Rect) bool {
-	return r.Contains(q.Min) && r.Contains(q.Max)
-}
-
 // Inset returns r shrunk by d on every side. If 2d exceeds an extent the
 // result collapses to the center line/point of that axis.
 func (r Rect) Inset(d float64) Rect {

@@ -108,29 +108,19 @@ func (in *Instance) appendCanonical(b []byte) []byte {
 	return b
 }
 
-// HashRequest returns the content-addressed key of a Euclidean solve
-// request: the SHA-256 (hex) of the canonical encoding of (algorithm,
-// instance, tuple, budget). The tuple is passed as its raw (ℓ, ρ, n) fields
-// so this package does not depend on the algorithm layer. Budgets ≤ 0 are
-// all "unconstrained" and hash identically.
-func HashRequest(algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
-	return HashRequestFaulted(nil, algorithm, in, ell, rho, n, budget, "")
-}
-
-// HashRequestIn is HashRequest under metric m (nil defaults to ℓ2).
-func HashRequestIn(m geom.Metric, algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
-	return HashRequestFaulted(m, algorithm, in, ell, rho, n, budget, "")
-}
-
 // canonBufPool recycles the canonical-encoding scratch across requests. The
 // encoding is built fully in one buffer and hashed with sha256.Sum256 (stack
 // digest, stack sum), so a steady request stream pays exactly one allocation
 // per hash: the returned hex string itself.
 var canonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// HashRequestFaulted is the one canonical encoder: HashRequest under metric m
-// (nil defaults to ℓ2) for a request that may carry a fault plan, passed as
-// its canonical line (see the dftp layer's Faults.Canon; this package stays
+// HashRequestFaulted is the one canonical request encoder: it returns the
+// content-addressed key of a solve request, the SHA-256 (hex) of the
+// canonical encoding of (algorithm, metric, fault plan, tuple, budget,
+// instance). The tuple is passed as its raw (ℓ, ρ, n) fields so this
+// package does not depend on the algorithm layer, and budgets ≤ 0 are all
+// "unconstrained" and hash identically. The fault plan is passed as its
+// canonical line (see the dftp layer's Faults.Canon; this package stays
 // agnostic of its fields), empty for a fault-free request. The version line
 // follows from which optional lines are present — faults → v4, profiles →
 // v3, a non-ℓ2 metric → v2, none → v1 — and every version past v1 writes an

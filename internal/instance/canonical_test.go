@@ -25,15 +25,15 @@ func testInstance() *Instance {
 // canonVersion and update here.
 func TestHashRequestGolden(t *testing.T) {
 	const want = "c8bafa151788a565e606d322a908d1413cad24d4bb9f73a21d30a1cfeea8fcaa"
-	got := HashRequest("agrid", testInstance(), 1, 3, 3, 0)
+	got := HashRequestFaulted(nil, "agrid", testInstance(), 1, 3, 3, 0, "")
 	if got != want {
 		t.Fatalf("canonical hash changed:\n got  %s\n want %s", got, want)
 	}
 }
 
 func TestHashRequestDeterministic(t *testing.T) {
-	a := HashRequest("awave", testInstance(), 2, 5, 3, 1.5)
-	b := HashRequest("awave", testInstance(), 2, 5, 3, 1.5)
+	a := HashRequestFaulted(nil, "awave", testInstance(), 2, 5, 3, 1.5, "")
+	b := HashRequestFaulted(nil, "awave", testInstance(), 2, 5, 3, 1.5, "")
 	if a != b {
 		t.Fatalf("identical requests hashed differently: %s vs %s", a, b)
 	}
@@ -41,26 +41,26 @@ func TestHashRequestDeterministic(t *testing.T) {
 
 func TestHashRequestDistinguishes(t *testing.T) {
 	base := func() *Instance { return testInstance() }
-	ref := HashRequest("agrid", base(), 1, 3, 3, 0)
+	ref := HashRequestFaulted(nil, "agrid", base(), 1, 3, 3, 0, "")
 
 	mutants := map[string]string{}
-	mutants["algorithm"] = HashRequest("awave", base(), 1, 3, 3, 0)
-	mutants["ell"] = HashRequest("agrid", base(), 2, 3, 3, 0)
-	mutants["rho"] = HashRequest("agrid", base(), 1, 4, 3, 0)
-	mutants["n"] = HashRequest("agrid", base(), 1, 3, 4, 0)
-	mutants["budget"] = HashRequest("agrid", base(), 1, 3, 3, 7)
+	mutants["algorithm"] = HashRequestFaulted(nil, "awave", base(), 1, 3, 3, 0, "")
+	mutants["ell"] = HashRequestFaulted(nil, "agrid", base(), 2, 3, 3, 0, "")
+	mutants["rho"] = HashRequestFaulted(nil, "agrid", base(), 1, 4, 3, 0, "")
+	mutants["n"] = HashRequestFaulted(nil, "agrid", base(), 1, 3, 4, 0, "")
+	mutants["budget"] = HashRequestFaulted(nil, "agrid", base(), 1, 3, 3, 7, "")
 
 	renamed := base()
 	renamed.Name = "other"
-	mutants["name"] = HashRequest("agrid", renamed, 1, 3, 3, 0)
+	mutants["name"] = HashRequestFaulted(nil, "agrid", renamed, 1, 3, 3, 0, "")
 
 	moved := base()
 	moved.Points[1] = geom.Pt(0.5, -2.250000001)
-	mutants["point"] = HashRequest("agrid", moved, 1, 3, 3, 0)
+	mutants["point"] = HashRequestFaulted(nil, "agrid", moved, 1, 3, 3, 0, "")
 
 	reordered := base()
 	reordered.Points[0], reordered.Points[1] = reordered.Points[1], reordered.Points[0]
-	mutants["order"] = HashRequest("agrid", reordered, 1, 3, 3, 0)
+	mutants["order"] = HashRequestFaulted(nil, "agrid", reordered, 1, 3, 3, 0, "")
 
 	seen := map[string]string{ref: "reference"}
 	for field, h := range mutants {
@@ -75,11 +75,11 @@ func TestHashRequestNormalizesFloats(t *testing.T) {
 	pos := testInstance()
 	neg := testInstance()
 	neg.Source = geom.Pt(math.Copysign(0, -1), 0) // -0.0 must hash like +0.0
-	if HashRequest("agrid", pos, 1, 3, 3, 0) != HashRequest("agrid", neg, 1, 3, 3, 0) {
+	if HashRequestFaulted(nil, "agrid", pos, 1, 3, 3, 0, "") != HashRequestFaulted(nil, "agrid", neg, 1, 3, 3, 0, "") {
 		t.Fatal("-0.0 and +0.0 hash differently")
 	}
 	// All non-positive budgets mean "unconstrained" and share a key.
-	if HashRequest("agrid", pos, 1, 3, 3, 0) != HashRequest("agrid", pos, 1, 3, 3, -5) {
+	if HashRequestFaulted(nil, "agrid", pos, 1, 3, 3, 0, "") != HashRequestFaulted(nil, "agrid", pos, 1, 3, 3, -5, "") {
 		t.Fatal("budget 0 and budget -5 hash differently")
 	}
 }

@@ -79,12 +79,12 @@ func TestHashCompatPR5Golden(t *testing.T) {
 	for _, f := range loadHashFixturesPR5(t) {
 		in := f.instance(t)
 		m := f.metric(t)
-		if got := HashRequestIn(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
-			t.Errorf("%s: HashRequestIn changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
+		if got := HashRequestFaulted(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, ""); got != f.Hash {
+			t.Errorf("%s: hash changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
 		}
 		withEmpty := *in
 		withEmpty.Profiles = []Profile{}
-		if got := HashRequestIn(m, f.Alg, &withEmpty, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
+		if got := HashRequestFaulted(m, f.Alg, &withEmpty, f.Ell, f.Rho, f.TupN, f.Budget, ""); got != f.Hash {
 			t.Errorf("%s: empty (non-nil) Profiles changed the key:\n got  %s\n want %s",
 				f.Desc, got, f.Hash)
 		}
@@ -101,7 +101,7 @@ func TestHashProfilesDistinguish(t *testing.T) {
 	base := f.instance(t)
 	m := f.metric(t)
 	hash := func(in *Instance) string {
-		return HashRequestIn(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget)
+		return HashRequestFaulted(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, "")
 	}
 	uniform := func(speed, cap float64) *Instance {
 		cp := *base
@@ -146,9 +146,9 @@ func TestHashProfileOrderSignificant(t *testing.T) {
 		cp.Profiles[i] = Profile{Speed: 1}
 	}
 	cp.Profiles[0].Speed = 0.5
-	a := HashRequestIn(nil, f.Alg, &cp, f.Ell, f.Rho, f.TupN, f.Budget)
+	a := HashRequestFaulted(nil, f.Alg, &cp, f.Ell, f.Rho, f.TupN, f.Budget, "")
 	cp.Profiles[0].Speed, cp.Profiles[1].Speed = 1, 0.5
-	b := HashRequestIn(nil, f.Alg, &cp, f.Ell, f.Rho, f.TupN, f.Budget)
+	b := HashRequestFaulted(nil, f.Alg, &cp, f.Ell, f.Rho, f.TupN, f.Budget, "")
 	if a == b {
 		t.Errorf("swapping profiles 0 and 1 kept the hash %s", a)
 	}

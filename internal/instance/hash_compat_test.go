@@ -62,15 +62,12 @@ func (f hashFixture) instance(t *testing.T) *Instance {
 func TestHashCompatPR3Golden(t *testing.T) {
 	for _, f := range loadHashFixtures(t) {
 		in := f.instance(t)
-		if got := HashRequest(f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
-			t.Errorf("%s: HashRequest changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
-		}
 		// The nil-metric and explicit-ℓ2 spellings are the same request.
-		if got := HashRequestIn(nil, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
-			t.Errorf("%s: HashRequestIn(nil) changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
+		if got := HashRequestFaulted(nil, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, ""); got != f.Hash {
+			t.Errorf("%s: nil-metric hash changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
 		}
-		if got := HashRequestIn(geom.L2, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
-			t.Errorf("%s: HashRequestIn(L2) changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
+		if got := HashRequestFaulted(geom.L2, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, ""); got != f.Hash {
+			t.Errorf("%s: ℓ2 hash changed:\n got  %s\n want %s", f.Desc, got, f.Hash)
 		}
 	}
 }
@@ -87,7 +84,7 @@ func TestHashMetricDistinguishes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := HashRequestIn(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget)
+		h := HashRequestFaulted(m, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, "")
 		if prev, dup := seen[h]; dup {
 			t.Errorf("metric %s collides with %s: %s", name, prev, h)
 		}
@@ -97,7 +94,7 @@ func TestHashMetricDistinguishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := HashRequestIn(lp2, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget); got != f.Hash {
+	if got := HashRequestFaulted(lp2, f.Alg, in, f.Ell, f.Rho, f.TupN, f.Budget, ""); got != f.Hash {
 		t.Errorf("lp:2 should normalize to the ℓ2 key:\n got  %s\n want %s", got, f.Hash)
 	}
 }

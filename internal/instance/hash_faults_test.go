@@ -8,9 +8,9 @@ import (
 )
 
 // A fault-free request must keep its exact pre-fault cache key: an empty
-// faults line makes HashRequestFaulted byte-identical to HashRequestIn, for
-// every fixture of the PR 5 golden set (all metrics, inline and family
-// instances, every algorithm, the portfolio descriptor).
+// faults line leaves the encoding at v1–v3, for every fixture of the
+// metric-and-profiles golden set (all metrics, inline and family instances,
+// every algorithm, the portfolio descriptor).
 func TestHashFaultedEmptyLineCompat(t *testing.T) {
 	for _, f := range loadHashFixturesPR5(t) {
 		in := f.instance(t)

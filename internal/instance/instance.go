@@ -43,11 +43,30 @@ func (in *Instance) N() int { return len(in.Points) }
 // Heterogeneous reports whether the instance carries per-robot profiles.
 func (in *Instance) Heterogeneous() bool { return len(in.Profiles) > 0 }
 
-// ValidateProfiles checks the profile list: it must be empty or exactly one
-// profile per point, every speed finite and > 0, and no capacity NaN.
-// Negative capacities are legal (they mean "inherit the uniform budget",
-// like a zero) but NaN is always a request error.
-func (in *Instance) ValidateProfiles() error {
+// MaxCoord bounds every coordinate of an instance. At 2³¹ the simulator's
+// unit Look cells stop fitting spatial.Grid's int32 key halves; below it,
+// every distance, ℓ*, ρ* and cell range the pipeline computes stays finite.
+const MaxCoord = 1 << 31
+
+// Validate checks that the instance lies inside the model the paper's
+// bounds are stated in. The source and every robot must sit at finite
+// coordinates within ±MaxCoord; the error names the first robot that does
+// not, numbered as the simulator numbers them (the source is robot 0). The
+// profile list must be empty or exactly one profile per point, every speed
+// finite and > 0, and no capacity NaN. Negative capacities are legal (they
+// mean "inherit the uniform budget", like a zero) but NaN is always a
+// request error.
+func (in *Instance) Validate() error {
+	if !inBounds(in.Source) {
+		return fmt.Errorf("instance: source at (%g, %g): coordinates must be finite and within ±2³¹",
+			in.Source.X, in.Source.Y)
+	}
+	for i, p := range in.Points {
+		if !inBounds(p) {
+			return fmt.Errorf("instance: robot %d at (%g, %g): coordinates must be finite and within ±2³¹",
+				i+1, p.X, p.Y)
+		}
+	}
 	if len(in.Profiles) == 0 {
 		return nil
 	}
@@ -66,6 +85,12 @@ func (in *Instance) ValidateProfiles() error {
 	return nil
 }
 
+// inBounds reports whether both coordinates of p are within ±MaxCoord,
+// which NaN never is.
+func inBounds(p geom.Point) bool {
+	return math.Abs(p.X) <= MaxCoord && math.Abs(p.Y) <= MaxCoord
+}
+
 // MinSpeed returns the slowest speed across the swarm including the
 // unit-speed source: exactly 1 for homogeneous instances, and the factor by
 // which worst-case travel-time bounds must be inflated for heterogeneous
@@ -80,14 +105,9 @@ func (in *Instance) MinSpeed() float64 {
 	return min
 }
 
-// Params computes the exact Euclidean (ρ*, ℓ*, ξ) of the instance.
-func (in *Instance) Params() diskgraph.Params {
-	return diskgraph.ComputeParams(in.Source, in.Points)
-}
-
-// ParamsIn computes the exact (ρ*, ℓ*, ξ) of the instance under metric m
-// (nil defaults to ℓ2): the same point set generally has different
-// parameters — and different admissible tuples — per metric.
+// ParamsIn computes the exact (ρ*, ℓ*, ξ) of the instance under metric m:
+// the same point set generally has different parameters — and different
+// admissible tuples — per metric.
 func (in *Instance) ParamsIn(m geom.Metric) diskgraph.Params {
 	return diskgraph.ComputeParamsIn(m, in.Source, in.Points)
 }

@@ -16,7 +16,7 @@ func TestRandomWalkConnected(t *testing.T) {
 	if in.N() != 50 {
 		t.Fatalf("N = %d", in.N())
 	}
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	if p.Ell > 0.8+1e-9 {
 		t.Errorf("ℓ* = %v, want ≤ step 0.8", p.Ell)
 	}
@@ -30,7 +30,7 @@ func TestUniformDiskInRadius(t *testing.T) {
 			t.Fatalf("point %v outside radius", p)
 		}
 	}
-	if par := in.Params(); par.Rho > 5+1e-9 {
+	if par := in.ParamsIn(nil); par.Rho > 5+1e-9 {
 		t.Errorf("ρ* = %v", par.Rho)
 	}
 }
@@ -41,7 +41,7 @@ func TestClusterChainStructure(t *testing.T) {
 	if in.N() != 40 {
 		t.Fatalf("N = %d", in.N())
 	}
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	// Gap between clusters is ≥ 6−2·0.5 = 5; ℓ* must be in [4, 6].
 	if p.Ell < 4 || p.Ell > 6+1e-9 {
 		t.Errorf("ℓ* = %v, want ∈ [4, 6]", p.Ell)
@@ -53,7 +53,7 @@ func TestGridSwarm(t *testing.T) {
 	if in.N() != 25 {
 		t.Fatalf("N = %d", in.N())
 	}
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	// Source at origin, first robot at (2,2): ℓ* = 2√2; grid spacing 2.
 	if math.Abs(p.Ell-2*math.Sqrt2) > 1e-9 {
 		t.Errorf("ℓ* = %v, want 2√2", p.Ell)
@@ -62,7 +62,7 @@ func TestGridSwarm(t *testing.T) {
 
 func TestLineParams(t *testing.T) {
 	in := Line(10, 1.5)
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	if math.Abs(p.Ell-1.5) > 1e-9 {
 		t.Errorf("ℓ* = %v", p.Ell)
 	}
@@ -127,7 +127,7 @@ func TestConnectedCentersConnected(t *testing.T) {
 		t.Fatalf("got %d centers, want %d", len(centers), m)
 	}
 	// Connectivity at grid spacing ℓ/2 together with the origin.
-	g := diskgraph.New(geom.Origin, centers, ell/2+1e-9)
+	g := diskgraph.NewIn(nil, geom.Origin, centers, ell/2+1e-9)
 	if !g.Connected() {
 		t.Error("C_m ∪ {origin} not connected at ℓ/2 adjacency")
 	}
@@ -148,7 +148,7 @@ func TestConnectedCentersConnected(t *testing.T) {
 func TestDiskGridStaticValid(t *testing.T) {
 	rho, ell := 10.0, 2.0
 	in := DiskGridStatic(rho, ell, 60)
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	if p.Ell > ell+1e-9 {
 		t.Errorf("ℓ* = %v exceeds ℓ = %v (Lemma 13 violated)", p.Ell, ell)
 	}
@@ -177,7 +177,7 @@ func TestBuildPathBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := in.Params()
+	p := in.ParamsIn(nil)
 	if p.Ell > spec.Ell+1e-9 {
 		t.Errorf("ℓ* = %v exceeds ℓ = %v", p.Ell, spec.Ell)
 	}
@@ -185,7 +185,7 @@ func TestBuildPathBasic(t *testing.T) {
 		t.Errorf("ρ* = %v, want ≈ %v", p.Rho, spec.Rho)
 	}
 	// ξ at the prescribed ℓ should be within a section length of ξ.
-	xi := diskgraph.XiAt(in.Source, in.Points, spec.Ell)
+	xi := diskgraph.XiAtIn(nil, in.Source, in.Points, spec.Ell)
 	if math.IsInf(xi, 1) {
 		t.Fatal("path instance disconnected at ℓ")
 	}
@@ -205,7 +205,7 @@ func TestBuildPathXiGrowsWithSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := diskgraph.XiAt(in.Source, in.Points, 2)
+		got := diskgraph.XiAtIn(nil, in.Source, in.Points, 2)
 		if math.IsInf(got, 1) {
 			t.Fatalf("ξ=%v: disconnected", xi)
 		}
@@ -226,7 +226,7 @@ func TestBuildPathNoShortcuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi := diskgraph.XiAt(in.Source, in.Points, spec.Ell)
+	xi := diskgraph.XiAtIn(nil, in.Source, in.Points, spec.Ell)
 	if xi < 0.5*spec.Xi {
 		t.Errorf("ξℓ = %v collapsed below half the prescribed %v: shortcut exists", xi, spec.Xi)
 	}

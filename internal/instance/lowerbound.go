@@ -193,7 +193,7 @@ func BuildPath(spec PathSpec) (*Instance, error) {
 	poly = truncatePolyline(poly, spec.Xi)
 	pts := spreadAlong(poly, spec.Ell)
 	// Ensure ρ* = ρ: extend along [v0, (ρ,0)] when the path stays short.
-	far := geom.MaxDistFrom(geom.Origin, pts)
+	far := geom.MaxDistFromIn(nil, geom.Origin, pts)
 	if far < spec.Rho-geom.Eps {
 		// Anchor a robot at v0 itself (the main path's spread rarely lands
 		// exactly there), then spread along [v0, (ρ,0)] at ℓ spacing.

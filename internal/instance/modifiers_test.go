@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"freezetag/internal/geom"
 )
 
 // A speedband/capband modifier must not perturb the base point stream: the
@@ -41,7 +43,7 @@ func TestFamilyModifierProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.ValidateProfiles(); err != nil {
+	if err := in.Validate(); err != nil {
 		t.Fatalf("generated profiles invalid: %v", err)
 	}
 	if !strings.HasSuffix(in.Name, "+speedband:0.25+capband:30") {
@@ -89,8 +91,8 @@ func TestFamilyModifierNormalization(t *testing.T) {
 	if a.Name != b.Name {
 		t.Errorf("names differ: %q vs %q", a.Name, b.Name)
 	}
-	ha := HashRequestIn(nil, "agrid", a, 1, 8, a.N(), 0)
-	hb := HashRequestIn(nil, "agrid", b, 1, 8, b.N(), 0)
+	ha := HashRequestFaulted(nil, "agrid", a, 1, 8, a.N(), 0, "")
+	hb := HashRequestFaulted(nil, "agrid", b, 1, 8, b.N(), 0, "")
 	if ha != hb {
 		t.Errorf("hashes differ for equivalent spellings:\n %s\n %s", ha, hb)
 	}
@@ -113,15 +115,15 @@ func TestFamilyModifierErrors(t *testing.T) {
 	}
 }
 
-func TestValidateProfiles(t *testing.T) {
+func TestValidate(t *testing.T) {
 	in, err := Family("line", 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.ValidateProfiles(); err != nil {
+	if err := in.Validate(); err != nil {
 		t.Fatalf("homogeneous instance invalid: %v", err)
 	}
-	bad := []struct {
+	badProfiles := []struct {
 		desc string
 		ps   []Profile
 	}{
@@ -130,17 +132,58 @@ func TestValidateProfiles(t *testing.T) {
 		{"negative speed", []Profile{{Speed: 1}, {Speed: -1}, {Speed: 1}, {Speed: 1}}},
 		{"NaN capacity", []Profile{{Speed: 1, Capacity: math.NaN()}, {Speed: 1}, {Speed: 1}, {Speed: 1}}},
 	}
-	for _, c := range bad {
+	for _, c := range badProfiles {
 		cp := *in
 		cp.Profiles = c.ps
-		if err := cp.ValidateProfiles(); err == nil {
-			t.Errorf("%s: ValidateProfiles accepted", c.desc)
+		if err := cp.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", c.desc)
 		}
 	}
 	// Negative capacity is legal: it means "inherit the uniform budget".
 	ok := *in
 	ok.Profiles = []Profile{{Speed: 1, Capacity: -2}, {Speed: 1}, {Speed: 1}, {Speed: 1}}
-	if err := ok.ValidateProfiles(); err != nil {
+	if err := ok.Validate(); err != nil {
 		t.Errorf("negative capacity (inherit) rejected: %v", err)
+	}
+
+	// Geometry outside ±MaxCoord, or not finite, is refused and the error
+	// names the robot (the source is robot 0, Points[i] is robot i+1).
+	past := math.Nextafter(MaxCoord, math.Inf(1))
+	badGeometry := []struct {
+		desc   string
+		source geom.Point
+		robot  geom.Point // replaces Points[1], robot 2
+		want   string
+	}{
+		{"NaN x", geom.Origin, geom.Pt(math.NaN(), 0), "robot 2 at (NaN, 0)"},
+		{"NaN y", geom.Origin, geom.Pt(0, math.NaN()), "robot 2 at (0, NaN)"},
+		{"+Inf", geom.Origin, geom.Pt(math.Inf(1), 0), "robot 2 at (+Inf, 0)"},
+		{"-Inf", geom.Origin, geom.Pt(0, math.Inf(-1)), "robot 2 at (0, -Inf)"},
+		{"just past 2³¹", geom.Origin, geom.Pt(past, 0), "robot 2 at (2.1474836480000005e+09, 0)"},
+		{"just past -2³¹", geom.Origin, geom.Pt(0, -past), "robot 2 at (0, -2.1474836480000005e+09)"},
+		{"1e308", geom.Origin, geom.Pt(1e308, 0), "robot 2 at (1e+308, 0)"},
+		{"source out of range", geom.Pt(-past, 0), geom.Pt(2, 0), "source at (-2.1474836480000005e+09, 0)"},
+		{"source NaN", geom.Pt(math.NaN(), math.NaN()), geom.Pt(2, 0), "source at (NaN, NaN)"},
+	}
+	for _, c := range badGeometry {
+		cp := *in
+		cp.Source = c.source
+		cp.Points = append([]geom.Point(nil), in.Points...)
+		cp.Points[1] = c.robot
+		err := cp.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted", c.desc)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "±2³¹") {
+			t.Errorf("%s: error %q does not name %q and the bound", c.desc, err, c.want)
+		}
+	}
+	// Exactly ±2³¹ is inside the model.
+	edge := *in
+	edge.Source = geom.Pt(-MaxCoord, MaxCoord)
+	edge.Points = []geom.Point{geom.Pt(MaxCoord, -MaxCoord), geom.Pt(-MaxCoord, 0), geom.Pt(0, MaxCoord), geom.Origin}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("coordinates at exactly ±2³¹ rejected: %v", err)
 	}
 }

@@ -168,7 +168,7 @@ func Max(xs []float64) float64 {
 }
 
 // Ratio returns element-wise ys[i]/xs[i] means, a quick "measured over
-// model" summary used in EXPERIMENTS.md tables.
+// model" summary used in the experiment tables.
 func Ratio(ys, xs []float64) float64 {
 	var rs []float64
 	for i := range ys {

@@ -37,11 +37,11 @@ func TestParseObjectiveUnderFaults(t *testing.T) {
 func TestUnderFaultsNeedsFaults(t *testing.T) {
 	in := instance.Line(8, 1)
 	p := Portfolio{Algorithms: allFour(), Objective: UnderFaults{}}
-	if _, err := Race(p, in, dftp.TupleFor(in), math.Inf(1), Options{}); err == nil {
+	if _, err := Race(p, in, dftp.TupleForIn(nil, in), math.Inf(1), Options{}); err == nil {
 		t.Error("UnderFaults without Options.Faults should fail")
 	}
 	bad := &dftp.Faults{Kind: "crash-stop", Rate: 2}
-	if _, err := Race(p, in, dftp.TupleFor(in), math.Inf(1), Options{Faults: bad}); err == nil {
+	if _, err := Race(p, in, dftp.TupleForIn(nil, in), math.Inf(1), Options{Faults: bad}); err == nil {
 		t.Error("malformed fault spec should fail the race up front")
 	}
 }
@@ -54,7 +54,7 @@ func TestRaceUnderFaultsDeterministic(t *testing.T) {
 	p := Portfolio{Algorithms: allFour(), Objective: UnderFaults{Draws: 3}, Seed: 2}
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
-		res, err := Race(p, in, dftp.TupleFor(in), math.Inf(1), Options{Workers: workers, Faults: f})
+		res, err := Race(p, in, dftp.TupleForIn(nil, in), math.Inf(1), Options{Workers: workers, Faults: f})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -82,7 +82,7 @@ func TestRaceFaultedTrace(t *testing.T) {
 	in := instance.UniformDisk(rand.New(rand.NewSource(47)), 40, 10)
 	f := &dftp.Faults{Kind: "crash-stop", Rate: 0.3, Seed: 21, Repair: true}
 	p := Portfolio{Algorithms: allFour(), Objective: UnderFaults{Draws: 2}, Seed: 4}
-	res, err := Race(p, in, dftp.TupleFor(in), math.Inf(1), Options{Trace: true, Faults: f})
+	res, err := Race(p, in, dftp.TupleForIn(nil, in), math.Inf(1), Options{Trace: true, Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRaceFaultedTrace(t *testing.T) {
 func TestRaceFaultedSingleDraw(t *testing.T) {
 	in := instance.UniformDisk(rand.New(rand.NewSource(53)), 40, 10)
 	f := &dftp.Faults{Kind: "wake-drop", Rate: 0.3, Seed: 9, Repair: true}
-	res, err := Race(Portfolio{Algorithms: allFour(), Seed: 1}, in, dftp.TupleFor(in), math.Inf(1), Options{Faults: f})
+	res, err := Race(Portfolio{Algorithms: allFour(), Seed: 1}, in, dftp.TupleForIn(nil, in), math.Inf(1), Options{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

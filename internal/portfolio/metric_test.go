@@ -35,7 +35,7 @@ func TestRaceMetricDeterministicAndDistinct(t *testing.T) {
 		}
 		// Same instance raced under ℓ2 must score differently (the walk
 		// instance has diagonal steps, so metric distances differ).
-		l2, err := Race(p, in, dftp.TupleFor(in), 0, Options{})
+		l2, err := Race(p, in, dftp.TupleForIn(nil, in), 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

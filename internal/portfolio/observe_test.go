@@ -13,7 +13,7 @@ import (
 // abort.
 func TestObserveReportsEveryRacer(t *testing.T) {
 	in := walkInstance(1)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	var mu sync.Mutex
 	seen := make(map[int]RacerObservation)
 	p := Portfolio{Algorithms: allFour(), Seed: 7}
@@ -48,7 +48,7 @@ func TestObserveReportsEveryRacer(t *testing.T) {
 // the observations must say so, with zero wall time for never-started runs.
 func TestObserveCancelledRacers(t *testing.T) {
 	in := walkInstance(1)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	var mu sync.Mutex
 	var obs []RacerObservation
 	p := Portfolio{Algorithms: allFour(), Objective: FirstUnder{MaxMakespan: 1e9}, Seed: 7}
@@ -82,7 +82,7 @@ func TestObserveCancelledRacers(t *testing.T) {
 // produces identical deterministic results.
 func TestObserveDoesNotChangeOutcome(t *testing.T) {
 	in := walkInstance(1)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	p := Portfolio{Algorithms: allFour(), Seed: 7}
 	ref, err := Race(p, in, tup, 0, Options{Workers: 2})
 	if err != nil {

@@ -23,7 +23,7 @@ func walkInstance(seed int64) *instance.Instance {
 // so any worker count produces the identical Result. Run with -race.
 func TestRaceDeterministicAcrossWorkers(t *testing.T) {
 	in := walkInstance(1)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	objectives := []Objective{
 		MinMakespan{},
 		MinEnergy{},
@@ -63,7 +63,7 @@ func TestRaceDeterministicAcrossWorkers(t *testing.T) {
 // racers provably never simulate (Aborted counts them).
 func TestFirstUnderCancelsLosers(t *testing.T) {
 	in := walkInstance(2)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	p := Portfolio{Algorithms: allFour(), Objective: FirstUnder{MaxMakespan: 1e9}}
 	res, err := Race(p, in, tup, 0, Options{Workers: 1})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestFirstUnderCancelsLosers(t *testing.T) {
 // wins if every earlier racer completed without satisfying it.
 func TestFirstUnderRespectsOrder(t *testing.T) {
 	in := walkInstance(3)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	// Find two algorithms with distinct makespans and order the worse first.
 	var mks []float64
 	for _, alg := range allFour() {
@@ -137,7 +137,7 @@ func TestFirstUnderRespectsOrder(t *testing.T) {
 // the completed runs, marked unsatisfied, with nothing cancelled.
 func TestFirstUnderFallback(t *testing.T) {
 	in := walkInstance(4)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	p := Portfolio{Algorithms: allFour(), Objective: FirstUnder{MaxMakespan: 1e-9}}
 	res, err := Race(p, in, tup, 0, Options{})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestFirstUnderFallback(t *testing.T) {
 // individual solves (the portfolio adds concurrency, never semantics).
 func TestWinnerMatchesDirectArgmin(t *testing.T) {
 	in := walkInstance(5)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	for _, obj := range []Objective{MinMakespan{}, MinEnergy{}, Weighted{WMakespan: 1, WEnergy: 2}} {
 		best, bestScore := -1, 0.0
 		for i, alg := range allFour() {
@@ -191,7 +191,7 @@ func TestWinnerMatchesDirectArgmin(t *testing.T) {
 // Tracing records the winning run's events without changing the outcome.
 func TestTraceRecordsWinner(t *testing.T) {
 	in := walkInstance(6)
-	tup := dftp.TupleFor(in)
+	tup := dftp.TupleForIn(nil, in)
 	p := Portfolio{Algorithms: allFour(), Objective: MinMakespan{}}
 	plain, err := Race(p, in, tup, 0, Options{})
 	if err != nil {
@@ -271,7 +271,7 @@ func TestPortfolioName(t *testing.T) {
 
 func TestRaceNoAlgorithms(t *testing.T) {
 	in := walkInstance(7)
-	if _, err := Race(Portfolio{}, in, dftp.TupleFor(in), 0, Options{}); err == nil {
+	if _, err := Race(Portfolio{}, in, dftp.TupleForIn(nil, in), 0, Options{}); err == nil {
 		t.Fatal("empty portfolio raced without error")
 	}
 }

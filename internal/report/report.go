@@ -1,6 +1,5 @@
 // Package report renders the experiment harness's result tables as aligned
-// ASCII (for terminals and EXPERIMENTS.md) and CSV (for downstream
-// plotting).
+// ASCII (for terminals) and CSV (for downstream plotting).
 package report
 
 import (

@@ -44,7 +44,7 @@ func TestDFSamplingChain(t *testing.T) {
 	}
 	region := geom.Sq(geom.Pt(8, 0), 40)
 	out, _ := runDFS(t, sleepers, region, 2, 100)
-	if !IsLSampling(out.Samples, 2) {
+	if !IsLSamplingIn(nil, out.Samples, 2) {
 		t.Errorf("samples not a 2-sampling: %v", out.Samples)
 	}
 	if !out.Covered {
@@ -122,7 +122,7 @@ func TestDFSamplingBranching(t *testing.T) {
 	if !Covers(out.Samples, sleepers, 1.5) {
 		t.Errorf("arms not covered: %d samples", len(out.Samples))
 	}
-	if !IsLSampling(out.Samples, 1.5) {
+	if !IsLSamplingIn(nil, out.Samples, 1.5) {
 		t.Error("not an ℓ-sampling")
 	}
 }
@@ -149,7 +149,7 @@ func TestDFSamplingCoverageRandomConnected(t *testing.T) {
 		if len(out.Discovered) != n {
 			t.Fatalf("trial %d: discovered %d of %d", trial, len(out.Discovered), n)
 		}
-		if !IsLSampling(out.Samples, ell) {
+		if !IsLSamplingIn(nil, out.Samples, ell) {
 			t.Fatalf("trial %d: invalid sampling", trial)
 		}
 		if !Covers(out.Samples, pts, ell) {

@@ -41,7 +41,7 @@ func TestQuickGreedyThinningIsSamplingAndCovers(t *testing.T) {
 				samples = append(samples, p)
 			}
 		}
-		return IsLSampling(samples, ell) && Covers(samples, pts, ell)
+		return IsLSamplingIn(nil, samples, ell) && Covers(samples, pts, ell)
 	}
 	if err := quick.Check(f, cfg()); err != nil {
 		t.Error(err)
@@ -71,7 +71,7 @@ func TestQuickSamplingSubset(t *testing.T) {
 			return true
 		}
 		sub := samples[:len(samples)/2]
-		if !IsLSampling(sub, ell) {
+		if !IsLSamplingIn(nil, sub, ell) {
 			return false
 		}
 		// Coverage monotonicity: whatever sub covers, samples cover too.

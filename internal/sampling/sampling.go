@@ -17,15 +17,10 @@ import (
 	"freezetag/internal/geom"
 )
 
-// IsLSampling reports whether pts are pairwise at Euclidean distance > ℓ
-// (the paper adds a point only when strictly farther than ℓ from all
-// samples).
-func IsLSampling(pts []geom.Point, ell float64) bool {
-	return IsLSamplingIn(nil, pts, ell)
-}
-
-// IsLSamplingIn is IsLSampling under metric m (nil defaults to ℓ2); the
-// sampler's separation invariant holds in whichever metric the engine runs.
+// IsLSamplingIn reports whether pts are pairwise at metric distance > ℓ
+// under m (the paper adds a point only when strictly farther than ℓ from
+// all samples); the sampler's separation invariant holds in whichever
+// metric the engine runs.
 func IsLSamplingIn(m geom.Metric, pts []geom.Point, ell float64) bool {
 	mm := geom.MetricOrL2(m)
 	for i := range pts {

@@ -10,14 +10,14 @@ import (
 
 func TestIsLSampling(t *testing.T) {
 	good := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(0, 3)}
-	if !IsLSampling(good, 2) {
+	if !IsLSamplingIn(nil, good, 2) {
 		t.Error("pairwise-3 set should be a 2-sampling")
 	}
 	bad := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
-	if IsLSampling(bad, 2) {
+	if IsLSamplingIn(nil, bad, 2) {
 		t.Error("distance-1 pair should not be a 2-sampling")
 	}
-	if !IsLSampling(nil, 2) || !IsLSampling(good[:1], 2) {
+	if !IsLSamplingIn(nil, nil, 2) || !IsLSamplingIn(nil, good[:1], 2) {
 		t.Error("empty and singleton sets are always samplings")
 	}
 }

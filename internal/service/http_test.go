@@ -326,20 +326,55 @@ func TestHTTPHealthzStatsz(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 1})
-	cases := []string{
-		`not json at all`,
-		`{"algorithm":"dijkstra","family":"walk","n":8,"param":1}`,
-		`{"algorithm":"agrid"}`,
-		`{"algorithm":"agrid","family":"torus","n":8,"param":1}`,
-	}
-	for _, body := range cases {
-		resp, data := postSolve(t, srv, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("payload %q: status %d (%s), want 400", body, resp.StatusCode, data)
+	s := New(Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	hung := false
+	defer func() {
+		// Close waits for every outstanding request, so after a request
+		// blew its deadline the server is left to the process exit.
+		if !hung {
+			srv.Close()
+			s.Close()
 		}
-		if !strings.Contains(string(data), `"error"`) {
-			t.Errorf("payload %q: error body %q", body, data)
+	}()
+	client := &http.Client{Timeout: badRequestDeadline}
+	type badCase struct{ body, want string }
+	cases := []badCase{
+		{`not json at all`, ""},
+		{`{"algorithm":"dijkstra","family":"walk","n":8,"param":1}`, ""},
+		{`{"algorithm":"agrid"}`, ""},
+		{`{"algorithm":"agrid","family":"torus","n":8,"param":1}`, ""},
+		{`{"algorithm":"agrid","family":"line","n":3,"param":1e308}`, "robot 1 at (1e+308, 0)"},
+	}
+	for _, p := range outOfRangeProbes {
+		body, err := json.Marshal(SolveRequest{Algorithm: "agrid", Instance: p.inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, badCase{string(body), p.want})
+	}
+	for _, c := range cases {
+		resp, err := client.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			hung = true
+			t.Errorf("payload %.80q: %v", c.body, err)
+			continue
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("payload %.80q: status %d (%s), want 400", c.body, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), `"error"`) || !strings.Contains(string(data), c.want) {
+			t.Errorf("payload %.80q: error body %q, want one naming %q", c.body, data, c.want)
+		}
+	}
+	if resp, err := client.Get(srv.URL + "/healthz"); err != nil {
+		t.Errorf("healthz after the bad requests: %v", err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz after the bad requests: status %d", resp.StatusCode)
 		}
 	}
 }

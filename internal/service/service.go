@@ -598,9 +598,10 @@ type resolved struct {
 // computes its hash under the solver name: inline instance wins over
 // family, the tuple defaults to dftp.TupleForIn(m, instance), budgets ≤ 0
 // collapse to 0. Request-level profiles override whatever profiles the
-// inline instance or family modifiers supplied, and the combined profile
-// list is validated (speeds finite and > 0, one per robot). All failures
-// wrap ErrBadRequest.
+// inline instance or family modifiers supplied, and the combined instance
+// is validated (coordinates finite and within ±instance.MaxCoord, speeds
+// finite and > 0, one profile per robot) before a family instance enters
+// the params memo. All failures wrap ErrBadRequest.
 //
 // Family instances and their derived tuples are memoized under paramsKey:
 // the derivation walks the whole point set (ℓ*, ρ*, ξ), and the same family
@@ -645,7 +646,7 @@ func (s *Service) resolve(name string, m geom.Metric, req *SolveRequest) (resolv
 		cp.Profiles = req.Profiles
 		r.inst = &cp
 	}
-	if err := r.inst.ValidateProfiles(); err != nil {
+	if err := r.inst.Validate(); err != nil {
 		return r, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	switch {
@@ -1159,7 +1160,6 @@ func (s *Service) worker() {
 		}
 		j.call.queue = time.Since(j.enqueued)
 		s.stageQueue.Record(j.call.queue.Seconds())
-		ar.Reset()
 		ent, err := j.run(&j.call.stageTimes, ar)
 		s.mu.Lock()
 		if ent != nil {

@@ -194,21 +194,66 @@ func TestInlineAndFamilyShareKey(t *testing.T) {
 	}
 }
 
+// badRequestDeadline bounds how long a refusal may take. Refusing is a
+// validation pass, microseconds even for a large instance; a request that
+// slips past validation into the solver would instead spin for minutes.
+const badRequestDeadline = 2 * time.Second
+
+// outOfRangeProbes are instances outside the model the paper's bounds are
+// stated in, each with the robot its refusal must name: coordinates so
+// large that ℓ*, ρ* or a grid cell index overflows.
+var outOfRangeProbes = []struct {
+	name string
+	inst *instance.Instance
+	want string
+}{
+	{"inline ±1e308", &instance.Instance{Name: "huge", Points: []geom.Point{
+		geom.Pt(1e308, 0), geom.Pt(-1e308, 0), geom.Pt(0, 1e308), geom.Pt(0, -1e308)}},
+		"robot 1 at (1e+308, 0)"},
+	{"inline 1 and 1e308", &instance.Instance{Name: "far", Points: []geom.Point{
+		geom.Pt(1, 0), geom.Pt(1e308, 0)}},
+		"robot 2 at (1e+308, 0)"},
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
-	cases := map[string]SolveRequest{
-		"unknown algorithm": {Algorithm: "dijkstra", Family: "walk", N: 8, Param: 1},
-		"no instance":       {Algorithm: "agrid"},
-		"unknown family":    {Algorithm: "agrid", Family: "torus", N: 8, Param: 1},
-		"bad n":             {Algorithm: "agrid", Family: "walk", N: 0, Param: 1},
-		"huge n":            {Algorithm: "agrid", Family: "line", N: 1 << 40, Param: 1},
-		"empty inline":      {Algorithm: "agrid", Instance: &instance.Instance{Name: "empty"}},
-		"bad tuple": {Algorithm: "agrid", Family: "walk", N: 8, Param: 1,
-			Tuple: &TupleJSON{Ell: -1, Rho: 1, N: 8}},
+	type badCase struct {
+		name string
+		req  SolveRequest
+		want string // a substring the error must carry, if any
 	}
-	for name, req := range cases {
-		if _, err := s.Solve(req); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("%s: got %v, want ErrBadRequest", name, err)
+	cases := []badCase{
+		{"unknown algorithm", SolveRequest{Algorithm: "dijkstra", Family: "walk", N: 8, Param: 1}, ""},
+		{"no instance", SolveRequest{Algorithm: "agrid"}, ""},
+		{"unknown family", SolveRequest{Algorithm: "agrid", Family: "torus", N: 8, Param: 1}, ""},
+		{"bad n", SolveRequest{Algorithm: "agrid", Family: "walk", N: 0, Param: 1}, ""},
+		{"huge n", SolveRequest{Algorithm: "agrid", Family: "line", N: 1 << 40, Param: 1}, ""},
+		{"empty inline", SolveRequest{Algorithm: "agrid", Instance: &instance.Instance{Name: "empty"}}, ""},
+		{"bad tuple", SolveRequest{Algorithm: "agrid", Family: "walk", N: 8, Param: 1,
+			Tuple: &TupleJSON{Ell: -1, Rho: 1, N: 8}}, ""},
+		{"line param 1e308", SolveRequest{Algorithm: "agrid", Family: "line", N: 3, Param: 1e308},
+			"robot 1 at (1e+308, 0)"},
+	}
+	for _, p := range outOfRangeProbes {
+		for _, alg := range []string{"agrid", "aseparator", "awave"} {
+			cases = append(cases, badCase{p.name + " " + alg, SolveRequest{Algorithm: alg, Instance: p.inst}, p.want})
+		}
+	}
+	for _, c := range cases {
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Solve(c.req)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%s: got %v, want ErrBadRequest", c.name, err)
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+			}
+		case <-time.After(badRequestDeadline):
+			t.Errorf("%s: no answer within %v", c.name, badRequestDeadline)
 		}
 	}
 	if s.Stats().Solves != 0 {

@@ -15,7 +15,7 @@ import (
 // SolveRequest is the wire form of one solve. The instance comes either
 // inline (Instance) or generated from a workload family (Family/N/Param/
 // Seed); an inline instance wins when both are present. The tuple defaults
-// to dftp.TupleFor(instance) and can be overridden. Requests with the same
+// to dftp.TupleForIn(nil, instance) and can be overridden. Requests with the same
 // canonical content hash to the same key regardless of how the instance was
 // supplied.
 type SolveRequest struct {

@@ -136,10 +136,8 @@ type Engine struct {
 	// wgs registers every WaitGroup built on this engine so ReleaseStalled
 	// can void them; pidSeq numbers processes in spawn order so stalled
 	// releases have a deterministic order.
-	wgs         []*WaitGroup
-	pidSeq      int64
-	firstRepair float64
-	lastRepair  float64
+	wgs    []*WaitGroup
+	pidSeq int64
 }
 
 // RunScratch is implemented by scratch values that must rewind between runs;
@@ -378,7 +376,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.fstats = FaultStats{}
 	e.wgs = e.wgs[:0]
 	e.pidSeq = 0
-	e.firstRepair, e.lastRepair = 0, 0
 	for _, v := range e.scratch {
 		if r, ok := v.(RunScratch); ok {
 			r.ResetRun()
@@ -651,7 +648,6 @@ func (e *Engine) result() Result {
 		Moves:         e.moves,
 		Faults:        e.fstats,
 	}
-	res.Faults.FirstRepair, res.Faults.LastRepair = e.firstRepair, e.lastRepair
 	if !res.AllAwake {
 		res.Makespan = e.now
 	}

@@ -229,24 +229,13 @@ func (e *Engine) AppendAsleep(buf []int) []int {
 // and emits the "repair" trace event.
 func (e *Engine) RecordRepair(id int, note string) {
 	e.fstats.Repairs++
-	if e.fstats.Repairs == 1 || e.now > e.lastRepair {
-		e.lastRepair = e.now
-	}
 	if e.fstats.Repairs == 1 {
-		e.firstRepair = e.now
+		e.fstats.FirstRepair = e.now
+	}
+	if e.fstats.Repairs == 1 || e.now > e.fstats.LastRepair {
+		e.fstats.LastRepair = e.now
 	}
 	e.emit(Event{T: e.now, Robot: id, Kind: "repair", Pos: e.Robot(id).pos, Extra: note})
-}
-
-// RepairWindow returns the virtual-time interval [first, last] spanned by the
-// run's repair interventions, and ok=false when none happened. The serving
-// tier scales it against wall-clock simulation time to attribute a repair
-// stage on request timelines.
-func (e *Engine) RepairWindow() (first, last float64, ok bool) {
-	if e.fstats.Repairs == 0 {
-		return 0, 0, false
-	}
-	return e.firstRepair, e.lastRepair, true
 }
 
 // ReleaseStalled re-enqueues every indefinitely-parked process at the current

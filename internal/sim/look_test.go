@@ -64,7 +64,7 @@ func TestLookBuffersHoldOneLook(t *testing.T) {
 			maxAsleep, maxAwake = max(maxAsleep, len(asleep)), max(maxAwake, len(awake))
 		}
 	}})
-	rep := dftp.AGrid{}.Install(e, dftp.TupleFor(inst))
+	rep := dftp.AGrid{}.Install(e, dftp.TupleForIn(nil, inst))
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

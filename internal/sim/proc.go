@@ -386,6 +386,3 @@ func (p *Proc) Barrier(key string, need int) {
 	b.waiters = append(b.waiters, p)
 	p.parkWait()
 }
-
-// Stopped reports whether the robot was halted by budget exhaustion.
-func (p *Proc) Stopped() bool { return p.r.stopped }

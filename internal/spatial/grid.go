@@ -156,13 +156,9 @@ type gridCell struct {
 // produces identical bits; this is purely a knob.
 const batchScanMin = 8
 
-// NewGrid builds an empty Euclidean grid with the given cell size. The cell
-// size should be of the order of the most common query radius; it must be
-// positive.
-func NewGrid(cellSize float64) *Grid { return NewGridIn(nil, cellSize) }
-
-// NewGridIn builds an empty grid whose radius queries measure under m (nil
-// defaults to ℓ2).
+// NewGridIn builds an empty grid with the given cell size, whose radius
+// queries measure under m. The cell size should be of the order of the most
+// common query radius; it must be positive.
 func NewGridIn(m geom.Metric, cellSize float64) *Grid {
 	return NewGridInCap(m, cellSize, 0)
 }

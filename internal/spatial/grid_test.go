@@ -13,7 +13,7 @@ import (
 )
 
 func TestInsertRemove(t *testing.T) {
-	g := NewGrid(1)
+	g := NewGridIn(nil, 1)
 	g.Insert(1, geom.Pt(0.5, 0.5))
 	g.Insert(2, geom.Pt(1.5, 0.5))
 	if g.Len() != 2 {
@@ -34,7 +34,7 @@ func TestInsertRemove(t *testing.T) {
 }
 
 func TestInsertMoves(t *testing.T) {
-	g := NewGrid(1)
+	g := NewGridIn(nil, 1)
 	g.Insert(1, geom.Pt(0, 0))
 	g.Insert(1, geom.Pt(10, 10))
 	if g.Len() != 1 {
@@ -50,7 +50,7 @@ func TestInsertMoves(t *testing.T) {
 }
 
 func TestWithin(t *testing.T) {
-	g := NewGrid(1)
+	g := NewGridIn(nil, 1)
 	g.Insert(1, geom.Pt(0, 0))
 	g.Insert(2, geom.Pt(1, 0))   // exactly on radius
 	g.Insert(3, geom.Pt(1.5, 0)) // outside
@@ -74,17 +74,17 @@ func TestWithin(t *testing.T) {
 func TestNewGridPanicsOnBadCell(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewGrid(0) should panic")
+			t.Fatal("NewGridIn(nil, 0) should panic")
 		}
 	}()
-	NewGrid(0)
+	NewGridIn(nil, 0)
 }
 
 // Property: Within agrees with a brute-force scan on random configurations.
 func TestWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		g := NewGrid(0.5 + rng.Float64()*3)
+		g := NewGridIn(nil, 0.5+rng.Float64()*3)
 		pts := make(map[int]geom.Point)
 		n := 1 + rng.Intn(60)
 		for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func TestInsertFindSelf(t *testing.T) {
 			return true
 		}
 		x, y = math.Mod(x, 1e4), math.Mod(y, 1e4)
-		g := NewGrid(1)
+		g := NewGridIn(nil, 1)
 		g.Insert(1, geom.Pt(x, y))
 		ids := g.Within(nil, geom.Pt(x, y), 0)
 		return len(ids) == 1 && ids[0] == 1
@@ -232,7 +232,7 @@ func TestWithinMatchesBruteForceUnderChurn(t *testing.T) {
 // the sweep — a move and a radius-1 Within per cell, the simulator's Look
 // and move loop — allocates nothing.
 func TestGridIndexesOccupiedCellsOnly(t *testing.T) {
-	g := NewGrid(1)
+	g := NewGridIn(nil, 1)
 	var buf []int
 	sweep := func() {
 		for i := range 10000 {
@@ -271,7 +271,7 @@ func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	order := rng.Perm(len(pts))
-	g := NewGrid(1)
+	g := NewGridIn(nil, 1)
 	round := func() {
 		g.Reset(nil)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })

@@ -52,7 +52,7 @@ func TestGridWithinMatchesBruteForceUnderMetrics(t *testing.T) {
 // L2 equals Within of a default grid, item for item.
 func TestGridL2DefaultUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	def := NewGrid(1)
+	def := NewGridIn(nil, 1)
 	exp := NewGridIn(geom.L2, 1)
 	for id := 0; id < 200; id++ {
 		p := geom.Pt((rng.Float64()-0.5)*20, (rng.Float64()-0.5)*20)

@@ -20,16 +20,10 @@ type ndjsonEvent struct {
 	Extra string  `json:"extra,omitempty"`
 }
 
-// WriteNDJSON emits all events as newline-delimited JSON, one event object
-// per line. An empty recorder writes nothing. The encoding is deterministic:
-// equal event streams produce equal bytes.
-func (r *Recorder) WriteNDJSON(w io.Writer) error {
-	return WriteEventsNDJSON(w, r.events)
-}
-
-// WriteEventsNDJSON is WriteNDJSON over a bare event slice, for callers
-// that hold recorded events without a Recorder (e.g. the solver service
-// streaming a replayed trace).
+// WriteEventsNDJSON emits events as newline-delimited JSON, one event
+// object per line; no events write nothing. The encoding is deterministic:
+// equal event streams produce equal bytes. A Recorder's events come from
+// its Events method; the solver service streams a replayed trace this way.
 func WriteEventsNDJSON(w io.Writer, events []sim.Event) error {
 	for _, ev := range events {
 		line, err := json.Marshal(ndjsonEvent{

@@ -17,7 +17,7 @@ func TestWriteNDJSONGolden(t *testing.T) {
 	r.Record(sim.Event{T: 1.5, Robot: 3, Kind: "wake", Pos: geom.Pt(1, -0.5)})
 
 	var buf bytes.Buffer
-	if err := r.WriteNDJSON(&buf); err != nil {
+	if err := WriteEventsNDJSON(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
@@ -33,7 +33,7 @@ func TestWriteNDJSONGolden(t *testing.T) {
 
 func TestWriteNDJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteNDJSON(&buf); err != nil {
+	if err := WriteEventsNDJSON(&buf, New().Events()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -56,7 +56,7 @@ func TestWriteNDJSONWriterError(t *testing.T) {
 	r.Record(sim.Event{Kind: "spawn"})
 	r.Record(sim.Event{Kind: "wake"})
 
-	err := r.WriteNDJSON(&failWriter{after: 1})
+	err := WriteEventsNDJSON(&failWriter{after: 1}, r.Events())
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("writer error not propagated: %v", err)
 	}
@@ -66,10 +66,10 @@ func TestWriteNDJSONDeterministic(t *testing.T) {
 	r := New()
 	r.Record(sim.Event{T: 2, Robot: 1, Kind: "look", Pos: geom.Pt(0.25, 0.75), Extra: "r=1"})
 	var a, b bytes.Buffer
-	if err := r.WriteNDJSON(&a); err != nil {
+	if err := WriteEventsNDJSON(&a, r.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteNDJSON(&b); err != nil {
+	if err := WriteEventsNDJSON(&b, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -40,7 +40,7 @@ func TestChainTreeStructure(t *testing.T) {
 		t.Error("chain tree invalid")
 	}
 	// Chain tree makespan equals ChainMakespan.
-	if m, c := Makespan(geom.Origin, root), ChainMakespan(geom.Origin, ts); math.Abs(m-c) > 1e-12 {
+	if m, c := MakespanIn(nil, geom.Origin, root), ChainMakespan(geom.Origin, ts); math.Abs(m-c) > 1e-12 {
 		t.Errorf("tree makespan %v != chain %v", m, c)
 	}
 }
@@ -54,7 +54,7 @@ func TestTreeBeatsChainAtScale(t *testing.T) {
 		ts[i] = Target{ID: i + 1, Pos: geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10)}
 	}
 	chain := ChainMakespan(geom.Origin, ts)
-	tree := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
+	tree := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
 	if tree >= chain/3 {
 		t.Errorf("tree %v not ≥3x faster than chain %v", tree, chain)
 	}

@@ -52,13 +52,13 @@ func TestBuildTreeHeteroValid(t *testing.T) {
 
 // Zero-valued profiles are the homogeneous model: a tree built from targets
 // with Speed/Capacity left zero must be structurally identical to the plain
-// BuildTree result, and all-unit speeds likewise (the greedy weights divide
+// BuildTreeIn result, and all-unit speeds likewise (the greedy weights divide
 // by exactly 1).
 func TestBuildTreeUnitProfilesMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		ts := randomTargets(rng, 1+rng.Intn(30), 8)
-		plain := BuildTree(geom.Origin, ts)
+		plain := BuildTreeIn(nil, geom.Origin, ts)
 		unit := append([]Target(nil), ts...)
 		for i := range unit {
 			unit[i].Speed = 1
@@ -85,7 +85,7 @@ func TestBuildTreeUnitProfilesMatchPlain(t *testing.T) {
 		if !same(plain, got) {
 			t.Fatalf("trial %d: unit-speed tree differs structurally from the plain tree", trial)
 		}
-		if Makespan(geom.Origin, plain) != MakespanProfiledIn(nil, geom.Origin, 1, got) {
+		if MakespanIn(nil, geom.Origin, plain) != MakespanProfiledIn(nil, geom.Origin, 1, got) {
 			t.Fatalf("trial %d: unit-speed profiled makespan differs from plain", trial)
 		}
 	}
@@ -98,8 +98,8 @@ func TestMakespanProfiledSpeedScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
 		ts := randomTargets(rng, 2+rng.Intn(20), 6)
-		base := BuildTree(geom.Origin, ts)
-		ms := Makespan(geom.Origin, base)
+		base := BuildTreeIn(nil, geom.Origin, ts)
+		ms := MakespanIn(nil, geom.Origin, base)
 
 		slowed := append([]Target(nil), ts...)
 		for i := range slowed {

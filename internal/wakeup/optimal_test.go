@@ -60,7 +60,7 @@ func TestOptimalIsLowerBoundForBuildTree(t *testing.T) {
 			ts[i] = Target{ID: i + 1, Pos: geom.Pt(rng.Float64()*6-3, rng.Float64()*6-3)}
 		}
 		opt := OptimalMakespan(geom.Origin, ts)
-		heur := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
+		heur := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
 		if heur < opt-1e-9 {
 			t.Fatalf("trial %d: heuristic %v beats 'optimal' %v — DP broken", trial, heur, opt)
 		}

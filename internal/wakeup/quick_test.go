@@ -24,12 +24,12 @@ func quickCfg() *quick.Config {
 	return &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
 }
 
-// Property: BuildTree always yields a valid binary tree covering every
+// Property: BuildTreeIn always yields a valid binary tree covering every
 // target exactly once.
 func TestQuickTreeValidity(t *testing.T) {
 	f := func(seed int64) bool {
 		ts := targetsFromSeed(seed, 60)
-		root := BuildTree(geom.Origin, ts)
+		root := BuildTreeIn(nil, geom.Origin, ts)
 		ids := make([]int, len(ts))
 		for i := range ts {
 			ids[i] = ts[i].ID
@@ -47,7 +47,7 @@ func TestQuickTreeValidity(t *testing.T) {
 func TestQuickMakespanFloors(t *testing.T) {
 	f := func(seed int64) bool {
 		ts := targetsFromSeed(seed, 40)
-		m := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
+		m := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
 		far := 0.0
 		for _, x := range ts {
 			if d := x.Pos.Norm(); d > far {
@@ -74,8 +74,8 @@ func TestQuickTranslationInvariance(t *testing.T) {
 		for i, x := range ts {
 			moved[i] = Target{ID: x.ID, Pos: x.Pos.Add(off)}
 		}
-		a := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
-		b := Makespan(off, BuildTree(off, moved))
+		a := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
+		b := MakespanIn(nil, off, BuildTreeIn(nil, off, moved))
 		diff := a - b
 		if diff < 0 {
 			diff = -diff
@@ -93,7 +93,7 @@ func TestQuickChainDominatesTree(t *testing.T) {
 	f := func(seed int64) bool {
 		ts := targetsFromSeed(seed, 30)
 		chain := ChainMakespan(geom.Origin, ts)
-		tree := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
+		tree := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
 		// Not strictly guaranteed point-wise (different orders), but the
 		// chain visits everything serially so it dominates up to the greedy
 		// order's slack; assert the robust direction with tolerance.

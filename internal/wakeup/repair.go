@@ -111,9 +111,6 @@ func InstallRepair(e *sim.Engine, cfg RepairConfig) {
 	e.Spawn(sim.SourceID, rp.monitor)
 }
 
-// RepairInstalled reports whether the engine has an armed repair layer.
-func RepairInstalled(e *sim.Engine) bool { return repairerOf(e).installed }
-
 // appendTreeIDs appends every robot id in the subtree to buf, preorder.
 func appendTreeIDs(n *Node, buf []int) []int {
 	if n == nil {

@@ -26,7 +26,7 @@ func propagateRun(t *testing.T, faults *sim.FaultPlan, repair bool) (sim.Result,
 		Faults:   faults,
 		Trace:    func(ev sim.Event) { events = append(events, ev) },
 	})
-	root := BuildTree(geom.Origin, ts)
+	root := BuildTreeIn(nil, geom.Origin, ts)
 	e.Spawn(sim.SourceID, func(p *sim.Proc) { _ = Propagate(p, root, nil) })
 	if repair {
 		InstallRepair(e, RepairConfig{Poll: 0.5})

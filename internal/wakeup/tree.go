@@ -4,7 +4,7 @@
 // A wake-up tree (the paper's §1.1) is a rooted tree over robot positions in
 // which every node has at most two children; a robot that wakes node x hands
 // x one subtree and keeps the other (Algorithm 1), so the set of awake robots
-// doubles its workforce along the way. BuildTree constructs a tree whose
+// doubles its workforce along the way. BuildTreeIn constructs a tree whose
 // makespan is O(diam) via recursive longest-side bisection: waking the point
 // nearest to the current position costs at most the current region's
 // diameter, and each two levels of bisection halve the region diameter, so
@@ -54,19 +54,14 @@ func speedOf(s float64) float64 {
 	return s
 }
 
-// BuildTree builds a wake-up tree over targets for a robot starting at
-// start, greedy under the Euclidean metric. It returns nil for an empty
-// target set. The tree's makespan from start is O(diam(targets ∪ {start})):
-// see the package comment.
-func BuildTree(start geom.Point, targets []Target) *Node {
-	return BuildTreeIn(nil, start, targets)
-}
-
-// BuildTreeIn is BuildTree with the nearest-target greedy measured under
-// metric m (nil defaults to ℓ2). The recursion's region bisection is
-// axis-aligned and works unchanged for every supported metric; since all ℓp
-// distances are within a constant factor of each other in the plane, the
-// O(diam) makespan guarantee carries over with the metric's constant.
+// BuildTreeIn builds a wake-up tree over targets for a robot starting at
+// start, greedy under metric m: each robot wakes its nearest target first.
+// It returns nil for an empty target set. The tree's makespan from start is
+// O(diam(targets ∪ {start})): see the package comment. The recursion's
+// region bisection is axis-aligned and works unchanged for every supported
+// metric; since all ℓp distances are within a constant factor of each other
+// in the plane, the O(diam) guarantee carries over with the metric's
+// constant.
 //
 // Heterogeneous targets (any Speed ∉ {0, 1} or Capacity > 0) switch the
 // greedy to speed-weighted time (argmin dist/speed: a fast robot slightly
@@ -257,11 +252,6 @@ func (b *Builder) swapHandoff(node, c1, c2 *Node) bool {
 		return d1 > d2
 	}
 	return false
-}
-
-// Makespan returns the time to wake the whole tree under Euclidean travel.
-func Makespan(start geom.Point, root *Node) float64 {
-	return MakespanIn(nil, start, root)
 }
 
 // MakespanIn returns the time to wake the whole tree when the waking robot

@@ -26,20 +26,20 @@ func idsOf(ts []Target) []int {
 }
 
 func TestBuildTreeEmpty(t *testing.T) {
-	if root := BuildTree(geom.Origin, nil); root != nil {
+	if root := BuildTreeIn(nil, geom.Origin, nil); root != nil {
 		t.Errorf("empty targets should give nil tree, got %+v", root)
 	}
-	if m := Makespan(geom.Origin, nil); m != 0 {
+	if m := MakespanIn(nil, geom.Origin, nil); m != 0 {
 		t.Errorf("nil tree makespan = %v", m)
 	}
 }
 
 func TestBuildTreeSingle(t *testing.T) {
-	root := BuildTree(geom.Origin, []Target{{ID: 5, Pos: geom.Pt(3, 4)}})
+	root := BuildTreeIn(nil, geom.Origin, []Target{{ID: 5, Pos: geom.Pt(3, 4)}})
 	if root == nil || root.ID != 5 || len(root.Children) != 0 {
 		t.Fatalf("tree = %+v", root)
 	}
-	if m := Makespan(geom.Origin, root); math.Abs(m-5) > 1e-9 {
+	if m := MakespanIn(nil, geom.Origin, root); math.Abs(m-5) > 1e-9 {
 		t.Errorf("makespan = %v, want 5", m)
 	}
 }
@@ -49,7 +49,7 @@ func TestBuildTreeValidRandom(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(100)
 		ts := randomTargets(rng, n, 10)
-		root := BuildTree(geom.Origin, ts)
+		root := BuildTreeIn(nil, geom.Origin, ts)
 		if !Valid(root, idsOf(ts)) {
 			t.Fatalf("trial %d: invalid tree over %d targets", trial, n)
 		}
@@ -73,7 +73,7 @@ func TestMakespanLinearInR(t *testing.T) {
 				ts[i] = Target{ID: i + 1, Pos: geom.Pt(
 					(rng.Float64()-0.5)*width, (rng.Float64()-0.5)*width)}
 			}
-			m := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
+			m := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
 			if r := m / width; r > worst {
 				worst = r
 			}
@@ -93,8 +93,8 @@ func TestMakespanScalesLinearly(t *testing.T) {
 	for i, x := range ts {
 		big[i] = Target{ID: x.ID, Pos: x.Pos.Scale(8)}
 	}
-	m1 := Makespan(geom.Origin, BuildTree(geom.Origin, ts))
-	m8 := Makespan(geom.Origin, BuildTree(geom.Origin, big))
+	m1 := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, ts))
+	m8 := MakespanIn(nil, geom.Origin, BuildTreeIn(nil, geom.Origin, big))
 	if math.Abs(m8-8*m1) > 1e-6*m8 {
 		t.Errorf("m8 = %v, want 8·m1 = %v", m8, 8*m1)
 	}
@@ -107,11 +107,11 @@ func TestCoLocatedTargets(t *testing.T) {
 	for i := range ts {
 		ts[i] = Target{ID: i + 1, Pos: geom.Pt(3, 4)}
 	}
-	root := BuildTree(geom.Origin, ts)
+	root := BuildTreeIn(nil, geom.Origin, ts)
 	if !Valid(root, idsOf(ts)) {
 		t.Fatal("invalid tree for co-located targets")
 	}
-	if m := Makespan(geom.Origin, root); math.Abs(m-5) > 1e-6 {
+	if m := MakespanIn(nil, geom.Origin, root); math.Abs(m-5) > 1e-6 {
 		t.Errorf("makespan = %v, want ≈ 5", m)
 	}
 }
@@ -119,7 +119,7 @@ func TestCoLocatedTargets(t *testing.T) {
 func TestDepthReasonable(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	ts := randomTargets(rng, 200, 20)
-	root := BuildTree(geom.Origin, ts)
+	root := BuildTreeIn(nil, geom.Origin, ts)
 	if d := Depth(root); d > 200 {
 		t.Errorf("depth = %d for 200 targets", d)
 	}
@@ -134,7 +134,7 @@ func TestPropagateWakesAll(t *testing.T) {
 		ts[i] = Target{ID: i + 1, Pos: pts[i]}
 	}
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: pts})
-	root := BuildTree(geom.Origin, ts)
+	root := BuildTreeIn(nil, geom.Origin, ts)
 	contCount := 0
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		if err := Propagate(p, root, func(q *sim.Proc) { contCount++ }); err != nil {
@@ -152,8 +152,8 @@ func TestPropagateWakesAll(t *testing.T) {
 		t.Errorf("cont ran on %d robots, want %d", contCount, len(pts))
 	}
 	// Simulated makespan must equal the analytic Makespan.
-	if math.Abs(res.Makespan-Makespan(geom.Origin, root)) > 1e-9 {
-		t.Errorf("simulated %v vs analytic %v", res.Makespan, Makespan(geom.Origin, root))
+	if math.Abs(res.Makespan-MakespanIn(nil, geom.Origin, root)) > 1e-9 {
+		t.Errorf("simulated %v vs analytic %v", res.Makespan, MakespanIn(nil, geom.Origin, root))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestPropagateParallelism(t *testing.T) {
 		ts = append(ts, Target{ID: i + 9, Pos: p})
 	}
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: pts})
-	root := BuildTree(geom.Origin, ts)
+	root := BuildTreeIn(nil, geom.Origin, ts)
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		if err := Propagate(p, root, nil); err != nil {
 			t.Errorf("Propagate: %v", err)
@@ -209,7 +209,7 @@ func TestPropagateMatchesMakespanRandom(t *testing.T) {
 		}
 		start := geom.Pt(4, 4)
 		e := sim.NewEngine(sim.Config{Source: start, Sleepers: pts})
-		root := BuildTree(start, ts)
+		root := BuildTreeIn(nil, start, ts)
 		e.Spawn(sim.SourceID, func(p *sim.Proc) {
 			if err := Propagate(p, root, nil); err != nil {
 				t.Errorf("Propagate: %v", err)
@@ -222,8 +222,8 @@ func TestPropagateMatchesMakespanRandom(t *testing.T) {
 		if !res.AllAwake {
 			t.Fatalf("trial %d: not all awake", trial)
 		}
-		if math.Abs(res.Makespan-Makespan(start, root)) > 1e-9 {
-			t.Fatalf("trial %d: sim %v vs analytic %v", trial, res.Makespan, Makespan(start, root))
+		if math.Abs(res.Makespan-MakespanIn(nil, start, root)) > 1e-9 {
+			t.Fatalf("trial %d: sim %v vs analytic %v", trial, res.Makespan, MakespanIn(nil, start, root))
 		}
 	}
 }
