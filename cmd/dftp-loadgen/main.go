@@ -27,7 +27,8 @@
 //	budget=B       per-robot energy budget (0 = unconstrained)
 //	seeds=K        seed pool size (default 20)
 //	faults=SPEC    fault plan: "<kind>[;rate=R][;seed=S][;byz=K][;down=D][;repair]"
-//	               (semicolon-separated — commas delimit mix keys)
+//	               (semicolon-separated — commas delimit mix keys;
+//	               empty = fault-free)
 //	name=X         label in the report (default mix<i>)
 //
 // Pacing. -concurrency alone runs a closed loop: that many workers issue
@@ -147,7 +148,7 @@ func parseShape(spec string, idx int) (shape, error) {
 		case "seeds":
 			sh.Seeds, err = strconv.Atoi(v)
 		case "faults":
-			sh.Faults, err = parseMixFaults(v)
+			sh.Faults, err = dftp.ParseFaults(v, ";")
 		default:
 			return sh, fmt.Errorf("mix %q: unknown key %q", spec, k)
 		}
@@ -210,39 +211,6 @@ func (sh *shape) body(seed int64) ([]byte, error) {
 		Profiles:  profiles,
 		Faults:    sh.Faults,
 	})
-}
-
-// parseMixFaults parses a mix shape's faults= value — the dftp-run compact
-// fault spec with ';' in place of ',' so it survives the mix key splitter:
-// "<kind>[;rate=R][;seed=S][;byz=K][;down=D][;repair[=bool]]".
-func parseMixFaults(spec string) (*dftp.Faults, error) {
-	parts := strings.Split(strings.TrimSpace(spec), ";")
-	f := &dftp.Faults{Kind: strings.TrimSpace(parts[0])}
-	for _, part := range parts[1:] {
-		key, val, hasVal := strings.Cut(strings.TrimSpace(part), "=")
-		var err error
-		switch key {
-		case "rate":
-			f.Rate, err = strconv.ParseFloat(val, 64)
-		case "seed":
-			f.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "byz":
-			f.Byzantine, err = strconv.Atoi(val)
-		case "down":
-			f.Downtime, err = strconv.ParseFloat(val, 64)
-		case "repair":
-			f.Repair = true
-			if hasVal {
-				f.Repair, err = strconv.ParseBool(val)
-			}
-		default:
-			return nil, fmt.Errorf("unknown fault option %q", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fault option %q: %v", key, err)
-		}
-	}
-	return f, f.Validate()
 }
 
 // serverTiming is one parsed Server-Timing header.

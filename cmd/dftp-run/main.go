@@ -96,7 +96,7 @@ func run() error {
 	if err := inst.Validate(); err != nil {
 		return err
 	}
-	faults, err := parseFaults(*faultStr)
+	faults, err := dftp.ParseFaults(*faultStr, ",")
 	if err != nil {
 		return fmt.Errorf("-faults: %w", err)
 	}
@@ -263,50 +263,6 @@ func printFaults(f *dftp.Faults, res sim.Result) {
 	fmt.Printf("faults:    injected=%d (crash=%d recover=%d drop=%d dup=%d byz=%d) skips=%d repairs=%d\n",
 		fs.Injected(), fs.CrashStops, fs.Recoveries, fs.WakeDrops, fs.WakeDups,
 		fs.ByzTakeovers, fs.RosterSkips, fs.Repairs)
-}
-
-// parseFaults parses the -faults spec: empty means fault-free, a leading
-// "{" means the service's JSON "faults" object, anything else is the
-// compact form "<kind>[,rate=R][,seed=S][,byz=K][,down=D][,repair[=bool]]".
-func parseFaults(spec string) (*dftp.Faults, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	f := &dftp.Faults{}
-	if strings.HasPrefix(spec, "{") {
-		if err := json.Unmarshal([]byte(spec), f); err != nil {
-			return nil, err
-		}
-		return f, f.Validate()
-	}
-	parts := strings.Split(spec, ",")
-	f.Kind = strings.TrimSpace(parts[0])
-	for _, part := range parts[1:] {
-		key, val, hasVal := strings.Cut(strings.TrimSpace(part), "=")
-		var err error
-		switch key {
-		case "rate":
-			f.Rate, err = strconv.ParseFloat(val, 64)
-		case "seed":
-			f.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "byz":
-			f.Byzantine, err = strconv.Atoi(val)
-		case "down":
-			f.Downtime, err = strconv.ParseFloat(val, 64)
-		case "repair":
-			f.Repair = true
-			if hasVal {
-				f.Repair, err = strconv.ParseBool(val)
-			}
-		default:
-			return nil, fmt.Errorf("unknown option %q (have rate, seed, byz, down, repair)", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("option %q: %v", key, err)
-		}
-	}
-	return f, f.Validate()
 }
 
 func writeTraceCSV(path string, rec *trace.Recorder) error {

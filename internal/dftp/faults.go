@@ -1,9 +1,11 @@
 package dftp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"freezetag/internal/adversary/wander"
 	"freezetag/internal/geom"
@@ -108,6 +110,55 @@ func (f *Faults) Canon() string {
 		b = append(b, '0')
 	}
 	return string(b)
+}
+
+// ParseFaults parses a fault specification as the CLIs take it. An empty
+// spec is fault-free (nil); a leading '{' is the service's JSON faults
+// object; anything else is the compact form
+// "<kind>[<sep>rate=R][<sep>seed=S][<sep>byz=K][<sep>down=D][<sep>repair[=bool]]",
+// whose options are separated by sep. The result is validated.
+func ParseFaults(spec, sep string) (*Faults, error) {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
+		return nil, nil
+	}
+	f := &Faults{}
+	if strings.HasPrefix(spec, "{") {
+		if err := json.Unmarshal([]byte(spec), f); err != nil {
+			return nil, err
+		}
+	} else {
+		parts := strings.Split(spec, sep)
+		f.Kind = strings.TrimSpace(parts[0])
+		for _, part := range parts[1:] {
+			key, val, hasVal := strings.Cut(strings.TrimSpace(part), "=")
+			var err error
+			switch key {
+			case "rate":
+				f.Rate, err = strconv.ParseFloat(val, 64)
+			case "seed":
+				f.Seed, err = strconv.ParseInt(val, 10, 64)
+			case "byz":
+				f.Byzantine, err = strconv.Atoi(val)
+			case "down":
+				f.Downtime, err = strconv.ParseFloat(val, 64)
+			case "repair":
+				f.Repair = true
+				if hasVal {
+					f.Repair, err = strconv.ParseBool(val)
+				}
+			default:
+				return nil, fmt.Errorf("unknown fault option %q (have rate, seed, byz, down, repair)", key)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("fault option %q: %v", key, err)
+			}
+		}
+	}
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // appendCanonHex appends f in exact hex float form with -0 normalized to 0,

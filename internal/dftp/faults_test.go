@@ -60,6 +60,55 @@ func TestFaultsValidate(t *testing.T) {
 	}
 }
 
+// TestParseFaults covers both compact separators (dftp-run's ',' and the
+// loadgen mix's ';'), the JSON form, and every rejection path.
+func TestParseFaults(t *testing.T) {
+	cases := []struct {
+		name, spec, sep string
+		want            *Faults
+		err             string // substring of the expected error; "" = ok
+	}{
+		{"empty", "", ",", nil, ""},
+		{"blank", "  ", ";", nil, ""},
+		{"kind only", "wake-dup", ",", &Faults{Kind: "wake-dup"}, ""},
+		{"comma options", "crash-stop,rate=0.3,seed=42,repair", ",",
+			&Faults{Kind: "crash-stop", Rate: 0.3, Seed: 42, Repair: true}, ""},
+		{"semicolon options", " crash-recovery; rate=0.2 ;down=2;repair=true", ";",
+			&Faults{Kind: "crash-recovery", Rate: 0.2, Downtime: 2, Repair: true}, ""},
+		{"repair=false", "wake-drop;rate=0.5;repair=false", ";", &Faults{Kind: "wake-drop", Rate: 0.5}, ""},
+		{"byzantine", "byzantine,byz=2,seed=7", ",", &Faults{Kind: "byzantine", Byzantine: 2, Seed: 7}, ""},
+		{"json", `{"kind":"wake-drop","rate":0.25,"seed":3,"repair":true}`, ";",
+			&Faults{Kind: "wake-drop", Rate: 0.25, Seed: 3, Repair: true}, ""},
+		{"wrong separator", "crash-stop;rate=0.3", ",", nil, "unknown fault kind"},
+		{"unknown option", "crash-stop,speed=2", ",", nil, `unknown fault option "speed"`},
+		{"malformed number", "crash-stop;rate=abc", ";", nil, `fault option "rate"`},
+		{"malformed repair", "crash-stop,repair=maybe", ",", nil, `fault option "repair"`},
+		{"unknown kind", "meteor,rate=0.1", ",", nil, "unknown fault kind"},
+		{"byzantine without count", "byzantine", ",", nil, "byzantine ≥ 1"},
+		{"rate out of range", `{"kind":"crash-stop","rate":2}`, ",", nil, "fault rate"},
+		{"truncated json", `{"kind":"crash-stop"`, ",", nil, "unexpected end"},
+	}
+	for _, c := range cases {
+		got, err := ParseFaults(c.spec, c.sep)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: ParseFaults(%q) error = %v, want one containing %q", c.name, c.spec, err, c.err)
+			}
+			if got != nil {
+				t.Errorf("%s: ParseFaults(%q) returned %+v alongside its error", c.name, c.spec, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: ParseFaults(%q): %v", c.name, c.spec, err)
+			continue
+		}
+		if (got == nil) != (c.want == nil) || got != nil && *got != *c.want {
+			t.Errorf("%s: ParseFaults(%q) = %+v, want %+v", c.name, c.spec, got, c.want)
+		}
+	}
+}
+
 func TestFaultsCanon(t *testing.T) {
 	var nilF *Faults
 	if got := nilF.Canon(); got != "" {

@@ -70,9 +70,6 @@ func TestWaveConstantsExported(t *testing.T) {
 			t.Errorf("slot width must exceed cell width at ℓ=%v", ell)
 		}
 	}
-	if AGridSlotWidth(1) != gridSlotWork(2)+6 {
-		t.Errorf("AGridSlotWidth(1) = %v", AGridSlotWidth(1))
-	}
 }
 
 func TestPartitionTeamShapes(t *testing.T) {

@@ -37,12 +37,6 @@ func AWaveSlotWidth(ell float64) float64 {
 	return waveSlotWork(r, ell) + 3*r
 }
 
-// AGridSlotWidth exposes AGrid's slot width t(ℓ) + 3R with R = 2ℓ.
-func AGridSlotWidth(ell float64) float64 {
-	r := 2 * ell
-	return gridSlotWork(r) + 3*r
-}
-
 // waveSlotWork returns t(R): a calibrated upper bound on one ASeparator
 // execution inside a width-R square starting from a co-located team of 4ℓ,
 // covering the whole recursion subtree. ASeparator's cost is

@@ -24,26 +24,21 @@ const ringSafety = 1 - 1e-9
 
 // cellIndex buckets vertex indices into a bounded integer lattice of square
 // cells in CSR layout: cell (x, y) owns ids[start[x*ny+y]:start[x*ny+y+1]].
+// Cells hold vertex indices only; a scan reads each member's point from the
+// shared vertex slice.
 type cellIndex struct {
 	cell   float64
 	nx, ny int
 	start  []int32
 	ids    []int32
-	// cpts is pts[ids[j]] copied into CSR order, so batch cell scans hand a
-	// contiguous point block straight to geom.DistBatch. It is built only
-	// under batch-accelerated metrics: for plain per-point metrics the copy
-	// is dead weight — an extra point array's worth of cache footprint that
-	// measurably slows the ℓ2 grid-Borůvka path.
-	cpts   []geom.Point
 	cx, cy []int32 // per-vertex cell coordinates
-	batch  bool    // geom.BatchAccelerated(metric): big cells go through DistBatch
 }
 
 // newCellIndex buckets pts into cells of the given size. The caller
 // guarantees finite coordinates and a positive cell.
-func newCellIndex(m geom.Metric, pts []geom.Point, minX, minY, cell float64) *cellIndex {
+func newCellIndex(pts []geom.Point, minX, minY, cell float64) *cellIndex {
 	n := len(pts)
-	ci := &cellIndex{cell: cell, batch: geom.BatchAccelerated(m), cx: make([]int32, n), cy: make([]int32, n)}
+	ci := &cellIndex{cell: cell, cx: make([]int32, n), cy: make([]int32, n)}
 	for i, p := range pts {
 		// Division rounding can nudge an on-boundary coordinate a hair
 		// negative; clamp to keep the lattice non-negative.
@@ -61,17 +56,10 @@ func newCellIndex(m geom.Metric, pts []geom.Point, minX, minY, cell float64) *ce
 		ci.start[c] += ci.start[c-1]
 	}
 	ci.ids = make([]int32, n)
-	if ci.batch {
-		ci.cpts = make([]geom.Point, n)
-	}
 	fill := make([]int32, ci.nx*ci.ny)
 	for i := range pts {
 		c := int(ci.cx[i])*ci.ny + int(ci.cy[i])
-		j := ci.start[c] + fill[c]
-		ci.ids[j] = int32(i)
-		if ci.batch {
-			ci.cpts[j] = pts[i]
-		}
+		ci.ids[ci.start[c]+fill[c]] = int32(i)
 		fill[c]++
 	}
 	return ci
@@ -83,81 +71,28 @@ type ringSearch struct {
 	bestTo []int32   // its vertex, -1 if none
 }
 
-// cellBatchMin is the cell population below which a scan stays on the
-// per-point Dist loop; smaller blocks don't amortize the batch kernel's
-// dispatch. Both paths fold the same distances in the same order, so the
-// choice never changes a result bit.
-const cellBatchMin = 8
-
-// scanScratch is one worker's reusable phase-B buffers: the pending-member
-// list plus the distance block filled by geom.DistBatch. Each worker owns
-// its scratch exclusively, so batching stays race-free at any pool size.
+// scanScratch is one worker's reusable phase-B buffer: the pending-member
+// list. Each worker owns its scratch exclusively, so searches stay
+// race-free at any pool size.
 type scanScratch struct {
 	active []int32
-	dists  []float64
-}
-
-// ensure grows the distance buffer to hold n entries.
-func (sc *scanScratch) ensure(n int) {
-	if cap(sc.dists) < n {
-		sc.dists = make([]float64, n+n/2+8)
-	}
 }
 
 // scanCell scans one cell for vertices foreign to root rv, updating v's
-// best candidate. root is the per-vertex root snapshot of the current round
-// — the union-find is only mutated between rounds, so a flat array load
-// replaces a find per scanned vertex on the hottest loop in the pass.
-// Under a batch-accelerated metric (the ℓp integer family), big cells hand
-// their whole contiguous point block to geom.DistBatch and fold the result;
-// the fold visits foreign members in cell order, exactly the order the
-// per-point loop compares in, and DistBatch is bit-identical to Dist, so
-// the candidate (and every subsequent merge decision) is unchanged.
-func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, x, y int, rs *ringSearch, sc *scanScratch) {
+// best candidate with one Dist call per foreign member, in cell order.
+// root is the per-vertex root snapshot of the current round — the
+// union-find is only mutated between rounds, so a flat array load replaces
+// a find per scanned vertex on the hottest loop in the pass.
+func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, x, y int, rs *ringSearch) {
 	base := x*ci.ny + y
-	s, e := ci.start[base], ci.start[base+1]
 	p := pts[v]
 	bestD, bestTo := rs.bestD[v], rs.bestTo[v]
-	ids := ci.ids[s:e]
-	if !ci.batch {
-		// Per-point metric: exactly the pre-batch scan (no cpts copy even
-		// exists in this mode — see newCellIndex).
-		for _, id := range ids {
-			if root[id] == rv {
-				continue // same component (or v itself)
-			}
-			if d := m.Dist(pts[id], p); d < bestD {
-				bestD, bestTo = d, id
-			}
-		}
-		rs.bestD[v], rs.bestTo[v] = bestD, bestTo
-		return
-	}
-	cpts := ci.cpts[s:e]
-	if len(ids) < cellBatchMin {
-		// Near-empty cell: a batch round-trip through the distance buffer
-		// costs more than the per-point calls it saves. Same bits either
-		// way — cpts[i] is pts[ids[i]] by construction.
-		for i, id := range ids {
-			if root[id] == rv {
-				continue // same component (or v itself)
-			}
-			if d := m.Dist(cpts[i], p); d < bestD {
-				bestD, bestTo = d, id
-			}
-		}
-		rs.bestD[v], rs.bestTo[v] = bestD, bestTo
-		return
-	}
-	sc.ensure(len(ids))
-	d := sc.dists[:len(ids)]
-	geom.DistBatch(m, p, cpts, d)
-	for i, id := range ids {
+	for _, id := range ci.ids[ci.start[base]:ci.start[base+1]] {
 		if root[id] == rv {
-			continue // same component (or v itself); its distance is unused
+			continue // same component (or v itself)
 		}
-		if dd := d[i]; dd < bestD {
-			bestD, bestTo = dd, id
+		if d := m.Dist(pts[id], p); d < bestD {
+			bestD, bestTo = d, id
 		}
 	}
 	rs.bestD[v], rs.bestTo[v] = bestD, bestTo
@@ -166,22 +101,22 @@ func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv 
 // scanRing scans the perimeter cells of the given ring around vertex v;
 // done reports that the ring already covers the whole lattice, i.e. v has
 // seen every vertex.
-func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, ring int, rs *ringSearch, sc *scanScratch) (done bool) {
+func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, ring int, rs *ringSearch) (done bool) {
 	cx, cy := int(ci.cx[v]), int(ci.cy[v])
 	x0, x1 := cx-ring, cx+ring
 	y0, y1 := cy-ring, cy+ring
 	for x := max(x0, 0); x <= min(x1, ci.nx-1); x++ {
 		if x == x0 || x == x1 {
 			for y := max(y0, 0); y <= min(y1, ci.ny-1); y++ {
-				ci.scanCell(m, pts, root, rv, v, x, y, rs, sc)
+				ci.scanCell(m, pts, root, rv, v, x, y, rs)
 			}
 			continue
 		}
 		if y0 >= 0 { // interior column: perimeter rows only
-			ci.scanCell(m, pts, root, rv, v, x, y0, rs, sc)
+			ci.scanCell(m, pts, root, rv, v, x, y0, rs)
 		}
 		if y1 != y0 && y1 <= ci.ny-1 {
-			ci.scanCell(m, pts, root, rv, v, x, y1, rs, sc)
+			ci.scanCell(m, pts, root, rv, v, x, y1, rs)
 		}
 	}
 	return x0 <= 0 && y0 <= 0 && x1 >= ci.nx-1 && y1 >= ci.ny-1
@@ -230,7 +165,7 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 	st := &boruvkaState{
 		m:          m,
 		pts:        pts,
-		ci:         newCellIndex(m, pts, minX, minY, cell),
+		ci:         newCellIndex(pts, minX, minY, cell),
 		candTo:     make([]int32, n),
 		candD:      make([]float64, n),
 		noneWithin: make([]float64, n),
@@ -412,7 +347,7 @@ func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
 		certified := float64(ring) * st.ci.cell * ringSafety
 		keep := active[:0]
 		for _, v := range active {
-			done := st.ci.scanRing(st.m, st.pts, st.root, rv, int(v), ring, &st.rs, sc)
+			done := st.ci.scanRing(st.m, st.pts, st.root, rv, int(v), ring, &st.rs)
 			if d := st.rs.bestD[v]; d < bound {
 				bound = d
 			}

@@ -23,16 +23,16 @@ type Params struct {
 // The derivation is the solver service's cold path, so it is organized
 // around sharing: the vertex slice is materialized once; ℓ* comes from the
 // grid-accelerated bottleneck pass (near-linear for well-conditioned sets,
-// see ConnectivityThresholdIn); ρ* from the grid-pruned farthest-point
-// scan; and the δ-ball graph is built once, at δ = ℓ*, for ξ. Every value
-// is bit-identical to the dense derivation it replaced.
+// see ConnectivityThresholdIn); ρ* from one pass over the points
+// (geom.MaxDistFromIn); and the δ-ball graph is built once, at δ = ℓ*, for
+// ξ. Every value is bit-identical to the dense derivation it replaced.
 func ComputeParamsIn(m geom.Metric, source geom.Point, points []geom.Point) Params {
 	m = geom.MetricOrL2(m)
 	pts := make([]geom.Point, 0, len(points)+1)
 	pts = append(pts, source)
 	pts = append(pts, points...)
 	p := Params{
-		Rho: geom.MaxDistFromGridIn(m, source, points),
+		Rho: geom.MaxDistFromIn(m, source, points),
 		Ell: bottleneckIn(m, pts),
 		N:   len(points),
 	}

@@ -1,496 +1,18 @@
 package geom
 
-import "math"
-
-// This file holds the batch distance kernels: DistBatch fills a block of
-// distances from one origin in a single call, bit-identical to the per-call
-// Dist loop, with the per-point interface dispatch and math-call overhead
-// hoisted out. The scan consumers (spatial.Grid cell scans, the grid-Borůvka
-// candidate rounds, the ρ* corner-bound scan) feed it contiguous point
-// blocks instead of calling Dist once per point.
-//
-// Bit-identity is the contract, not an aspiration: every kernel either
-// performs exactly the float64 operations the scalar path performs, or
-// replays the platform math routine's instruction sequence on a restricted
-// domain and is verified against the live routine at init (see batchProbe).
-// Inputs outside a kernel's verified domain — NaN or Inf coordinates,
-// degenerate ratios — take the scalar reference path point by point, so
-// DistBatch equals the per-call loop on every input, always.
-
-// DistBatch sets out[i] = m.Dist(p, pts[i]) for every i, producing exactly
-// the float64 the per-call loop produces (the property fuzz in batch_test.go
-// cross-checks every metric family). out must have at least len(pts)
-// elements; the same backing array may be reused across calls. A nil metric
-// defaults to ℓ2.
+// DistBatch sets out[i] = m.Dist(p, pts[i]) for every i. It is the plain
+// per-point loop every scan in this module runs inline; no scan calls it.
+// It stays as an exported entry point because the benchmark module times
+// distance evaluation through it. out must have at least len(pts)
+// elements; the same backing array may be reused across calls. A nil
+// metric defaults to ℓ2.
 func DistBatch(m Metric, p Point, pts []Point, out []float64) {
 	if len(pts) == 0 {
 		return
 	}
 	out = out[:len(pts)]
-	switch mm := MetricOrL2(m).(type) {
-	case l2Metric:
-		distBatchL2(p, pts, out)
-	case l1Metric:
-		distBatchL1(p, pts, out)
-	case linfMetric:
-		distBatchLInf(p, pts, out)
-	case lpMetric:
-		mm.distBatch(p, pts, out)
-	default:
-		for i, q := range pts {
-			out[i] = m.Dist(p, q)
-		}
-	}
-}
-
-// distBatchL1 is the ℓ1 kernel: Abs(dx)+Abs(dy) is the entire scalar
-// implementation (Point.DistL1), so the straight-line form is bit-identical
-// on every input including NaN and Inf.
-func distBatchL1(p Point, pts []Point, out []float64) {
-	out = out[:len(pts)]
-	px, py := p.X, p.Y
+	m = MetricOrL2(m)
 	for i, q := range pts {
-		out[i] = math.Abs(px-q.X) + math.Abs(py-q.Y)
+		out[i] = m.Dist(p, q)
 	}
-}
-
-// distBatchLInf is the ℓ∞ kernel. math.Max's special cases (NaN, signed
-// zeros) only diverge from a plain comparison when a coordinate difference
-// is NaN, which the dx-dx guard routes to the reference call.
-func distBatchLInf(p Point, pts []Point, out []float64) {
-	out = out[:len(pts)]
-	px, py := p.X, p.Y
-	for i, q := range pts {
-		dx, dy := px-q.X, py-q.Y
-		if dx-dx != 0 || dy-dy != 0 { // NaN or ±Inf difference
-			out[i] = LInf.Dist(p, q)
-			continue
-		}
-		ax, ay := math.Abs(dx), math.Abs(dy)
-		if ay > ax {
-			ax = ay
-		}
-		out[i] = ax
-	}
-}
-
-// distBatchL2 is the Euclidean kernel: max·√(1+(min/max)²), the exact
-// operation sequence of this platform's math.Hypot fast path (verified at
-// init — hypotBatchOK). math.Sqrt compiles to the hardware instruction, so
-// the kernel is call-free. Non-finite differences take the reference call.
-func distBatchL2(p Point, pts []Point, out []float64) {
-	out = out[:len(pts)]
-	if !hypotBatchOK {
-		for i, q := range pts {
-			out[i] = p.Dist(q)
-		}
-		return
-	}
-	px, py := p.X, p.Y
-	for i, q := range pts {
-		dx, dy := px-q.X, py-q.Y
-		if dx-dx != 0 || dy-dy != 0 { // NaN or ±Inf difference
-			out[i] = math.Hypot(dx, dy)
-			continue
-		}
-		hi, lo := math.Abs(dx), math.Abs(dy)
-		if lo > hi {
-			hi, lo = lo, hi
-		}
-		if hi == 0 {
-			out[i] = 0
-			continue
-		}
-		t := lo / hi
-		out[i] = hi * math.Sqrt(1+t*t)
-	}
-}
-
-// BatchAccelerated reports whether DistBatch runs a kernel materially
-// faster than the per-call Dist loop for metric m. True only for the ℓp
-// integer-exponent family, where staging the Log/Exp replicas is worth
-// ≥ 2×; the ℓ1/ℓ2/ℓ∞ kernels only shave call overhead, which a consumer
-// with a good inline scan (contiguous points, no map lookups) already
-// avoids. Scan consumers use this to pick between DistBatch and their
-// per-point loop — the two produce identical bits, so this is purely a
-// dispatch hint.
-func BatchAccelerated(m Metric) bool {
-	mm, ok := MetricOrL2(m).(lpMetric)
-	return ok && mm.ip != 0 && mm.invP <= 0.5 && lpBatchOK
-}
-
-// lpChunk is the stage width of the ℓp batch kernel: small enough that the
-// stage buffers live on the stack and in L1, large enough to amortize the
-// per-chunk bookkeeping and keep the divider and FMA units fed with
-// independent work.
-const lpChunk = 64
-
-// distBatch is the ℓp kernel. For integer exponents it runs the whole Norm
-// fast path — the mulPow power, then powFrac's Exp(y·Log(x)) with the
-// platform Log/Exp replicas below — as staged, call-free, branch-light
-// chunk loops: stage A extracts the component ratios (and routes NaN/Inf/
-// zero/sub-mulSafe lanes to the reference), stage B raises to the integer
-// power, stage C computes the logarithm with a branchless Frexp step, and
-// stage D the exponential (one loop per platform exp flavor). Staging is
-// where the ≥ 2× throughput comes from: the scalar path pays four
-// non-inlined calls and several data-dependent branches per point, while
-// the stages let the out-of-order core overlap the two divisions and the
-// polynomial chains of neighboring points. Fractional exponents keep the
-// per-point Norm call (the math.Pow inside dominates; there is nothing to
-// batch away).
-func (m lpMetric) distBatch(p Point, pts []Point, out []float64) {
-	// powFrac branches on invP > ½ only for p < 2, which no integer fast
-	// path reaches (p = 2 canonicalizes to L2); guard anyway so an
-	// unexpected shape degrades to the reference, never to a wrong bit.
-	if m.ip == 0 || m.invP > 0.5 || !lpBatchOK {
-		for i, q := range pts {
-			out[i] = m.Norm(Point{X: p.X - q.X, Y: p.Y - q.Y})
-		}
-		return
-	}
-	var hiB, tB, argB [lpChunk]float64
-	var slow [lpChunk]int32
-	px, py := p.X, p.Y
-	ip, invP := m.ip, m.invP
-	for base := 0; base < len(pts); base += lpChunk {
-		n := len(pts) - base
-		if n > lpChunk {
-			n = lpChunk
-		}
-		blk := pts[base : base+n]
-		o := out[base : base+n : base+n]
-		hb, tb, ab := hiB[:n], tB[:n], argB[:n]
-		ns := 0
-		// Stage A: |Δ| ratios. A lane with a zero, NaN, or Inf component,
-		// or a ratio below the mulSafe fast-path floor, is parked on the
-		// slow list with neutral values and resolved by the reference call
-		// in stage E.
-		for i, q := range blk {
-			dx, dy := px-q.X, py-q.Y
-			ax, ay := math.Abs(dx), math.Abs(dy)
-			hi, lo := max(ax, ay), min(ax, ay)
-			t := lo / hi
-			if !(t >= mulSafe) || hi-hi != 0 {
-				// NaN t covers hi == 0 (0/0) and NaN components; hi-hi
-				// catches Inf.
-				slow[ns] = int32(i)
-				ns++
-				hi, t = 1, 0.5
-			}
-			hb[i], tb[i] = hi, t
-		}
-		// Stage B: tp = mulPow(t, ip) in mulPow's exact multiply-and-square
-		// bit order, unrolled for the common small exponents. Exponents
-		// large enough that 1+tp can round to 1 (ip ≥ 8 at t ≥ mulSafe)
-		// take the guarded generic loop; hi is the exact result there, and
-		// parking the lane lets the reference call reproduce it.
-		switch {
-		case ip == 3:
-			for i := range tb {
-				t := tb[i]
-				tt := t * t
-				tb[i] = t * tt
-			}
-		case ip == 4:
-			for i := range tb {
-				t := tb[i]
-				tt := t * t
-				tb[i] = tt * tt
-			}
-		case ip <= 7:
-			// 1+tp cannot round to 1: tp ≥ mulSafe⁷ = 2⁻⁴⁹ > 2⁻⁵³·½.
-			for i := range tb {
-				tb[i] = mulPow(tb[i], ip)
-			}
-		default:
-			for i := range tb {
-				tp := mulPow(tb[i], ip)
-				if tp == 0 || 1+tp == 1 {
-					slow[ns] = int32(i)
-					ns++
-					tp = 0.125
-				}
-				tb[i] = tp
-			}
-		}
-		// Stage C: arg = invP · Log(1+tp), the platform log's instruction
-		// sequence on (1, 2] with the Frexp step reduced to a branchless
-		// select (x ≤ √2 keeps f = x with k = 0; above it f = x/2, k = 1 —
-		// both scalings exact). Matches logShort, which batchProbe verifies
-		// against math.Log.
-		for i := range tb {
-			x := 1 + tb[i]
-			var kb uint64
-			if !(x*0.5 <= logHSqrt2) {
-				kb = 1
-			}
-			f := x*math.Float64frombits(0x3FF0000000000000-kb<<52) - 1
-			k := float64(kb)
-			s := f / (2 + f)
-			s2 := s * s
-			s4 := s2 * s2
-			t1 := s2 * (logL1 + s4*(logL3+s4*(logL5+s4*logL7)))
-			t2 := s4 * (logL2 + s4*(logL4+s4*logL6))
-			r := t1 + t2
-			hfsq := 0.5 * f * f
-			ab[i] = invP * (k*logLn2Hi - ((hfsq - (s*(r+hfsq) + k*logLn2Lo)) - f))
-		}
-		// Stage D: out = hi · Exp(arg), one loop per platform exp flavor
-		// (fused vs separate multiply-add — see expShort, the verified
-		// scalar twin of these bodies).
-		if expUseFMA {
-			for i := range o {
-				x := ab[i]
-				kf := (expLog2e*x + rneMagic) - rneMagic
-				x = math.FMA(-kf, expLn2U, x)
-				x = math.FMA(-kf, expLn2L, x)
-				x *= 0.0625
-				pl := math.FMA(expC9, x, expC8)
-				pl = math.FMA(pl, x, expC7)
-				pl = math.FMA(pl, x, expC6)
-				pl = math.FMA(pl, x, expC5)
-				pl = math.FMA(pl, x, expC4)
-				pl = math.FMA(pl, x, 0.5)
-				pl = math.FMA(pl, x, 1)
-				u := x * pl
-				u = u * (u + 2)
-				u = u * (u + 2)
-				u = u * (u + 2)
-				u = math.FMA(u, u+2, 1)
-				o[i] = hb[i] * (u * math.Float64frombits(uint64(int(kf)+1023)<<52))
-			}
-		} else {
-			for i := range o {
-				x := ab[i]
-				kf := (expLog2e*x + rneMagic) - rneMagic
-				x -= kf * expLn2U
-				x -= kf * expLn2L
-				x *= 0.0625
-				pl := expC9*x + expC8
-				pl = pl*x + expC7
-				pl = pl*x + expC6
-				pl = pl*x + expC5
-				pl = pl*x + expC4
-				pl = pl*x + 0.5
-				pl = pl*x + 1
-				u := x * pl
-				u = u * (u + 2)
-				u = u * (u + 2)
-				u = u * (u + 2)
-				u = u*(u+2) + 1
-				o[i] = hb[i] * (u * math.Float64frombits(uint64(int(kf)+1023)<<52))
-			}
-		}
-		// Stage E: parked lanes get the reference result.
-		for _, i := range slow[:ns] {
-			q := blk[i]
-			o[i] = m.Norm(Point{X: px - q.X, Y: py - q.Y})
-		}
-	}
-}
-
-// The constants below are the exact constants of this platform's math.Log
-// and math.Exp implementations (FDLIBM's log; Shibata's SIMD-oriented exp
-// as shipped in the Go runtime). They exist so the restricted-domain
-// replicas replay the same instruction sequences bit for bit; batchProbe
-// verifies that claim at init against the live functions and disables the
-// fast paths on any platform where it does not hold.
-const (
-	logHSqrt2 = 7.07106781186547524401e-01 // √2/2
-	logLn2Hi  = 6.93147180369123816490e-01
-	logLn2Lo  = 1.90821492927058770002e-10
-	logL1     = 6.666666666666735130e-01
-	logL2     = 3.999999999940941908e-01
-	logL3     = 2.857142874366239149e-01
-	logL4     = 2.222219843214978396e-01
-	logL5     = 1.818357216161805012e-01
-	logL6     = 1.531383769920937332e-01
-	logL7     = 1.479819860511658591e-01
-
-	expLog2e = 1.4426950408889634073599246810018920
-	expLn2U  = 0.69314718055966295651160180568695068359375
-	expLn2L  = 0.28235290563031577122588448175013436025525412068e-12
-	expC9    = 2.4801587301587301587e-5
-	expC8    = 1.9841269841269841270e-4
-	expC7    = 1.3888888888888888889e-3
-	expC6    = 8.3333333333333333333e-3
-	expC5    = 4.1666666666666666667e-2
-	expC4    = 1.6666666666666666667e-1
-
-	// rneMagic rounds |v| < 2⁵¹ to the nearest integer (ties to even) by
-	// add-subtract: v+rneMagic lands where the float64 ulp is exactly 1.
-	rneMagic = 1<<52 + 1<<51
-)
-
-// logShort replays math.Log on the restricted domain x ∈ (1, 2]: the Frexp
-// collapses to one exact comparison (x ≤ √2 keeps f = x with k = 0, above
-// it f = x/2 with k = 1 — both scalings exact), and the negative/zero/Inf
-// special cases cannot occur. Guarded by logBatchOK via batchProbe.
-func logShort(x float64) float64 {
-	var f, k float64
-	if x*0.5 <= logHSqrt2 {
-		f = x - 1
-		k = 0
-	} else {
-		f = x*0.5 - 1
-		k = 1
-	}
-	s := f / (2 + f)
-	s2 := s * s
-	s4 := s2 * s2
-	t1 := s2 * (logL1 + s4*(logL3+s4*(logL5+s4*logL7)))
-	t2 := s4 * (logL2 + s4*(logL4+s4*logL6))
-	r := t1 + t2
-	hfsq := 0.5 * f * f
-	return k*logLn2Hi - ((hfsq - (s*(r+hfsq) + k*logLn2Lo)) - f)
-}
-
-// expUseFMA selects between the two instruction sequences of the platform
-// exp — fused multiply-add or separate multiply/add — mirroring the runtime
-// CPU dispatch. batchProbe picks whichever replica matches the live
-// math.Exp, so the selection can never be wrong, only conservative.
-var expUseFMA bool
-
-// expShort replays math.Exp on the restricted domain 0 < x ≤ ln 2 (the
-// powFrac argument range for fractional exponents ≤ ½): no overflow, no
-// denormal rescale, and the round-to-nearest exponent k ∈ {0, 1}. Guarded
-// by expBatchOK via batchProbe.
-func expShort(x float64) float64 {
-	kf := (expLog2e*x + rneMagic) - rneMagic // round to nearest, ties to even
-	if expUseFMA {
-		x = math.FMA(-kf, expLn2U, x)
-		x = math.FMA(-kf, expLn2L, x)
-		x *= 0.0625
-		p := math.FMA(expC9, x, expC8)
-		p = math.FMA(p, x, expC7)
-		p = math.FMA(p, x, expC6)
-		p = math.FMA(p, x, expC5)
-		p = math.FMA(p, x, expC4)
-		p = math.FMA(p, x, 0.5)
-		p = math.FMA(p, x, 1)
-		u := x * p
-		u = u * (u + 2)
-		u = u * (u + 2)
-		u = u * (u + 2)
-		u = math.FMA(u, u+2, 1)
-		return scaleExp2(u, int(kf))
-	}
-	x -= kf * expLn2U
-	x -= kf * expLn2L
-	x *= 0.0625
-	p := expC9*x + expC8
-	p = p*x + expC7
-	p = p*x + expC6
-	p = p*x + expC5
-	p = p*x + expC4
-	p = p*x + 0.5
-	p = p*x + 1
-	u := x * p
-	u = u * (u + 2)
-	u = u * (u + 2)
-	u = u * (u + 2)
-	u = u*(u+2) + 1
-	return scaleExp2(u, int(kf))
-}
-
-// scaleExp2 multiplies by 2^k exactly the way the platform exp's final
-// scaling does — one multiply by the bit-constructed power of two. The
-// restricted domain keeps k ∈ {0, 1}, far from the denormal and overflow
-// rescues.
-func scaleExp2(u float64, k int) float64 {
-	return u * math.Float64frombits(uint64(k+1023)<<52)
-}
-
-// Kernel enables, set once by batchProbe before any DistBatch call. A false
-// flag means "use the per-point reference on this path": slower, never
-// wrong.
-var hypotBatchOK, lpBatchOK bool
-
-func init() { batchProbe() }
-
-// batchProbe verifies each replica against the live math routine over a
-// deterministic sweep of its restricted domain — including the branch
-// boundaries (√2 for log, the k = 0/1 split for exp, equal components for
-// hypot) — and enables the corresponding kernels only on exact agreement.
-// The sweep uses a splitmix-style generator so it covers ulp-scale
-// neighborhoods without depending on math/rand.
-func batchProbe() {
-	next := uint64(0x9E3779B97F4A7C15)
-	rnd := func() float64 { // uniform in [0, 1)
-		next += 0x9E3779B97F4A7C15
-		z := next
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return float64((z^(z>>31))>>11) / (1 << 53)
-	}
-
-	// Hypot: max·√(1+(min/max)²) over magnitude-spread finite pairs.
-	hypotBatchOK = true
-	for i := 0; i < 2048 && hypotBatchOK; i++ {
-		a := (rnd() - 0.5) * math.Exp2(float64(int(rnd()*600))-300)
-		b := (rnd() - 0.5) * math.Exp2(float64(int(rnd()*600))-300)
-		if i%7 == 0 {
-			b = a // equal-component branch
-		}
-		hi, lo := math.Abs(a), math.Abs(b)
-		if lo > hi {
-			hi, lo = lo, hi
-		}
-		var got float64
-		if hi != 0 {
-			t := lo / hi
-			got = hi * math.Sqrt(1+t*t)
-		}
-		if math.Float64bits(got) != math.Float64bits(math.Hypot(a, b)) {
-			hypotBatchOK = false
-		}
-	}
-
-	// Log on (1, 2] and Exp on (0, ln 2], jointly as powFrac and alone.
-	// Exp tries the FMA sequence first, then the plain one; lp batching
-	// stays enabled only if one of them matches everywhere.
-	logOK := true
-	for i := 0; i < 2048 && logOK; i++ {
-		x := 1 + rnd()
-		switch i {
-		case 0:
-			x = math.Sqrt2 // the Frexp branch boundary
-		case 1:
-			x = 2
-		case 2:
-			x = 1 + 0x1p-52
-		case 3:
-			x = math.Nextafter(math.Sqrt2, 2)
-		}
-		if math.Float64bits(logShort(x)) != math.Float64bits(math.Log(x)) {
-			logOK = false
-		}
-	}
-	expOK := false
-	for _, fma := range []bool{true, false} {
-		expUseFMA = fma
-		ok := true
-		for i := 0; i < 2048 && ok; i++ {
-			x := rnd() * math.Ln2
-			switch i {
-			case 0:
-				x = math.Ln2
-			case 1:
-				x = 0x1p-60 // deep k = 0 territory
-			case 2:
-				x = 0.5 * math.Ln2 // near the k rounding boundary
-			}
-			if x <= 0 {
-				continue
-			}
-			if math.Float64bits(expShort(x)) != math.Float64bits(math.Exp(x)) {
-				ok = false
-			}
-		}
-		if ok {
-			expOK = true
-			break
-		}
-	}
-	lpBatchOK = logOK && expOK
 }

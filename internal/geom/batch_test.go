@@ -8,8 +8,8 @@ import (
 
 // batchMetrics is the metric family battery every DistBatch property runs
 // under: the three canonical metrics plus fractional and integer ℓp
-// exponents (the integer ones exercise the inlined Log/Exp fast path, the
-// fractional one the per-point Pow fallback).
+// exponents (the integer ones exercise Norm's multiply-and-Log/Exp fast
+// path, the fractional one its Pow path).
 func batchMetrics(t *testing.T) []Metric {
 	t.Helper()
 	ms := []Metric{L1, L2, LInf}
@@ -56,10 +56,9 @@ func TestDistBatchMatchesDist(t *testing.T) {
 	}
 }
 
-// TestDistBatchEdgeCases pins the degenerate inputs the kernels route to
-// their reference paths: empty and length-1 blocks, unaligned lengths,
-// coincident points, zero/one-axis differences, NaN and ±Inf coordinates,
-// and ratios below the mulSafe fast-path floor.
+// TestDistBatchEdgeCases pins degenerate inputs: empty and length-1
+// blocks, coincident points, zero/one-axis differences, NaN and ±Inf
+// coordinates, and ratios below the scalar ℓp fast path's mulSafe floor.
 func TestDistBatchEdgeCases(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	blocks := [][]Point{
@@ -70,7 +69,7 @@ func TestDistBatchEdgeCases(t *testing.T) {
 		{Pt(1, 0), Pt(0, 1), Pt(-1, 0), Pt(0, -1), Pt(5, 0), Pt(0, 5), Pt(2, 2)},
 		{Pt(inf, 0), Pt(-inf, 3), Pt(nan, 1), Pt(2, nan), Pt(inf, inf), Pt(nan, nan), Pt(1, 1)},
 		{Pt(1e-320, 0), Pt(0, 1e-320), Pt(1e-320, 1e308), Pt(1e308, 1e308)},
-		// lo/hi under mulSafe = 2⁻⁷: exercises the ipow reference branch.
+		// lo/hi under mulSafe = 2⁻⁷: exercises Norm's ipow branch.
 		{Pt(1, 0x1p-9), Pt(0x1p-9, 1), Pt(1, 0x1p-7), Pt(1, math.Nextafter(0x1p-7, 0))},
 		// 1+tp == 1: tiny ratios where the power underflows the addition.
 		{Pt(1, 1e-18), Pt(1e-18, 1)},
@@ -115,7 +114,7 @@ func TestDistBatchOutReuse(t *testing.T) {
 }
 
 // TestDistBatchShortOut verifies the documented contract that an undersized
-// out panics (a silent truncation would corrupt scan consumers).
+// out panics (a silent truncation would corrupt the caller's results).
 func TestDistBatchShortOut(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -125,8 +124,8 @@ func TestDistBatchShortOut(t *testing.T) {
 	DistBatch(L2, Origin, make([]Point, 4), make([]float64, 3))
 }
 
-// TestDistBatchUnknownMetric routes a Metric implementation outside the
-// known concrete types through the generic per-call fallback.
+// TestDistBatchUnknownMetric runs a Metric implementation outside the
+// built-in families through DistBatch.
 func TestDistBatchUnknownMetric(t *testing.T) {
 	m := weirdMetric{}
 	pts := []Point{Pt(1, 1), Pt(-2, 3), Pt(0, 0)}
@@ -139,7 +138,7 @@ func TestDistBatchUnknownMetric(t *testing.T) {
 	}
 }
 
-// weirdMetric is a Chebyshev-dominating metric unknown to the kernel switch.
+// weirdMetric is a Chebyshev-dominating metric outside the built-in families.
 type weirdMetric struct{}
 
 func (weirdMetric) Name() string             { return "weird" }
@@ -147,37 +146,6 @@ func (weirdMetric) Dist(p, q Point) float64  { return 2 * LInf.Dist(p, q) }
 func (weirdMetric) Norm(v Point) float64     { return 2 * LInf.Norm(v) }
 func (weirdMetric) InscribedSquare() float64 { return 1 }
 func (weirdMetric) Stretch() float64         { return 2 }
-
-// TestBatchProbeEnabled asserts the replica fast paths actually engaged on
-// this platform — if a toolchain update changes math.Log/Exp/Hypot, this
-// fails loudly instead of silently benchmarking the fallback.
-func TestBatchProbeEnabled(t *testing.T) {
-	if !hypotBatchOK {
-		t.Error("hypot batch kernel disabled by probe: math.Hypot no longer matches the replica")
-	}
-	if !lpBatchOK {
-		t.Error("lp batch kernel disabled by probe: math.Log/math.Exp no longer match the replicas")
-	}
-}
-
-// TestLogExpShortReplicas fuzzes the restricted-domain Log/Exp replicas
-// directly, far past the init probe's sweep.
-func TestLogExpShortReplicas(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200000; i++ {
-		x := 1 + rng.Float64()
-		if got, want := logShort(x), math.Log(x); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("logShort(%v) = %x, math.Log = %x", x, math.Float64bits(got), math.Float64bits(want))
-		}
-		y := rng.Float64() * math.Ln2
-		if y == 0 {
-			continue
-		}
-		if got, want := expShort(y), math.Exp(y); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("expShort(%v) = %x, math.Exp = %x", y, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-}
 
 // FuzzDistBatch is the go-fuzz entry: arbitrary coordinate bit patterns
 // through every metric family must match the scalar loop bit for bit.

@@ -87,16 +87,3 @@ func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g,%.6g)", p.X, p.Y) }
-
-// Centroid returns the arithmetic mean of pts. It panics on an empty slice;
-// callers own the non-emptiness invariant.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		panic("geom: Centroid of empty point set")
-	}
-	var c Point
-	for _, p := range pts {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(pts)))
-}

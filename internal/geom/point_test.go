@@ -74,26 +74,14 @@ func TestPathLength(t *testing.T) {
 	}
 }
 
-func TestCentroidMaxDist(t *testing.T) {
+func TestMaxDistFrom(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if c := Centroid(pts); !c.Eq(Pt(1, 1)) {
-		t.Errorf("Centroid = %v", c)
-	}
 	if r := MaxDistFromIn(nil, Pt(0, 0), pts); math.Abs(r-2*math.Sqrt2) > 1e-12 {
 		t.Errorf("MaxDistFromIn = %v", r)
 	}
 	if r := MaxDistFromIn(nil, Pt(0, 0), nil); r != 0 {
 		t.Errorf("MaxDistFromIn(empty) = %v", r)
 	}
-}
-
-func TestCentroidPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Centroid(nil) should panic")
-		}
-	}()
-	Centroid(nil)
 }
 
 // Property: the triangle inequality holds for Dist.

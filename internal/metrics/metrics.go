@@ -166,15 +166,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Ratio returns element-wise ys[i]/xs[i] means, a quick "measured over
-// model" summary used in the experiment tables.
-func Ratio(ys, xs []float64) float64 {
-	var rs []float64
-	for i := range ys {
-		if i < len(xs) && xs[i] != 0 {
-			rs = append(rs, ys[i]/xs[i])
-		}
-	}
-	return Mean(rs)
-}

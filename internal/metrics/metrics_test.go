@@ -99,10 +99,4 @@ func TestMeanMaxRatio(t *testing.T) {
 	if m := Max([]float64{3, 1, 2}); m != 3 {
 		t.Errorf("Max = %v", m)
 	}
-	if r := Ratio([]float64{2, 4}, []float64{1, 2}); r != 2 {
-		t.Errorf("Ratio = %v", r)
-	}
-	if r := Ratio([]float64{2}, []float64{0}); r != 0 {
-		t.Errorf("Ratio with zero denominator = %v", r)
-	}
 }

@@ -156,30 +156,22 @@ func TestCounterAddAllocs(t *testing.T) {
 	}
 }
 
-func TestSpanStages(t *testing.T) {
+// TestSpanMarks checks that marks are consecutive laps — each covers the
+// time since the previous one, with no gap between them — and that the
+// span's total covers their sum.
+func TestSpanMarks(t *testing.T) {
 	sp := StartSpan()
-	d1 := sp.Mark("resolve")
-	sp.Observe("queue", 5*time.Millisecond)
-	d2 := sp.Mark("sim")
-	st := sp.Stages()
-	if len(st) != 3 {
-		t.Fatalf("stages = %v", st)
+	d1 := sp.Mark()
+	time.Sleep(time.Millisecond)
+	d2 := sp.Mark()
+	if d2 < time.Millisecond {
+		t.Fatalf("second lap %v does not cover the 1ms sleep", d2)
 	}
-	if st[0].Name != "resolve" || st[1].Name != "queue" || st[2].Name != "sim" {
-		t.Fatalf("stage names = %v", st)
-	}
-	if st[0].D != d1 || st[1].D != 5*time.Millisecond || st[2].D != d2 {
-		t.Fatalf("stage durations = %v", st)
+	if got := sp.mark.Sub(sp.begin); got != d1+d2 {
+		t.Fatalf("laps %v + %v do not tile the span up to the last mark (%v)", d1, d2, got)
 	}
 	if sp.Total() < d1+d2 {
 		t.Fatalf("total %v < sum of marked stages %v", sp.Total(), d1+d2)
-	}
-	// Overflow past the fixed capacity is dropped, not grown.
-	for i := 0; i < 2*maxSpanStages; i++ {
-		sp.Observe("x", time.Millisecond)
-	}
-	if len(sp.Stages()) != maxSpanStages {
-		t.Fatalf("span grew past its fixed capacity: %d stages", len(sp.Stages()))
 	}
 }
 

@@ -5,27 +5,14 @@ import (
 	"time"
 )
 
-// maxSpanStages bounds a span's stage list so Span can be a fixed-size
-// value type: spans live on the caller's stack and never heap-allocate.
-const maxSpanStages = 8
-
-// Stage is one named interval inside a span.
-type Stage struct {
-	Name string
-	D    time.Duration
-}
-
 // Span is a zero-allocation stopwatch for a request's per-stage breakdown:
-// start one with StartSpan, call Mark at each stage boundary, and read the
-// stages back for histograms, Server-Timing headers, or structured logs.
-// Spans are plain values — copy them, embed them, keep them on the stack.
-// A span must not be shared across goroutines; stages measured elsewhere
-// are merged in with Observe.
+// start one with StartSpan and call Mark at each stage boundary; Mark
+// returns the stage's duration for the caller to record. Spans are plain
+// values — copy them, embed them, keep them on the stack. A span must not
+// be shared across goroutines.
 type Span struct {
-	begin  time.Time
-	mark   time.Time
-	n      int
-	stages [maxSpanStages]Stage
+	begin time.Time
+	mark  time.Time
 }
 
 // StartSpan begins a span at the current time.
@@ -35,23 +22,12 @@ func StartSpan() Span {
 }
 
 // Mark closes the stage running since the previous mark (or the span
-// start), records it under name, and returns its duration.
-func (s *Span) Mark(name string) time.Duration {
+// start) and returns its duration.
+func (s *Span) Mark() time.Duration {
 	now := time.Now()
 	d := now.Sub(s.mark)
 	s.mark = now
-	s.Observe(name, d)
 	return d
-}
-
-// Observe merges an externally measured stage into the span — e.g. a
-// queue wait or simulation time measured by a worker goroutine. Stages
-// beyond the span's fixed capacity are dropped.
-func (s *Span) Observe(name string, d time.Duration) {
-	if s.n < len(s.stages) {
-		s.stages[s.n] = Stage{Name: name, D: d}
-		s.n++
-	}
 }
 
 // Total returns the time elapsed since the span started.
@@ -60,10 +36,6 @@ func (s *Span) Total() time.Duration { return time.Since(s.begin) }
 // Begin returns the span's start time — the anchor a trace's relative
 // offsets are measured from.
 func (s *Span) Begin() time.Time { return s.begin }
-
-// Stages returns the recorded stages in order. The slice aliases the
-// span's internal array; it is valid as long as the span is.
-func (s *Span) Stages() []Stage { return s.stages[:s.n] }
 
 // AppendServerTiming appends one Server-Timing metric — `name;dur=1.234`,
 // duration in milliseconds per the header's spec — to b, preceded by ", "

@@ -20,9 +20,9 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return data
 }
 
-// responseFixture is one locked pre-heterogeneity (PR 5) served response:
-// the raw request JSON (solve or race) and the exact body PR 5 returned for
-// it under Config{Workers: 2}. Profile-free requests must
+// responseFixture is one locked served response: the raw request JSON
+// (solve or race) and the exact body the service returned for it under
+// Config{Workers: 2} when the fixture was recorded. These requests must
 // keep serving these bytes — the hash is a live cache key and the body is
 // what clients replay against.
 type responseFixture struct {
@@ -34,18 +34,24 @@ type responseFixture struct {
 }
 
 // Homogeneous requests — no profiles field — must produce byte-identical
-// response bodies and request hashes to the PR 5 service.
+// response bodies and request hashes to the recorded fixtures: the
+// pre-heterogeneity set (n ≤ 24) and the set of ℓp requests and of n ≥ 48,
+// where the parameter derivation runs its grid passes.
 func TestResponseCompatPR5Golden(t *testing.T) {
-	data, err := os.ReadFile("testdata/response_golden_pr5.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var fs []responseFixture
-	if err := json.Unmarshal(data, &fs); err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) < 4 {
-		t.Fatalf("only %d fixtures — the golden set was truncated", len(fs))
+	for _, name := range []string{"testdata/response_golden_pr5.json", "testdata/response_golden_pr20.json"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file []responseFixture
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(file) < 4 {
+			t.Fatalf("%s: only %d fixtures — the golden set was truncated", name, len(file))
+		}
+		fs = append(fs, file...)
 	}
 	// Full instrumentation on — request logging included — to pin down that
 	// timing and telemetry live only in headers/logs, never in the bodies.

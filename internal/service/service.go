@@ -931,7 +931,7 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 		}
 	}
 	if err != nil {
-		return s.finish(ep, Solved{Resolve: sp.Mark("resolve")}, sp, topt, err)
+		return s.finish(ep, Solved{Resolve: sp.Mark()}, sp, topt, err)
 	}
 	name := sol.Name()
 	s.countShape(ep.name, name, geom.MetricOrL2(m).Name())
@@ -939,19 +939,19 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 	key, keyed := shapeKey(kb[:0], name, m, req)
 	if keyed {
 		if sv, handled, err := s.memoLookup(key); handled {
-			sv.Resolve = sp.Mark("resolve")
+			sv.Resolve = sp.Mark()
 			return s.finish(ep, sv, sp, topt, err)
 		}
 	}
 	r, err := s.resolve(name, m, req)
-	resolveDur := sp.Mark("resolve")
+	resolveDur := sp.Mark()
 	if err != nil {
 		return s.finish(ep, Solved{Resolve: resolveDur}, sp, topt, err)
 	}
 	sv, err := s.startOrJoin(r.hash, string(key), sol.width(s.cfg.Workers), func(ts *stageTimes, ar *arena.Arena) (*entry, error) {
 		rsp := obs.StartSpan()
 		res, rep, out, in, err := sol.run(s, ts, ar, r)
-		ts.sim = rsp.Mark("sim")
+		ts.sim = rsp.Mark()
 		s.stageSim.Record(ts.sim.Seconds())
 		if err != nil {
 			return nil, err
@@ -961,7 +961,7 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 		}
 		s.recordSimProbes(in.alg.Name(), res, rep)
 		body, err := json.Marshal(out)
-		ts.marshal = rsp.Mark("marshal")
+		ts.marshal = rsp.Mark()
 		s.stageMarshal.Record(ts.marshal.Seconds())
 		if err != nil {
 			return nil, err

@@ -22,13 +22,12 @@ import (
 // distance (see geom.Metric).
 //
 // Cells store their members as parallel id/point slices, so query scans walk
-// contiguous points (and can hand whole cells to geom.DistBatch) instead of
-// chasing a map lookup per member. Only occupied cells are indexed: when a
-// cell's last member leaves, the cell is deleted from the map and kept on a
-// free list, and the next cell to open reuses it. The map therefore holds at
-// most one cell per item however far the items travel, and an item sweeping
-// across fresh territory — the simulator's move loop — allocates nothing in
-// steady state.
+// contiguous points instead of chasing a map lookup per member. Only
+// occupied cells are indexed: when a cell's last member leaves, the cell is
+// deleted from the map and kept on a free list, and the next cell to open
+// reuses it. The map therefore holds at most one cell per item however far
+// the items travel, and an item sweeping across fresh territory — the
+// simulator's move loop — allocates nothing in steady state.
 //
 // Cell keys pack the two cell indices as int32 halves of one uint64, so
 // every probe takes the runtime's 8-byte map fast path. Cells whose indices
@@ -42,7 +41,6 @@ type Grid struct {
 	cell   float64
 	metric geom.Metric
 	euclid bool // cached IsL2(metric): keeps the Dist2 fast path branch cheap
-	batch  bool // geom.BatchAccelerated(metric): big cells go through DistBatch
 	items  map[int]geom.Point
 	cells  map[uint64]*gridCell
 	// free holds emptied cells, without member storage, for newCell to
@@ -54,9 +52,6 @@ type Grid struct {
 	// capacity a crowded cell grew to goes to the next cell that grows,
 	// wherever that cell opens.
 	spare [bits.UintSize][]gridCell
-	// dists is the DistBatch scratch for metric cell scans, grown to the
-	// largest cell ever scanned and reused across queries.
-	dists []float64
 	// cellBlock bump-allocates gridCell structs in chunks, so populating a
 	// grid (a robot swarm, a disk-graph vertex set) costs one allocation per
 	// block rather than one per cell. Handed-out pointers stay valid when a
@@ -149,13 +144,6 @@ type gridCell struct {
 	pts []geom.Point
 }
 
-// batchScanMin is the cell population below which metric scans stay on the
-// per-point path even when the metric is batch-accelerated: DistBatch's
-// dispatch and staging don't pay for themselves on near-empty cells (the
-// simulator's look cells typically hold a handful of robots). Either path
-// produces identical bits; this is purely a knob.
-const batchScanMin = 8
-
 // NewGridIn builds an empty grid with the given cell size, whose radius
 // queries measure under m. The cell size should be of the order of the most
 // common query radius; it must be positive.
@@ -178,7 +166,6 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 		cell:   cellSize,
 		metric: metric,
 		euclid: geom.IsL2(metric),
-		batch:  geom.BatchAccelerated(metric),
 		items:  make(map[int]geom.Point, n),
 		cells:  make(map[uint64]*gridCell, n),
 	}
@@ -187,15 +174,13 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 // Reset empties the grid for reuse under metric m (nil defaults to ℓ2),
 // retaining all allocated storage: the item index, the cell map, every cell
 // (returned to the free list), every cell's member storage (returned to the
-// spare lists by capacity class), and the batch scratch survive, so a
-// simulation engine re-running instances of one shape settles to
-// re-populating the grid without allocating, whatever order the items come
-// back in.
+// spare lists by capacity class) survive, so a simulation engine re-running
+// instances of one shape settles to re-populating the grid without
+// allocating, whatever order the items come back in.
 func (g *Grid) Reset(m geom.Metric) {
 	metric := geom.MetricOrL2(m)
 	g.metric = metric
 	g.euclid = geom.IsL2(metric)
-	g.batch = geom.BatchAccelerated(metric)
 	clear(g.items)
 	for _, c := range g.cells {
 		g.release(c)
@@ -279,21 +264,6 @@ func (g *Grid) At(id int) (geom.Point, bool) {
 	return p, ok
 }
 
-// cellDists fills g.dists with the metric distances from p to every member
-// of c via the batch kernel and returns the block.
-func (g *Grid) cellDists(p geom.Point, c *gridCell) []float64 {
-	if cap(g.dists) < len(c.pts) {
-		g.dists = make([]float64, len(c.pts)+lenSlack(len(c.pts)))
-	}
-	d := g.dists[:len(c.pts)]
-	geom.DistBatch(g.metric, p, c.pts, d)
-	return d
-}
-
-// lenSlack over-allocates scratch growth so a sequence of slightly-growing
-// cells settles after a few queries.
-func lenSlack(n int) int { return n/2 + 8 }
-
 // Within appends to dst the ids of all items within metric distance r of p
 // (closed ball, geom.Eps slack) and returns the extended slice. Results are
 // in unspecified order. The scanned cell range is the bounding square of the
@@ -307,15 +277,13 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 	minY := int(math.Floor((p.Y - r) / g.cell))
 	maxY := int(math.Floor((p.Y + r) / g.cell))
 	r2 := (r + geom.Eps) * (r + geom.Eps)
-	rEps := r + geom.Eps
 	for cx := minX; cx <= maxX; cx++ {
 		for cy := minY; cy <= maxY; cy++ {
 			c := g.cells[cellKey(cx, cy)]
 			if c == nil {
 				continue
 			}
-			switch {
-			case g.euclid:
+			if g.euclid {
 				// Squared-distance fast path, bit-identical to the
 				// pre-metric grid.
 				for i, q := range c.pts {
@@ -323,17 +291,11 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 						dst = append(dst, c.ids[i])
 					}
 				}
-			case g.batch && len(c.pts) >= batchScanMin:
-				for i, d := range g.cellDists(p, c) {
-					if d <= rEps {
-						dst = append(dst, c.ids[i])
-					}
-				}
-			default:
-				for i, q := range c.pts {
-					if geom.WithinIn(g.metric, q, p, r) {
-						dst = append(dst, c.ids[i])
-					}
+				continue
+			}
+			for i, q := range c.pts {
+				if geom.WithinIn(g.metric, q, p, r) {
+					dst = append(dst, c.ids[i])
 				}
 			}
 		}

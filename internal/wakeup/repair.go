@@ -34,15 +34,18 @@ type RepairConfig struct {
 	// latency is one poll, so a too-fine poll wastes events and a too-coarse
 	// one delays every rescue.
 	Poll float64
-	// Slack multiplies a subtree's estimated completion time to form its
-	// watch deadline; ≤ 0 means 3. Larger values tolerate slower carriers
-	// (crash-recovery outages) at the cost of later detection.
-	Slack float64
-	// MaxAttempts caps rescue attempts per robot before the monitor gives it
-	// up (≤ 0 means 16) — the termination bound for unreachable robots, e.g.
-	// a wake-drop plan at rate 1.
-	MaxAttempts int
 }
+
+const (
+	// repairSlack multiplies a subtree's estimated completion time to form
+	// its watch deadline. Larger values tolerate slower carriers
+	// (crash-recovery outages) at the cost of later detection.
+	repairSlack = 3
+	// repairMaxAttempts caps rescue attempts per robot before the monitor
+	// gives it up — the termination bound for unreachable robots, e.g. a
+	// wake-drop plan at rate 1.
+	repairMaxAttempts = 16
+)
 
 // watch is one outstanding handoff: the woken subtree's robot ids and the
 // deadline by which all of them should be awake.
@@ -91,12 +94,6 @@ func InstallRepair(e *sim.Engine, cfg RepairConfig) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 1
 	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = 3
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 16
-	}
 	rp := repairerOf(e)
 	rp.cfg = cfg
 	rp.installed = true
@@ -137,7 +134,7 @@ func (rp *Repairer) addWatch(e *sim.Engine, node *Node, woken *Node) {
 	t := MakespanProfiledIn(e.Metric(), node.Pos, node.Speed, woken)
 	rp.watches = append(rp.watches, watch{
 		child:    node.ID,
-		deadline: e.Now() + rp.cfg.Slack*t + rp.cfg.Poll,
+		deadline: e.Now() + repairSlack*t + rp.cfg.Poll,
 		ids:      appendTreeIDs(woken, nil),
 	})
 }
@@ -263,7 +260,7 @@ func (rp *Repairer) rescue(e *sim.Engine) int {
 		if i > 0 && id == rp.orphans[i-1] {
 			continue
 		}
-		if e.Robot(id).State() != sim.Asleep || rp.attempts[id] >= rp.cfg.MaxAttempts {
+		if e.Robot(id).State() != sim.Asleep || rp.attempts[id] >= repairMaxAttempts {
 			continue
 		}
 		still = append(still, id)
