@@ -539,10 +539,8 @@ func BenchmarkService_PortfolioRace(b *testing.B) {
 
 // BenchmarkMetric_Dist prices one distance evaluation per metric — the
 // innermost call of every grid query, travel computation, and wake-tree
-// greedy after the pluggable-metric refactor. lp:3 and lp:4 exercise the
-// integer-exponent fast path (repeated multiplication + single-Pow
-// inverse, bit-identical to the generic formulation); lp:2.5 the generic
-// two-transcendental path.
+// greedy after the pluggable-metric refactor. Every ℓp exponent, integer
+// or not, takes the same two-Pow path.
 func BenchmarkMetric_Dist(b *testing.B) {
 	var lps []geom.Metric
 	for _, p := range []float64{2.5, 3, 4} {

@@ -100,8 +100,8 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-faults: %w", err)
 	}
-	// One parameter derivation (O(n²) Prim) serves both the tuple and the
-	// printed params.
+	// One parameter derivation serves both the tuple and the printed
+	// params, ξ included.
 	params := inst.ParamsIn(metric)
 	tup := dftp.TupleFromParams(params)
 	if !*jsonOut {

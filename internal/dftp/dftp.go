@@ -52,17 +52,22 @@ func (t Tuple) Admissible() bool {
 	return t.Ell > 0 && t.Rho >= t.Ell && t.Rho <= float64(t.N)*t.Ell
 }
 
-// TupleForIn computes an admissible tuple from an instance's exact
-// parameters under metric m, rounding ℓ and ρ up to integers as the paper
-// assumes. ℓ* and ρ* are metric-dependent, so the knowledge handed to the
-// source must be measured in the metric the simulation runs in.
+// TupleForIn computes an admissible tuple from an instance's exact ℓ* and
+// ρ* under metric m, rounding ℓ and ρ up to integers as the paper assumes.
+// ℓ* and ρ* are metric-dependent, so the knowledge handed to the source
+// must be measured in the metric the simulation runs in. The tuple does not
+// involve ξ, so it is never derived here.
 func TupleForIn(m geom.Metric, inst *instance.Instance) Tuple {
-	return TupleFromParams(inst.ParamsIn(m))
+	return TupleFromParams(diskgraph.Params{
+		Rho: geom.MaxDistFromIn(m, inst.Source, inst.Points),
+		Ell: diskgraph.ConnectivityThresholdIn(m, inst.Source, inst.Points),
+		N:   inst.N(),
+	})
 }
 
 // TupleFromParams rounds already-computed exact parameters into the
 // admissible tuple. Callers that need the params for their own reporting
-// use this to avoid a second O(n²) derivation.
+// use this to avoid a second derivation.
 func TupleFromParams(p diskgraph.Params) Tuple {
 	ell := math.Ceil(p.Ell)
 	if ell < 1 {

@@ -2,8 +2,6 @@ package diskgraph
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"freezetag/internal/geom"
 )
@@ -69,13 +67,6 @@ func newCellIndex(pts []geom.Point, minX, minY, cell float64) *cellIndex {
 type ringSearch struct {
 	bestD  []float64 // best foreign distance found so far
 	bestTo []int32   // its vertex, -1 if none
-}
-
-// scanScratch is one worker's reusable phase-B buffer: the pending-member
-// list. Each worker owns its scratch exclusively, so searches stay
-// race-free at any pool size.
-type scanScratch struct {
-	active []int32
 }
 
 // scanCell scans one cell for vertices foreign to root rv, updating v's
@@ -148,15 +139,6 @@ func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv 
 // component already holds, so the per-component minimum — and therefore
 // the bottleneck — is unaffected. Rounds at least halve the component
 // count, giving near-linear total work for well-conditioned sets.
-//
-// The per-component searches are mutually independent — every slot a
-// search writes (rs.best*, cand*, noneWithin by vertex; min* by root) is
-// owned by exactly one component this round, and root/head/next/uf are
-// read-only during phase B — so they fan out over a worker pool in the
-// experiments-runner style. The merge step stays sequential, and the
-// result is bit-identical at any worker count: each component's search
-// runs the exact serial scan order internally, and components never read
-// each other's state.
 func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64) float64 {
 	n := len(pts)
 	uf := newUnionFind(n)
@@ -176,9 +158,9 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 		next:       make([]int32, n),
 		root:       make([]int32, n),
 		rs:         ringSearch{bestD: make([]float64, n), bestTo: make([]int32, n)},
+		active:     make([]int32, 0, 64),
 	}
 	pendingRoots := make([]int32, 0, 16)
-	serialSc := &scanScratch{active: make([]int32, 0, 64)}
 	for i := range st.candTo {
 		st.candTo[i] = -1
 	}
@@ -194,7 +176,6 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 		}
 		// Phase A.
 		pendingRoots = pendingRoots[:0]
-		pendingVerts := 0
 		for v := 0; v < n; v++ {
 			rv := st.root[v]
 			if to := st.candTo[v]; to >= 0 {
@@ -214,31 +195,10 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 			}
 			st.next[v] = st.head[rv]
 			st.head[rv] = int32(v)
-			pendingVerts++
 		}
 		// Phase B.
-		if workers := phaseBWorkers(len(pendingRoots), pendingVerts); workers > 1 {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					sc := &scanScratch{active: make([]int32, 0, 64)}
-					for i := range idx {
-						st.searchComponent(pendingRoots[i], sc)
-					}
-				}()
-			}
-			for i := range pendingRoots {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		} else {
-			for _, rv := range pendingRoots {
-				st.searchComponent(rv, serialSc)
-			}
+		for _, rv := range pendingRoots {
+			st.searchComponent(rv)
 		}
 		// Merge every component along its recorded cheapest outgoing edge.
 		merged := false
@@ -261,11 +221,8 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 	return bottleneck
 }
 
-// boruvkaState is the shared round state of bottleneckGridIn, grouped so
-// the per-component phase-B searches can run as methods from pool workers.
-// Slices indexed by vertex (candTo, candD, noneWithin, rs.best*) or by root
-// (minD, minFrom, minTo) are written only for vertices/roots of the
-// component being searched, which is what makes concurrent searches safe.
+// boruvkaState is the round state of bottleneckGridIn that the
+// per-component phase-B searches read and write.
 type boruvkaState struct {
 	m   geom.Metric
 	pts []geom.Point
@@ -281,42 +238,15 @@ type boruvkaState struct {
 	next       []int32
 	root       []int32 // per-vertex root snapshot of the current round
 	rs         ringSearch
-}
-
-// phaseBWorkersOverride, when positive, pins the phase-B pool size; tests
-// use it to exercise the parallel path on single-core runners and to check
-// bit-identity across worker counts.
-var phaseBWorkersOverride = 0
-
-// parallelPhaseBMinVerts is the pending-vertex count below which a round's
-// phase B stays serial: tiny rounds (the common tail, where almost every
-// candidate survived phase A) would pay more in goroutine handoff than the
-// searches cost. Purely a performance dispatch — serial and parallel
-// searches write identical values.
-const parallelPhaseBMinVerts = 256
-
-// phaseBWorkers sizes the phase-B pool for a round with the given pending
-// component and vertex counts.
-func phaseBWorkers(roots, verts int) int {
-	w := runtime.GOMAXPROCS(0)
-	if phaseBWorkersOverride > 0 {
-		w = phaseBWorkersOverride
-	} else if verts < parallelPhaseBMinVerts {
-		return 1
-	}
-	if w > roots {
-		w = roots
-	}
-	return w
+	active     []int32 // phase-B buffer: the members still searching
 }
 
 // searchComponent runs one component's ring-synchronized phase-B search:
 // every pending member expands one cell ring at a time, sharing the
-// component's best outgoing weight as the prune bound. sc is the calling
-// worker's private scratch.
-func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
+// component's best outgoing weight as the prune bound.
+func (st *boruvkaState) searchComponent(rv int32) {
 	r := int(rv)
-	active := sc.active[:0]
+	active := st.active[:0]
 	for v := st.head[r]; v >= 0; v = st.next[v] {
 		if st.noneWithin[v] >= st.minD[r] && !math.IsInf(st.minD[r], 1) {
 			// v's foreign-distance floor already matches the component's
@@ -366,7 +296,7 @@ func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
 		}
 		active = keep
 	}
-	sc.active = active[:0]
+	st.active = active[:0]
 }
 
 // unionFind is a plain disjoint-set forest with path halving and union by

@@ -16,107 +16,57 @@ func linePoints(n int, step float64) []geom.Point {
 	return pts
 }
 
-func TestNewAdjacency(t *testing.T) {
-	// Source at origin, points at 1, 2, 3 on the x-axis; δ = 1 connects
-	// consecutive vertices only.
-	g := NewIn(nil, geom.Origin, linePoints(3, 1), 1)
-	if g.N() != 4 {
-		t.Fatalf("N = %d", g.N())
-	}
-	if got := g.Neighbors(0); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Neighbors(0) = %v", got)
-	}
-	if got := g.Neighbors(1); len(got) != 2 {
-		t.Errorf("Neighbors(1) = %v", got)
-	}
-	if g.Degree(3) != 1 {
-		t.Errorf("Degree(3) = %d", g.Degree(3))
-	}
+// connected reports whether the δ-ball graph of {origin} ∪ pts is
+// connected: ξ is finite exactly then.
+func connected(pts []geom.Point, delta float64) bool {
+	return !math.IsInf(XiAtIn(nil, geom.Origin, pts, delta), 1)
 }
 
 func TestZeroDelta(t *testing.T) {
-	g := NewIn(nil, geom.Origin, linePoints(3, 1), 0)
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != 0 {
-			t.Errorf("Degree(%d) = %d with δ=0", v, g.Degree(v))
-		}
-	}
-	if g.Connected() {
+	if connected(linePoints(3, 1), 0) {
 		t.Error("graph with no edges and 4 vertices should be disconnected")
 	}
 }
 
 func TestConnected(t *testing.T) {
-	if !NewIn(nil, geom.Origin, nil, 1).Connected() {
+	if !connected(nil, 1) {
 		t.Error("single vertex should be connected")
 	}
-	if !NewIn(nil, geom.Origin, linePoints(5, 1), 1).Connected() {
+	if !connected(linePoints(5, 1), 1) {
 		t.Error("unit-spaced line should be connected at δ=1")
 	}
-	if NewIn(nil, geom.Origin, linePoints(5, 1.01), 1).Connected() {
+	if connected(linePoints(5, 1.01), 1) {
 		t.Error("1.01-spaced line should be disconnected at δ=1")
 	}
 }
 
+// On a unit line at δ=1 the shortest path to vertex i runs through every
+// vertex before it, so the eccentricity of the first i points is i.
 func TestShortestDists(t *testing.T) {
-	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
-	dist := g.ShortestDists(0)
-	for i, want := range []float64{0, 1, 2, 3, 4} {
-		if math.Abs(dist[i]-want) > 1e-9 {
-			t.Errorf("dist[%d] = %v, want %v", i, dist[i], want)
+	for i := 0; i <= 4; i++ {
+		if got := XiAtIn(nil, geom.Origin, linePoints(i, 1), 1); math.Abs(got-float64(i)) > 1e-9 {
+			t.Errorf("dist to vertex %d = %v, want %d", i, got, i)
 		}
 	}
 }
 
 func TestShortestDistsUnreachable(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 0), geom.Pt(10, 0)}
-	g := NewIn(nil, geom.Origin, pts, 1)
-	dist := g.ShortestDists(0)
-	if !math.IsInf(dist[2], 1) {
-		t.Errorf("unreachable vertex dist = %v", dist[2])
+	if xi := XiAtIn(nil, geom.Origin, pts[:1], 1); xi != 1 {
+		t.Errorf("reachable vertex dist = %v, want 1", xi)
+	}
+	if xi := XiAtIn(nil, geom.Origin, pts, 1); !math.IsInf(xi, 1) {
+		t.Errorf("unreachable vertex dist = %v", xi)
 	}
 }
 
 func TestEccentricity(t *testing.T) {
-	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
-	if ecc := g.Eccentricity(0); math.Abs(ecc-4) > 1e-9 {
+	if ecc := XiAtIn(nil, geom.Origin, linePoints(4, 1), 1); math.Abs(ecc-4) > 1e-9 {
 		t.Errorf("Eccentricity = %v, want 4", ecc)
 	}
 	// Shortcut edge: δ=2 allows 2-hops.
-	g2 := NewIn(nil, geom.Origin, linePoints(4, 1), 2)
-	if ecc := g2.Eccentricity(0); math.Abs(ecc-4) > 1e-9 {
+	if ecc := XiAtIn(nil, geom.Origin, linePoints(4, 1), 2); math.Abs(ecc-4) > 1e-9 {
 		t.Errorf("Eccentricity with δ=2 = %v, want 4 (geodesic on a line)", ecc)
-	}
-}
-
-func TestHopDists(t *testing.T) {
-	g := NewIn(nil, geom.Origin, linePoints(4, 1), 2)
-	hops := g.HopDists(0)
-	// δ=2 on unit line: hop distance is ceil(i/2).
-	want := []int{0, 1, 1, 2, 2}
-	for i := range want {
-		if hops[i] != want[i] {
-			t.Errorf("hops[%d] = %d, want %d", i, hops[i], want[i])
-		}
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := NewIn(nil, geom.Origin, linePoints(4, 1), 1)
-	path := g.ShortestPath(0, 4)
-	want := []int{0, 1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	// Unreachable.
-	g2 := NewIn(nil, geom.Origin, []geom.Point{geom.Pt(100, 0)}, 1)
-	if p := g2.ShortestPath(0, 1); p != nil {
-		t.Errorf("unreachable path = %v", p)
 	}
 }
 
@@ -145,10 +95,10 @@ func TestConnectivityThresholdIsTight(t *testing.T) {
 			pts[i] = geom.Pt(rng.Float64()*20, rng.Float64()*20)
 		}
 		ell := ConnectivityThresholdIn(nil, geom.Origin, pts)
-		if !NewIn(nil, geom.Origin, pts, ell).Connected() {
+		if !connected(pts, ell) {
 			t.Fatalf("trial %d: graph at δ=ℓ* must be connected", trial)
 		}
-		if ell > 1e-6 && NewIn(nil, geom.Origin, pts, ell*0.999).Connected() {
+		if ell > 1e-6 && connected(pts, ell*0.999) {
 			t.Fatalf("trial %d: graph just below ℓ* must be disconnected", trial)
 		}
 	}
@@ -166,24 +116,17 @@ func TestXiAt(t *testing.T) {
 	if xi := XiAtIn(nil, geom.Origin, nil, 1); xi != 0 {
 		t.Errorf("ξ of empty = %v", xi)
 	}
-}
-
-func TestAdmissible(t *testing.T) {
-	cases := []struct {
-		ell, rho float64
-		n        int
-		want     bool
-	}{
-		{1, 4, 10, true},
-		{1, 4, 3, false},  // ρ > nℓ
-		{2, 1, 10, false}, // ρ < ℓ
-		{0, 1, 10, false}, // ℓ = 0
-		{1, 1, 1, true},
+	// A swarm stacked on its source: ℓ* = 0, and every robot is at path
+	// distance 0, so ξ = 0 ≤ n·ℓ* (Proposition 1), not +Inf.
+	o := geom.Pt(3, -2)
+	if p := ComputeParamsIn(nil, o, []geom.Point{o, o}); p.Ell != 0 || p.Xi != 0 {
+		t.Errorf("stacked swarm params = %+v, want ℓ* = ξ = 0", p)
 	}
-	for _, c := range cases {
-		if got := Admissible(c.ell, c.rho, c.n); got != c.want {
-			t.Errorf("Admissible(%v,%v,%d) = %v, want %v", c.ell, c.rho, c.n, got, c.want)
-		}
+	if xi := XiAtIn(geom.L1, o, []geom.Point{o, o}, 0); xi != 0 {
+		t.Errorf("ξ of stacked swarm at δ=0 = %v, want 0", xi)
+	}
+	if xi := XiAtIn(nil, o, []geom.Point{o, geom.Pt(3, -1)}, 0); !math.IsInf(xi, 1) {
+		t.Errorf("ξ at δ=0 with a robot off the source = %v, want +Inf", xi)
 	}
 }
 
@@ -228,9 +171,7 @@ func TestLemma6Random(t *testing.T) {
 			if xi > 12*p.Rho*p.Rho/ell+1e-9 {
 				t.Fatalf("trial %d: ξ=%v > 12ρ²/ℓ=%v", trial, xi, 12*p.Rho*p.Rho/ell)
 			}
-			g := NewIn(nil, geom.Origin, pts, ell)
-			hops := g.HopDists(0)
-			for v, h := range hops {
+			for v, h := range hopDists(nil, vertices(geom.Origin, pts), ell) {
 				if float64(h) > 1+2*xi/ell+1e-9 {
 					t.Fatalf("trial %d: vertex %d hops=%d > 1+2ξ/ℓ=%v", trial, v, h, 1+2*xi/ell)
 				}

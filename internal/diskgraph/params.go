@@ -20,26 +20,22 @@ type Params struct {
 // metric-dependent: the same point set has a different radius, connectivity
 // threshold, and eccentricity under ℓ1, ℓ2 and ℓ∞.
 //
-// The derivation is the solver service's cold path, so it is organized
-// around sharing: the vertex slice is materialized once; ℓ* comes from the
+// The vertex slice is materialized once and shared: ℓ* comes from the
 // grid-accelerated bottleneck pass (near-linear for well-conditioned sets,
 // see ConnectivityThresholdIn); ρ* from one pass over the points
-// (geom.MaxDistFromIn); and the δ-ball graph is built once, at δ = ℓ*, for
-// ξ. Every value is bit-identical to the dense derivation it replaced.
+// (geom.MaxDistFromIn); and ξ from one Dijkstra over the δ-ball grid at
+// δ = ℓ*, which stores no graph. Callers that need only the (ℓ, ρ, n) tuple
+// skip ξ (see dftp.TupleForIn).
 func ComputeParamsIn(m geom.Metric, source geom.Point, points []geom.Point) Params {
 	m = geom.MetricOrL2(m)
-	pts := make([]geom.Point, 0, len(points)+1)
-	pts = append(pts, source)
-	pts = append(pts, points...)
-	p := Params{
+	pts := vertices(source, points)
+	ell := bottleneckIn(m, pts)
+	return Params{
 		Rho: geom.MaxDistFromIn(m, source, points),
-		Ell: bottleneckIn(m, pts),
+		Ell: ell,
+		Xi:  eccentricity(m, pts, ell),
 		N:   len(points),
 	}
-	if len(points) > 0 {
-		p.Xi = newFromPts(m, pts, p.Ell).Eccentricity(0)
-	}
-	return p
 }
 
 // ConnectivityThresholdIn computes ℓ* under metric m: the least δ making the
@@ -52,11 +48,7 @@ func ComputeParamsIn(m geom.Metric, source geom.Point, points []geom.Point) Para
 // remains available as ConnectivityThresholdDenseIn and serves as the
 // property-test oracle. Returns 0 when P is empty.
 func ConnectivityThresholdIn(m geom.Metric, source geom.Point, points []geom.Point) float64 {
-	m = geom.MetricOrL2(m)
-	pts := make([]geom.Point, 0, len(points)+1)
-	pts = append(pts, source)
-	pts = append(pts, points...)
-	return bottleneckIn(m, pts)
+	return bottleneckIn(geom.MetricOrL2(m), vertices(source, points))
 }
 
 // denseBottleneckCutoff is the vertex count below which the dense Prim pass
@@ -95,11 +87,7 @@ func bottleneckIn(m geom.Metric, pts []geom.Point) float64 {
 // pass over the complete metric graph — the oracle the grid pass is
 // cross-checked against, and the fallback for degenerate coordinates.
 func ConnectivityThresholdDenseIn(m geom.Metric, source geom.Point, points []geom.Point) float64 {
-	m = geom.MetricOrL2(m)
-	pts := make([]geom.Point, 0, len(points)+1)
-	pts = append(pts, source)
-	pts = append(pts, points...)
-	return bottleneckDenseIn(m, pts)
+	return bottleneckDenseIn(geom.MetricOrL2(m), vertices(source, points))
 }
 
 func bottleneckDenseIn(m geom.Metric, pts []geom.Point) float64 {
@@ -145,17 +133,7 @@ func bottleneckDenseIn(m geom.Metric, pts []geom.Point) float64 {
 // over spanning trees rooted at s. Returns +Inf when the ℓ-ball graph is
 // disconnected.
 func XiAtIn(m geom.Metric, source geom.Point, points []geom.Point, ell float64) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	g := NewIn(m, source, points, ell)
-	return g.Eccentricity(0)
-}
-
-// Admissible reports whether the tuple (ℓ, ρ, n) is admissible per the paper:
-// ℓ ≤ ρ ≤ n·ℓ (with ℓ, ρ > 0).
-func Admissible(ell, rho float64, n int) bool {
-	return ell > 0 && rho >= ell && rho <= float64(n)*ell
+	return eccentricity(geom.MetricOrL2(m), vertices(source, points), ell)
 }
 
 // CheckProposition1 verifies the inequality chain of Proposition 1 for the

@@ -8,9 +8,8 @@ import (
 	"freezetag/internal/geom"
 )
 
-// gridOracleMetrics are the metric spellings the ISSUE pins for the
-// grid-vs-dense cross-check: the three named metrics, a fractional ℓp, and
-// the integer-exponent ℓp fast path.
+// gridOracleMetrics are the metric spellings the grid-vs-dense cross-checks
+// run under: the three named metrics, a fractional ℓp, and an integer ℓp.
 func gridOracleMetrics(t *testing.T) []geom.Metric {
 	t.Helper()
 	ms := []geom.Metric{geom.L1, geom.L2, geom.LInf}
@@ -109,9 +108,10 @@ func TestConnectivityThresholdGridFuzzed(t *testing.T) {
 	}
 }
 
-// ComputeParamsIn shares one vertex slice and one δ-ball graph across the
-// derivation; its three outputs must equal the independent derivations the
-// callers used to run — exactly, since ℓ* and ρ* feed request hashes.
+// ComputeParamsIn shares one vertex slice across the derivation; its ℓ* and
+// ρ* must equal the independent derivations exactly, since they feed
+// request hashes. Its ξ is checked against the dense oracle in
+// TestXiMatchesDenseOracle.
 func TestComputeParamsSharedDerivationExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, m := range gridOracleMetrics(t) {
@@ -124,9 +124,6 @@ func TestComputeParamsSharedDerivationExact(t *testing.T) {
 			if want := geom.MaxDistFromIn(m, src, pts); p.Rho != want {
 				t.Errorf("%s instance %d: shared Rho = %x, dense = %x", m.Name(), trial, p.Rho, want)
 			}
-			if want := XiAtIn(m, src, pts, p.Ell); p.Xi != want {
-				t.Errorf("%s instance %d: shared Xi = %x, independent = %x", m.Name(), trial, p.Xi, want)
-			}
 			if p.N != len(pts) {
 				t.Errorf("%s instance %d: N = %d, want %d", m.Name(), trial, p.N, len(pts))
 			}
@@ -134,26 +131,142 @@ func TestComputeParamsSharedDerivationExact(t *testing.T) {
 	}
 }
 
-// The phase-B worker pool must return bit-identical thresholds at every
-// pool size — including on single-core runners where GOMAXPROCS alone
-// would never exercise the parallel branch. Run with -race, this is also
-// the data-race check on the per-component slot-disjointness argument.
-func TestConnectivityThresholdGridParallelMatchesSerial(t *testing.T) {
-	defer func() { phaseBWorkersOverride = 0 }()
-	rng := rand.New(rand.NewSource(53))
-	for _, m := range gridOracleMetrics(t) {
-		for trial, pts := range bottleneckInstances(rng) {
-			if len(pts) <= denseBottleneckCutoff {
-				continue // dense dispatch: no phase B to parallelize
+// ballGraph is the test oracle's δ-ball graph over pts, built with no grid:
+// every vertex pair is joined by the spatial grid's own predicate — squared
+// ℓ2 distance within (δ+Eps)² under ℓ2, geom.WithinIn otherwise.
+func ballGraph(m geom.Metric, pts []geom.Point, delta float64) [][]int {
+	m = geom.MetricOrL2(m)
+	r2 := (delta + geom.Eps) * (delta + geom.Eps)
+	adj := make([][]int, len(pts))
+	for i, p := range pts {
+		for j, q := range pts {
+			if j == i {
+				continue
 			}
-			src := geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5)
-			phaseBWorkersOverride = 0
-			want := ConnectivityThresholdIn(m, src, pts)
-			for _, workers := range []int{1, 2, 3, 8} {
-				phaseBWorkersOverride = workers
-				if got := ConnectivityThresholdIn(m, src, pts); got != want {
-					t.Errorf("%s instance %d (n=%d) workers=%d: ℓ* = %x, serial ℓ* = %x",
-						m.Name(), trial, len(pts), workers, got, want)
+			if geom.IsL2(m) && q.Dist2(p) <= r2 || !geom.IsL2(m) && geom.WithinIn(m, q, p, delta) {
+				adj[i] = append(adj[i], j)
+			}
+		}
+	}
+	return adj
+}
+
+// denseXi is the test oracle for ξ: Dijkstra from pts[0] over ballGraph,
+// selecting each next vertex by a linear scan instead of a heap. Returns
+// +Inf when the graph is disconnected.
+func denseXi(m geom.Metric, pts []geom.Point, delta float64) float64 {
+	m = geom.MetricOrL2(m)
+	adj := ballGraph(m, pts, delta)
+	dist := make([]float64, len(pts))
+	done := make([]bool, len(pts))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[0] = 0
+	for {
+		v := -1
+		for i, d := range dist {
+			if !done[i] && !math.IsInf(d, 1) && (v < 0 || d < dist[v]) {
+				v = i
+			}
+		}
+		if v < 0 {
+			break
+		}
+		done[v] = true
+		for _, j := range adj[v] {
+			if nd := dist[v] + m.Dist(pts[v], pts[j]); nd < dist[j] {
+				dist[j] = nd
+			}
+		}
+	}
+	var xi float64
+	for _, d := range dist {
+		if d > xi {
+			xi = d
+		}
+	}
+	return xi
+}
+
+// hopDists is the unweighted BFS over ballGraph: hop counts from pts[0],
+// -1 for unreachable vertices.
+func hopDists(m geom.Metric, pts []geom.Point, delta float64) []int {
+	adj := ballGraph(m, pts, delta)
+	hops := make([]int, len(pts))
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[0] = 0
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		for _, j := range adj[v] {
+			if hops[j] == -1 {
+				hops[j] = hops[v] + 1
+				queue = append(queue, j)
+			}
+		}
+	}
+	return hops
+}
+
+// lattices are tie-heavy point sets for the ξ oracle: square lattices of
+// two pitches and a triangular one, each containing the origin source, so
+// many vertex pairs sit exactly ℓ* apart and many shortest paths tie.
+func lattices() [][]geom.Point {
+	var out [][]geom.Point
+	for _, step := range []float64{1, 0.7} {
+		var sq []geom.Point
+		for i := 0; i < 12; i++ {
+			for j := 0; j < 12; j++ {
+				if i != 0 || j != 0 {
+					sq = append(sq, geom.Pt(float64(i)*step, float64(j)*step))
+				}
+			}
+		}
+		out = append(out, sq)
+	}
+	var tri []geom.Point
+	for j := 0; j < 10; j++ {
+		for i := 0; i < 12; i++ {
+			if i != 0 || j != 0 {
+				tri = append(tri, geom.Pt(float64(i)+0.5*float64(j%2), float64(j)*math.Sqrt(3)/2))
+			}
+		}
+	}
+	return append(out, tri)
+}
+
+// ξ from XiAtIn and ComputeParamsIn must equal the dense oracle bit for
+// bit — at δ = ℓ*, above it, and below it, where the graph is disconnected
+// and ξ is +Inf.
+func TestXiMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	type xiCase struct {
+		src geom.Point
+		pts []geom.Point
+	}
+	var cases []xiCase
+	for _, pts := range bottleneckInstances(rng) {
+		cases = append(cases, xiCase{geom.Pt(rng.Float64()*4-2, rng.Float64()*4-2), pts})
+	}
+	for _, pts := range lattices() {
+		cases = append(cases, xiCase{geom.Origin, pts})
+	}
+	for _, m := range gridOracleMetrics(t) {
+		for i, c := range cases {
+			verts := vertices(c.src, c.pts)
+			p := ComputeParamsIn(m, c.src, c.pts)
+			if want := denseXi(m, verts, p.Ell); p.Xi != want {
+				t.Errorf("%s case %d (n=%d): ComputeParamsIn ξ = %x, oracle = %x", m.Name(), i, len(c.pts), p.Xi, want)
+			}
+			for _, delta := range []float64{p.Ell, 1.5 * p.Ell, p.Ell / 2} {
+				want := denseXi(m, verts, delta)
+				if got := XiAtIn(m, c.src, c.pts, delta); got != want {
+					t.Errorf("%s case %d (n=%d) δ=%g: XiAtIn = %x, oracle = %x", m.Name(), i, len(c.pts), delta, got, want)
+				}
+				if delta < p.Ell && p.Ell > 1e-6 && !math.IsInf(want, 1) {
+					t.Errorf("%s case %d: oracle ξ below ℓ* = %v, want +Inf", m.Name(), i, want)
 				}
 			}
 		}

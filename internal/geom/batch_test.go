@@ -58,7 +58,7 @@ func TestDistBatchMatchesDist(t *testing.T) {
 
 // TestDistBatchEdgeCases pins degenerate inputs: empty and length-1
 // blocks, coincident points, zero/one-axis differences, NaN and ±Inf
-// coordinates, and ratios below the scalar ℓp fast path's mulSafe floor.
+// coordinates, and small ℓp component ratios.
 func TestDistBatchEdgeCases(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	blocks := [][]Point{
@@ -69,7 +69,7 @@ func TestDistBatchEdgeCases(t *testing.T) {
 		{Pt(1, 0), Pt(0, 1), Pt(-1, 0), Pt(0, -1), Pt(5, 0), Pt(0, 5), Pt(2, 2)},
 		{Pt(inf, 0), Pt(-inf, 3), Pt(nan, 1), Pt(2, nan), Pt(inf, inf), Pt(nan, nan), Pt(1, 1)},
 		{Pt(1e-320, 0), Pt(0, 1e-320), Pt(1e-320, 1e308), Pt(1e308, 1e308)},
-		// lo/hi under mulSafe = 2⁻⁷: exercises Norm's ipow branch.
+		// Component ratios lo/hi at and under 2⁻⁷.
 		{Pt(1, 0x1p-9), Pt(0x1p-9, 1), Pt(1, 0x1p-7), Pt(1, math.Nextafter(0x1p-7, 0))},
 		// 1+tp == 1: tiny ratios where the power underflows the addition.
 		{Pt(1, 1e-18), Pt(1e-18, 1)},

@@ -158,30 +158,12 @@ func CircumradiusL2(m Metric) float64 {
 
 // lpMetric is the general ℓp metric for finite p ≥ 1. The canonical cases
 // p = 1, 2 and p = +Inf are always represented by L1/L2/LInf (Lp normalizes
-// them), so an lpMetric value is never one of those.
-//
-// invP caches 1/p (the same value the formula previously recomputed per
-// call) and ip caches p as an int when p is integral, unlocking the
-// pow-free inner power below. Both are derived from p alone, so two
-// lpMetric values built from the same exponent stay comparable.
+// them), so an lpMetric value is never one of those. invP caches 1/p; it is
+// derived from p alone, so two lpMetric values built from the same exponent
+// stay comparable.
 type lpMetric struct {
 	p    float64
 	invP float64
-	ip   int // p when integral and small, else 0
-}
-
-// maxIntExponent bounds the integer exponents the repeated-multiplication
-// fast path covers; larger integral p falls back to math.Pow (where the
-// squaring loop no longer wins anything).
-const maxIntExponent = 64
-
-// newLpMetric builds the metric for a finite non-canonical exponent p > 1.
-func newLpMetric(p float64) lpMetric {
-	m := lpMetric{p: p, invP: 1 / p}
-	if i, frac := math.Modf(p); frac == 0 && i <= maxIntExponent {
-		m.ip = int(i)
-	}
-	return m
 }
 
 func (m lpMetric) Name() string {
@@ -198,92 +180,7 @@ func (m lpMetric) Norm(v Point) float64 {
 	if hi == 0 {
 		return 0
 	}
-	lo := math.Min(ax, ay)
-	t := lo / hi
-	var tp float64
-	switch {
-	case m.ip != 0 && t >= mulSafe:
-		tp = mulPow(t, m.ip)
-	case m.ip != 0:
-		tp = ipow(t, m.ip)
-	default:
-		tp = math.Pow(t, m.p)
-	}
-	if tp == 0 || 1+tp == 1 {
-		// math.Pow(1, y) is exactly 1, so the remaining factor drops out.
-		return hi
-	}
-	return hi * powFrac(1+tp, m.invP)
-}
-
-// mulSafe is the ratio floor below which the plain multiply-and-square loop
-// could push an intermediate into the subnormal range (t**128 for the
-// deepest square of a ≤ 64 exponent reaches 2^-896 at t = 2^-7) and drift
-// from math.Pow's normalized-mantissa rounding; below it the Frexp-faithful
-// ipow takes over.
-const mulSafe = 0x1p-7
-
-// mulPow is x**n by plain multiply-and-square in the same bit order as
-// math.Pow's integral-exponent loop. For x ∈ [mulSafe, 1] and n ≤
-// maxIntExponent every intermediate stays normal, where scaling by powers
-// of two is exact and each product therefore rounds identically to Pow's
-// Frexp-normalized form — bit-identical, without the Frexp/Ldexp overhead.
-func mulPow(x float64, n int) float64 {
-	a := 1.0
-	for ; n != 0; n >>= 1 {
-		if n&1 == 1 {
-			a *= x
-		}
-		x *= x
-	}
-	return a
-}
-
-// powFrac replicates math.Pow(x, y) bit for bit on the norm's residual
-// domain — finite x ∈ (1, 2], fractional y ∈ (0, 1), y ≠ ½ — without Pow's
-// special-case dispatch: on that domain Pow computes exactly Exp(y·Log(x)),
-// with one extra multiply by x when y > ½ (Pow's yf-overflow adjustment
-// folds the integer part back in via its squaring loop, which for yi = 1
-// reduces to a single product). NaN flows through both branches the way it
-// flows through Pow. Guarded against the live math.Pow by the bit-identity
-// fuzz in metric_test.go.
-func powFrac(x, y float64) float64 {
-	if y > 0.5 {
-		return math.Exp((y-1)*math.Log(x)) * x
-	}
-	return math.Exp(y * math.Log(x))
-}
-
-// ipow returns x**n for 0 ≤ x ≤ 1 and 1 ≤ n ≤ maxIntExponent, bit-identical
-// to math.Pow(x, float64(n)): it replays Pow's integral-exponent branch —
-// repeated squaring over the Frexp-normalized mantissa with the exponent
-// tracked separately and a single Ldexp at the end — so every intermediate
-// rounding (including the subnormal double-rounding at the final scaling)
-// matches Pow's. A plain x*x*…*x would drift from Pow once x**k dips into
-// the subnormal range mid-product; this never does.
-func ipow(x float64, n int) float64 {
-	a1 := 1.0
-	ae := 0
-	x1, xe := math.Frexp(x)
-	for i := n; i != 0; i >>= 1 {
-		if xe < -1<<12 || 1<<12 < xe {
-			// Catastrophic underflow/overflow of the running exponent:
-			// mirror Pow's bail-out (the result rounds to 0 or Inf anyway).
-			ae += xe
-			break
-		}
-		if i&1 == 1 {
-			a1 *= x1
-			ae += xe
-		}
-		x1 *= x1
-		xe <<= 1
-		if x1 < .5 {
-			x1 += x1
-			xe--
-		}
-	}
-	return math.Ldexp(a1, ae)
+	return hi * math.Pow(1+math.Pow(math.Min(ax, ay)/hi, m.p), m.invP)
 }
 
 func (m lpMetric) InscribedSquare() float64 { return math.Exp2(1 - 1/m.p) }
@@ -312,7 +209,7 @@ func Lp(p float64) (Metric, error) {
 	case math.IsInf(p, 1):
 		return LInf, nil
 	}
-	return newLpMetric(p), nil
+	return lpMetric{p: p, invP: 1 / p}, nil
 }
 
 // MetricNames lists the accepted ParseMetric spellings for usage messages.

@@ -127,8 +127,7 @@ func TestConnectedCentersConnected(t *testing.T) {
 		t.Fatalf("got %d centers, want %d", len(centers), m)
 	}
 	// Connectivity at grid spacing ℓ/2 together with the origin.
-	g := diskgraph.NewIn(nil, geom.Origin, centers, ell/2+1e-9)
-	if !g.Connected() {
+	if math.IsInf(diskgraph.XiAtIn(nil, geom.Origin, centers, ell/2+1e-9), 1) {
 		t.Error("C_m ∪ {origin} not connected at ℓ/2 adjacency")
 	}
 	// Must contain the mandatory column.

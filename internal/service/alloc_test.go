@@ -16,6 +16,9 @@ package service
 import (
 	"runtime"
 	"testing"
+
+	"freezetag/internal/geom"
+	"freezetag/internal/instance"
 )
 
 // TestAllocs_CacheHit gates the fully-warm path: request shape known, result
@@ -88,6 +91,31 @@ func TestAllocs_SteadyStateSolve(t *testing.T) {
 			t.Logf("%.0f allocs/op", allocs)
 		})
 	}
+}
+
+// TestAllocs_InlineResolve gates the resolve of an inline-instance
+// request, which every such request pays, cache hits included: inline
+// instances skip the params memo, so resolve derives the tuple's ℓ* and ρ*
+// and hashes the points each time. The request is the benchmark's
+// inline-repeat shape, AGrid on a 1024-robot disk under ℓ2. The tuple never
+// derives ξ; when it did, through a stored δ-ball graph, resolve made
+// ~8,700 allocations.
+func TestAllocs_InlineResolve(t *testing.T) {
+	in, err := instance.Family("disk", 1024, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Config{Workers: 1})
+	req := SolveRequest{Algorithm: "agrid", Instance: in}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.resolve("agrid", geom.L2, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("inline resolve allocates %.1f allocs/op, budget is 100", allocs)
+	}
+	t.Logf("%.0f allocs/op", allocs)
 }
 
 // TestAllocs_PortfolioRaceBytes gates a served race's heap footprint: cold

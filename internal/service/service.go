@@ -604,13 +604,14 @@ type resolved struct {
 // the params memo. All failures wrap ErrBadRequest.
 //
 // Family instances and their derived tuples are memoized under paramsKey:
-// the derivation walks the whole point set (ℓ*, ρ*, ξ), and the same family
-// shape recurs across algorithms, objectives, and budgets — all of which
-// change the content hash but not the instance. Profiles never affect the
-// derivation either — (ℓ*, ρ*, ξ) are pure geometry — so the memo is
-// profile-blind by construction. A memo hit turns the cold path's
-// generation and parameter derivation into a map lookup (paramsMemoHits in
-// /statsz).
+// the derivation walks the whole point set (ℓ* and ρ*; the tuple needs no
+// ξ), and the same family shape recurs across algorithms, objectives, and
+// budgets — all of which change the content hash but not the instance.
+// Profiles never affect the derivation either — ℓ* and ρ* are pure
+// geometry — so the memo is profile-blind by construction. A memo hit turns
+// the cold path's generation and parameter derivation into a map lookup
+// (paramsMemoHits in /statsz). Inline instances skip the memo and derive on
+// every request, cache hits included.
 func (s *Service) resolve(name string, m geom.Metric, req *SolveRequest) (resolved, error) {
 	r := resolved{metric: m, inst: req.Instance, faults: req.Faults}
 	var memoKey []byte

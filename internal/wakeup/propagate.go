@@ -46,18 +46,33 @@ func (h *propHandler) RunProc(q *sim.Proc) {
 // from the Builder's slab. The walk, the wake order, and every spawned
 // process are identical; only the handler storage differs.
 //
-// Under a fault plan with an armed repair layer (InstallRepair) the
-// propagation switches to the watched variant; the fault-free path below is
-// untouched, keeping fault-free runs bit-identical.
+// Under a fault plan with an armed repair layer (InstallRepair) every
+// handoff is watched as well; fault-free runs take the plain wakes.
 func (b *Builder) Propagate(p *sim.Proc, root *Node, cont func(*sim.Proc)) error {
+	var rp *Repairer
 	if e := p.Engine(); e.FaultsEnabled() {
-		if rp := repairerOf(e); rp.installed {
-			return b.propagateRepair(p, root, cont, rp)
+		if r := repairerOf(e); r.installed {
+			rp = r
 		}
 	}
+	return b.propagate(p, root, cont, rp)
+}
+
+// propagate is the one tree walk behind Propagate and the repair layer's
+// rescues. rp is the armed repair layer, or nil when there is none. With
+// one, every handoff is watched, a dropped wake or crashed carrier orphans
+// its branch instead of silently losing it, and a stale roster (double
+// coverage by a rescue) is tolerated; the walk and wake order are the same
+// either way.
+func (b *Builder) propagate(p *sim.Proc, root *Node, cont func(*sim.Proc), rp *Repairer) error {
 	node := root
 	for node != nil {
 		if err := p.MoveTo(node.Pos); err != nil {
+			if rp != nil {
+				// Carrier crashed or ran dry: everything it still owed is
+				// orphaned for the monitor to re-parent.
+				rp.orphanSubtree(node)
+			}
 			return err
 		}
 		var woken, kept *Node
@@ -72,7 +87,24 @@ func (b *Builder) Propagate(p *sim.Proc, root *Node, cont func(*sim.Proc)) error
 		}
 		hs := b.hands.Take(1)
 		hs = append(hs, propHandler{b: b, sub: woken, cont: cont})
-		p.WakeH(node.ID, &hs[0])
+		switch {
+		case rp == nil:
+			p.WakeH(node.ID, &hs[0])
+		case p.TryWake(node.ID, &hs[0]):
+			if woken != nil {
+				rp.addWatch(p.Engine(), node, woken)
+			}
+		default:
+			// The wake did not take: an injected drop (node still asleep) or
+			// double coverage (a rescue got here first, and may not have
+			// covered our woken share). Requeue whatever is still asleep.
+			if p.Engine().Robot(node.ID).State() == sim.Asleep {
+				rp.orphans = append(rp.orphans, node.ID)
+			}
+			if woken != nil {
+				rp.orphanSubtree(woken)
+			}
+		}
 		node = kept
 	}
 	return nil

@@ -139,50 +139,6 @@ func (rp *Repairer) addWatch(e *sim.Engine, node *Node, woken *Node) {
 	})
 }
 
-// propagateRepair is Builder.Propagate under an armed repair layer: the walk
-// and wake order are identical, but every handoff is watched, a dropped wake
-// or crashed carrier orphans its branch instead of silently losing it, and a
-// stale roster (double coverage by a rescue) is tolerated.
-func (b *Builder) propagateRepair(p *sim.Proc, root *Node, cont func(*sim.Proc), rp *Repairer) error {
-	e := p.Engine()
-	node := root
-	for node != nil {
-		if err := p.MoveTo(node.Pos); err != nil {
-			// Carrier crashed or ran dry: everything it still owed is
-			// orphaned for the monitor to re-parent.
-			rp.orphanSubtree(node)
-			return err
-		}
-		var woken, kept *Node
-		switch len(node.Children) {
-		case 0:
-		case 1:
-			woken = node.Children[0]
-		default:
-			woken, kept = node.Children[0], node.Children[1]
-		}
-		hs := b.hands.Take(1)
-		hs = append(hs, propHandler{b: b, sub: woken, cont: cont})
-		if p.TryWake(node.ID, &hs[0]) {
-			if woken != nil {
-				rp.addWatch(e, node, woken)
-			}
-		} else {
-			// The wake did not take: an injected drop (node still asleep) or
-			// double coverage (a rescue got here first, and may not have
-			// covered our woken share). Requeue whatever is still asleep.
-			if e.Robot(node.ID).State() == sim.Asleep {
-				rp.orphans = append(rp.orphans, node.ID)
-			}
-			if woken != nil {
-				rp.orphanSubtree(woken)
-			}
-		}
-		node = kept
-	}
-	return nil
-}
-
 // monitor is the repair-layer process on the source robot. It never moves
 // the source itself — it only observes, dispatches rescues on idle robots
 // (the source included, when it is otherwise idle), and releases stalled
@@ -309,7 +265,7 @@ func (rp *Repairer) rescue(e *sim.Engine) int {
 		}
 		b := BuilderOf(q.Engine())
 		root := b.BuildIn(q.Engine().Metric(), q.Self().Pos(), ts)
-		_ = b.propagateRepair(q, root, nil, rp)
+		_ = b.propagate(q, root, nil, rp)
 	})
 	return 1
 }
