@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,7 +17,6 @@ import (
 
 	"freezetag/internal/dftp"
 	"freezetag/internal/instance"
-	"freezetag/internal/sim"
 	"freezetag/internal/trace"
 	"freezetag/internal/viz"
 )
@@ -65,10 +65,7 @@ func run() error {
 	}
 
 	rec := trace.New()
-	e := sim.NewEngine(sim.Config{Source: inst.Source, Sleepers: inst.Points, Trace: rec.Record})
-	tup := dftp.TupleForIn(nil, inst)
-	rep := alg.Install(e, tup)
-	res, err := e.Run()
+	res, rep, err := dftp.SolveFaulted(context.Background(), nil, nil, alg, inst, dftp.TupleForIn(nil, inst), 0, nil, rec.Record)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 
 	"freezetag/internal/dftp"
@@ -48,18 +49,13 @@ func Theorem2(alg dftp.Algorithm, rho, ell float64, n, replays int) (Theorem2Res
 			Points: pts,
 		}
 		tracker := NewTrackerIn(nil, region, ell/16)
-		e := sim.NewEngine(sim.Config{
-			Source:   inst.Source,
-			Sleepers: inst.Points,
-			Trace: func(ev sim.Event) {
+		tup := dftp.Tuple{Ell: ell, Rho: rho, N: len(pts)}
+		res, rep, err := dftp.SolveFaulted(context.Background(), nil, nil, alg, inst, tup, 0, nil,
+			func(ev sim.Event) {
 				if ev.Kind == "look" {
 					tracker.Mark(ev.Pos, ev.T)
 				}
-			},
-		})
-		tup := dftp.Tuple{Ell: ell, Rho: rho, N: len(pts)}
-		rep := alg.Install(e, tup)
-		res, err := e.Run()
+			})
 		if err != nil {
 			return Theorem2Result{}, fmt.Errorf("adversary: replay %d: %w", round, err)
 		}

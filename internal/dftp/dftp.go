@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"freezetag/internal/arena"
 	"freezetag/internal/diskgraph"
@@ -183,22 +182,6 @@ func simProfiles(inst *instance.Instance) []sim.Profile {
 	return ps
 }
 
-// wakeTarget builds the wakeup.Target of robot id at pos, attaching the
-// robot's capability profile when the engine is heterogeneous. Profile-free
-// engines keep the zero-valued targets that reproduce the pre-profile wake
-// trees exactly (see wakeup.BuildTreeIn).
-func wakeTarget(e *sim.Engine, id int, pos geom.Point) wakeup.Target {
-	t := wakeup.Target{ID: id, Pos: pos}
-	if e.Heterogeneous() {
-		r := e.Robot(id)
-		t.Speed = r.Speed()
-		if b := r.Budget(); !math.IsInf(b, 1) {
-			t.Capacity = b - r.Energy()
-		}
-	}
-	return t
-}
-
 // asleepNow filters a discovery map down to robots still asleep, which under
 // region exclusivity equals the caller's logical knowledge.
 func asleepNow(e *sim.Engine, known map[int]geom.Point) map[int]geom.Point {
@@ -209,16 +192,6 @@ func asleepNow(e *sim.Engine, known map[int]geom.Point) map[int]geom.Point {
 		}
 	}
 	return out
-}
-
-// sortedIDs returns the keys of set in ascending order.
-func sortedIDs(set map[int]geom.Point) []int {
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // assignSub maps a point to the index of the sub-square that owns it:

@@ -2,7 +2,6 @@ package dftp
 
 import (
 	"math"
-	"sort"
 
 	"freezetag/internal/explore"
 	"freezetag/internal/geom"
@@ -31,30 +30,19 @@ func gridSlotWork(r float64) float64 { return r*r + 20*r }
 // reuses the previous run's registry, report, participant handlers, and
 // wake-tree buffers instead of rebuilding them.
 func (AGrid) Install(e *sim.Engine, tup Tuple) *Report {
-	g := sim.ScratchOf(e, "dftp.agrid", func() *gridRun {
-		return &gridRun{reg: make(map[gridKey][]int), rep: &Report{}}
-	})
+	g := sim.ScratchOf(e, "dftp.agrid", func() *gridRun { return &gridRun{rep: &Report{}} })
 	g.reset(e, tup)
 	e.Spawn(sim.SourceID, g.srcFn)
 	return g.rep
 }
 
-type gridKey struct {
-	k      int // round index
-	kx, ky int // grid cell of the participants' home square
-}
-
 // gridRun is the shared state of one AGrid execution. On a pooled engine
 // the same gridRun serves every AGrid run of that engine: reset rewinds the
 // per-run state and all the amortized storage (registry value slices, the
-// participant-handler cache, the explore/wake staging buffers) carries over.
+// participant-handler cache, the wake staging buffer) carries over.
 type gridRun struct {
-	eng   *sim.Engine
-	rep   *Report
-	r     float64 // square width R = 2ℓ
-	t     float64 // per-square work bound t(ℓ)
-	slotW float64 // slot width t + 3R (√2R travel plus slack)
-	reg   map[gridKey][]int
+	schedule // cells of width R = 2ℓ, work bound t(ℓ)
+	rep      *Report
 
 	// srcFn is the source program; conts[k] is the round-k participant
 	// handler. Both close over g alone — whose fields reset per run — so
@@ -62,36 +50,19 @@ type gridRun struct {
 	// allocating one closure per wake.
 	srcFn func(*sim.Proc)
 	conts []func(*sim.Proc)
-	// ids and targets stage one exploreWake's tree construction. They are
-	// filled and consumed with no yield in between (the wake-tree builder
-	// copies the targets), so concurrent explorers on the same engine never
-	// see each other's staging.
-	ids     []int
-	targets []wakeup.Target
+	// ids stages one exploreWake's wake list. It is filled and handed to
+	// wakeup.WakeAsleep with no yield in between (WakeAsleep copies what it
+	// needs before it moves), so concurrent explorers on the same engine
+	// never see each other's staging.
+	ids []int
 }
 
-// reset rewinds the run state for a fresh execution over tup. Registry keys
-// are retained with their value slices truncated: a repeat instance shape
-// touches exactly the same (round, cell) teams, so registration allocates
-// nothing; stale keys from a previous shape are never read (reads are keyed
-// by the current run's home squares).
+// reset rewinds the run state for a fresh execution over tup.
 func (g *gridRun) reset(e *sim.Engine, tup Tuple) {
-	g.eng = e
 	g.rep.Misses = g.rep.Misses[:0]
 	g.rep.Rounds = 0
-	g.r = 2 * tup.Ell
-	// The slot-work constants are calibrated upper bounds on ℓ2 travel at
-	// unit speed; inflating them by the metric's stretch keeps them valid
-	// bounds under any ℓp (1× for p ≥ 2, √2× for ℓ1 — see
-	// geom.Metric.Stretch), and dividing by the swarm's slowest speed keeps
-	// them valid travel-time bounds under heterogeneous profiles (÷1 — the
-	// exact IEEE identity — in the homogeneous model).
-	st := e.Metric().Stretch() / e.MinSpeed()
-	g.t = gridSlotWork(g.r) * st
-	g.slotW = g.t + 3*g.r*st
-	for k, v := range g.reg {
-		g.reg[k] = v[:0]
-	}
+	r := 2 * tup.Ell
+	g.schedule.reset(e, r, gridSlotWork(r))
 	if g.srcFn == nil {
 		g.srcFn = func(p *sim.Proc) {
 			s := geom.GridCell(p.Self().Pos(), g.r)
@@ -112,32 +83,10 @@ func (g *gridRun) cont(k int) func(*sim.Proc) {
 	return g.conts[k]
 }
 
-// roundStart returns t_k, the start of round k ≥ 1. Rounds are 9 slot-widths
-// apart: 8 work slots plus one slack slot for travel and late wake-ups (a
-// schedule deviation from the paper's 8, documented in the package comment).
-func (g *gridRun) roundStart(k int) float64 {
-	return g.t + 9*g.slotW*float64(k-1)
-}
-
-// workDeadline returns the start of work slot i ∈ [1,8] of round k.
-func (g *gridRun) workDeadline(k, i int) float64 {
-	return g.roundStart(k) + g.slotW*float64(i)
-}
-
-// register adds a participant to its (round, home-square) team and returns
-// nothing; teams are read at work deadlines, strictly after every round-k
-// registration (all wake-ups of round k-1 precede t_k).
-func (g *gridRun) register(k int, s geom.Square, id int) {
-	kx, ky := geom.GridIndex(s.Center, g.r)
-	key := gridKey{k: k, kx: kx, ky: ky}
-	g.reg[key] = append(g.reg[key], id)
-}
-
+// teamLeader returns the lowest registered id of the round-k team of s.
 func (g *gridRun) teamLeader(k int, s geom.Square) int {
-	kx, ky := geom.GridIndex(s.Center, g.r)
-	ids := g.reg[gridKey{k: k, kx: kx, ky: ky}]
 	leader := math.MaxInt32
-	for _, id := range ids {
+	for _, id := range g.team(k, s) {
 		if id < leader {
 			leader = id
 		}
@@ -185,31 +134,18 @@ func (g *gridRun) exploreWake(p *sim.Proc, s geom.Square, cont func(*sim.Proc)) 
 		g.rep.miss("explore: %v", err)
 		return
 	}
-	kx, ky := geom.GridIndex(s.Center, g.r)
-	ids := g.ids[:0]
-	for id := range res.Asleep {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	targets := g.targets[:0]
-	for _, id := range ids {
-		pos := res.Asleep[id]
-		// Sweeps see up to distance 1 beyond the square; only robots whose
-		// cell is this square belong to this wake-up tree (the neighbor's
-		// explorer owns the rest).
-		if cx, cy := geom.GridIndex(pos, g.r); cx != kx || cy != ky {
-			continue
+	// Sweeps see up to distance 1 beyond the square; only robots whose cell
+	// is this square belong to this wake-up tree (the neighbor's explorer
+	// owns the rest).
+	owns := g.cellAdmit(s)
+	g.ids = g.ids[:0]
+	for id, pos := range res.Asleep {
+		if owns(pos) {
+			g.ids = append(g.ids, id)
 		}
-		if g.eng.Robot(id).State() != sim.Asleep {
-			continue
-		}
-		targets = append(targets, wakeTarget(g.eng, id, pos))
 	}
-	g.ids, g.targets = ids, targets
-	b := wakeup.BuilderOf(g.eng)
-	tree := b.BuildIn(g.eng.Metric(), p.Self().Pos(), targets)
 	explore.Recycle(p, res)
-	if err := b.Propagate(p, tree, cont); err != nil {
+	if err := wakeup.WakeAsleep(p, g.ids, cont); err != nil {
 		g.rep.miss("propagate: %v", err)
 	}
 }

@@ -155,3 +155,44 @@ func TestAGridRoundsGrowWithExtent(t *testing.T) {
 			repSmall.Rounds, repLarge.Rounds)
 	}
 }
+
+// A budget too small for the algorithm is a reported outcome, never a
+// crash. A team leader that runs dry halts mid-move and strands its team
+// while the algorithm keeps the roster, so the next escort finds members
+// away from their leader; every algorithm on every family shape, at
+// budgets from hopeless to ample, must finish with either everyone awake
+// or the violation that explains who is not. The walk shapes at param 1,
+// seed 3 are the ASeparator and ASeparatorAuto repros of the stranded
+// escort.
+func TestBudgetSweepNeverCrashes(t *testing.T) {
+	type shape struct {
+		family string
+		param  float64
+	}
+	var shapes []shape
+	for _, f := range append(instance.FamilyNames(), "walk+capband:40") {
+		shapes = append(shapes, shape{f, 0.9})
+	}
+	shapes = append(shapes, shape{"walk", 1}, shape{"walk+capband:40", 1})
+	for _, alg := range []Algorithm{AGrid{}, ASeparator{}, ASeparatorAuto{}, AWave{}} {
+		for _, sh := range shapes {
+			for seed := int64(1); seed <= 3; seed++ {
+				inst, err := instance.Family(sh.family, 32, sh.param, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tup := TupleForIn(nil, inst)
+				for _, budget := range []float64{10, 20, 30, 50, 80, 120, 200} {
+					res, _, err := Solve(alg, inst, tup, budget)
+					if err != nil {
+						t.Fatalf("%s on %s seed %d budget %g: %v", alg.Name(), inst.Name, seed, budget, err)
+					}
+					if !res.AllAwake && len(res.Violations) == 0 {
+						t.Errorf("%s on %s seed %d budget %g: %d of %d awake with no budget violation",
+							alg.Name(), inst.Name, seed, budget, res.Awakened, inst.N())
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGridScheduleMonotone(t *testing.T) {
-	g := &gridRun{r: 2, t: gridSlotWork(2)}
+	g := &schedule{r: 2, t: gridSlotWork(2)}
 	g.slotW = g.t + 3*g.r
 	prev := 0.0
 	for k := 1; k <= 4; k++ {
@@ -42,7 +42,7 @@ func TestGridSlotWindowsCoverWork(t *testing.T) {
 }
 
 func TestGridRegistrationLeader(t *testing.T) {
-	g := &gridRun{r: 2, reg: make(map[gridKey][]int)}
+	g := &gridRun{schedule: schedule{r: 2, reg: make(map[gridKey][]int)}}
 	s := geom.GridCell(geom.Pt(0.3, 0.3), 2)
 	g.register(1, s, 7)
 	g.register(1, s, 3)

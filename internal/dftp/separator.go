@@ -325,15 +325,8 @@ func (c *sepCtx) reorganize(p *sim.Proc, S geom.Square, subs [4]geom.Square,
 func (c *sepCtx) terminalWake(p *sim.Proc, members []int, S geom.Square,
 	admit func(geom.Point) bool, known map[int]geom.Point) {
 
-	targets := make([]wakeup.Target, 0, len(known))
-	for _, id := range sortedIDs(asleepNow(c.eng, known)) {
-		pos := known[id]
-		if admit(pos) {
-			targets = append(targets, wakeTarget(c.eng, id, pos))
-		}
-	}
-	tree := wakeup.BuildTreeIn(c.eng.Metric(), p.Self().Pos(), targets)
-	if err := wakeup.Propagate(p, tree, c.cont); err != nil {
+	ids := appendAdmitted(make([]int, 0, len(known)), known, admit)
+	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("terminal propagate: %v", err)
 	}
 	c.releaseMembers(members)
@@ -349,26 +342,25 @@ func (c *sepCtx) baseExploreWake(p *sim.Proc, members []int, S geom.Square,
 	if err != nil {
 		c.rep.miss("base explore: %v", err)
 	}
-	merged := make(map[int]geom.Point, len(known)+len(res.Asleep))
-	for id, pos := range known {
-		merged[id] = pos
-	}
-	for id, pos := range res.Asleep {
-		merged[id] = pos
-	}
+	ids := appendAdmitted(make([]int, 0, len(known)+len(res.Asleep)), known, admit)
+	ids = appendAdmitted(ids, res.Asleep, admit)
 	explore.Recycle(p, res)
-	targets := make([]wakeup.Target, 0, len(merged))
-	for _, id := range sortedIDs(asleepNow(c.eng, merged)) {
-		pos := merged[id]
-		if admit(pos) {
-			targets = append(targets, wakeTarget(c.eng, id, pos))
-		}
-	}
-	tree := wakeup.BuildTreeIn(c.eng.Metric(), p.Self().Pos(), targets)
-	if err := wakeup.Propagate(p, tree, c.cont); err != nil {
+	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("base propagate: %v", err)
 	}
 	c.releaseMembers(members)
+}
+
+// appendAdmitted appends to ids the robots of set whose position admit
+// accepts, in map order; wakeup.WakeAsleep sorts them, drops repeats and
+// keeps only the robots still asleep.
+func appendAdmitted(ids []int, set map[int]geom.Point, admit func(geom.Point) bool) []int {
+	for id, pos := range set {
+		if admit(pos) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // releaseMembers ends the team life of passive members after a terminal

@@ -50,21 +50,9 @@ func waveSlotWork(r, ell float64) float64 {
 // Install implements Algorithm.
 func (AWave) Install(e *sim.Engine, tup Tuple) *Report {
 	rep := &Report{}
-	w := &waveRun{
-		eng: e,
-		rep: rep,
-		tup: tup,
-		ell: waveEll(tup.Ell),
-		reg: make(map[gridKey][]int),
-	}
-	w.r = waveWidth(tup.Ell)
-	// Slot-work bounds are ℓ2-calibrated at unit speed; the metric stretch
-	// keeps them valid travel bounds under any ℓp, and dividing by the
-	// slowest speed keeps them valid travel-time bounds under heterogeneous
-	// profiles (see AGrid.Install).
-	st := e.Metric().Stretch() / e.MinSpeed()
-	w.t = waveSlotWork(w.r, tup.Ell) * st
-	w.slotW = w.t + 3*w.r*st
+	w := &waveRun{eng: e, rep: rep, tup: tup, ell: waveEll(tup.Ell)}
+	r := waveWidth(tup.Ell)
+	w.reset(e, r, waveSlotWork(r, tup.Ell))
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		s := geom.GridCell(p.Self().Pos(), w.r)
 		admit := w.cellAdmit(s)
@@ -88,14 +76,11 @@ func (AWave) Install(e *sim.Engine, tup Tuple) *Report {
 
 // waveRun is the shared state of one AWave execution.
 type waveRun struct {
-	eng   *sim.Engine
-	rep   *Report
-	tup   Tuple
-	ell   float64 // max(ℓ, 4)
-	r     float64 // square width R
-	t     float64 // per-square ASeparator bound t(R)
-	slotW float64
-	reg   map[gridKey][]int
+	schedule // cells of width R, work bound t(R)
+	eng      *sim.Engine
+	rep      *Report
+	tup      Tuple
+	ell      float64 // max(ℓ, 4)
 }
 
 // sepTuple is the tuple handed to the inner ASeparator executions: the wave
@@ -104,34 +89,9 @@ func (w *waveRun) sepTuple() Tuple {
 	return Tuple{Ell: w.ell, Rho: w.r, N: w.tup.N}
 }
 
-// cellAdmit returns the exclusive ownership predicate of a wave cell.
-func (w *waveRun) cellAdmit(s geom.Square) func(geom.Point) bool {
-	kx, ky := geom.GridIndex(s.Center, w.r)
-	return func(p geom.Point) bool {
-		cx, cy := geom.GridIndex(p, w.r)
-		return cx == kx && cy == ky
-	}
-}
-
-func (w *waveRun) roundStart(k int) float64 { return w.t + 9*w.slotW*float64(k-1) }
-
+// gatherDeadline is when a round-k team, gathered at its home cell's
+// lower-left corner, is read.
 func (w *waveRun) gatherDeadline(k int) float64 { return w.roundStart(k) + 0.5*w.slotW }
-
-func (w *waveRun) workDeadline(k, i int) float64 {
-	return w.roundStart(k) + w.slotW*float64(i)
-}
-
-func (w *waveRun) register(k int, s geom.Square, id int) {
-	kx, ky := geom.GridIndex(s.Center, w.r)
-	w.reg[gridKey{k: k, kx: kx, ky: ky}] = append(w.reg[gridKey{k: k, kx: kx, ky: ky}], id)
-}
-
-func (w *waveRun) team(k int, s geom.Square) []int {
-	kx, ky := geom.GridIndex(s.Center, w.r)
-	ids := append([]int(nil), w.reg[gridKey{k: k, kx: kx, ky: ky}]...)
-	sort.Ints(ids)
-	return ids
-}
 
 // participant returns the handler run by every robot woken during round k-1:
 // gather at the home square's lower-left corner; if the gathered team has at
@@ -153,7 +113,8 @@ func (w *waveRun) participant(k int) func(*sim.Proc) {
 				p.ID(), k, p.Now(), gd)
 		}
 		p.WaitUntil(gd)
-		team := w.team(k, home)
+		team := append([]int(nil), w.team(k, home)...)
+		sort.Ints(team)
 		if len(team) < 4*w.sepTuple().L() {
 			return // Tr too small to act (per §8.2); everyone stops.
 		}

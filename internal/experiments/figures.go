@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -48,10 +49,8 @@ func f1Phases(n int) ([]Row, error) {
 	}
 	stats := map[int]*depthStat{}
 	var wakeTimes []float64
-	e := sim.NewEngine(sim.Config{
-		Source:   in.Source,
-		Sleepers: in.Points,
-		Trace: func(ev sim.Event) {
+	res, rep, err := dftp.SolveFaulted(context.Background(), nil, nil, dftp.ASeparator{}, in, tup, 0, nil,
+		func(ev sim.Event) {
 			switch ev.Kind {
 			case "wake":
 				wakeTimes = append(wakeTimes, ev.T)
@@ -72,10 +71,7 @@ func f1Phases(n int) ([]Row, error) {
 				}
 				ds.branches++
 			}
-		},
-	})
-	rep := dftp.ASeparator{}.Install(e, tup)
-	res, err := e.Run()
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"freezetag/internal/dftp"
+	"freezetag/internal/diskgraph"
 	"freezetag/internal/geom"
 	"freezetag/internal/instance"
 	"freezetag/internal/portfolio"
@@ -52,7 +53,14 @@ func (r *Runner) M1Metrics(scale Scale) (*report.Table, error) {
 		"family", "metric", "n", "ℓ*", "ρ*", "ASeparator", "AGrid", "AWave", "winner")
 	err := Sweep(r, t, cfgs, func(tr *Trial, c cfg) (Row, error) {
 		in := c.build(tr)
-		tup := dftp.TupleForIn(c.metric, in)
+		// One derivation of ℓ* and ρ* serves both the printed columns and
+		// the tuple; the table shows no ξ, so none is derived.
+		p := diskgraph.Params{
+			Rho: geom.MaxDistFromIn(c.metric, in.Source, in.Points),
+			Ell: diskgraph.ConnectivityThresholdIn(c.metric, in.Source, in.Points),
+			N:   in.N(),
+		}
+		tup := dftp.TupleFromParams(p)
 		pf := portfolio.Portfolio{Algorithms: entrants, Objective: portfolio.MinMakespan{}, Seed: r.seed}
 		res, err := portfolio.Race(pf, in, tup, 0, portfolio.Options{Metric: c.metric})
 		if err != nil {
@@ -64,7 +72,6 @@ func (r *Runner) M1Metrics(scale Scale) (*report.Table, error) {
 					rr.Algorithm, in.Name, c.metric.Name())
 			}
 		}
-		p := in.ParamsIn(c.metric)
 		return Row{c.family, c.metric.Name(), in.N(), p.Ell, p.Rho,
 			res.Racers[0].Makespan, res.Racers[1].Makespan, res.Racers[2].Makespan,
 			res.Racers[res.Winner].Algorithm}, nil

@@ -178,9 +178,6 @@ func serverTiming(sv Solved) string {
 	if sv.sim > 0 || sv.Outcome == OutcomeMiss {
 		b = obs.AppendServerTiming(b, "sim", sv.sim)
 	}
-	if sv.repair > 0 {
-		b = obs.AppendServerTiming(b, "repair", sv.repair)
-	}
 	if sv.marshal > 0 || sv.Outcome == OutcomeMiss {
 		b = obs.AppendServerTiming(b, "marshal", sv.marshal)
 	}

@@ -325,6 +325,29 @@ func TestHTTPHealthzStatsz(t *testing.T) {
 	}
 }
 
+// A budget that strands a team mid-escort is a 200 that reports who was
+// left asleep, not a crashed server: this 86-byte request once panicked a
+// simulator goroutine and took the whole process down.
+func TestHTTPBudgetStrandedEscort(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	const body = `{"algorithm":"aseparatorauto","family":"walk","n":32,"param":0.9,"seed":3,"budget":30}`
+	resp, data := postSolve(t, srv, body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"allAwake":false`) {
+		t.Fatalf("stranded-escort solve: %d %s", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), `"violations":[`) {
+		t.Errorf("stranded-escort solve reports no budget violation: %s", data)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the stranded-escort solve: %d", resp.StatusCode)
+	}
+}
+
 func TestHTTPBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	srv := httptest.NewServer(s.Handler())

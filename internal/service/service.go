@@ -134,7 +134,7 @@ type Solved struct {
 	// Server-Timing response header and the structured request log — never
 	// in Body, which stays byte-identical across hot and cold serves.
 	// Total covers the whole call including synchronization. The embedded
-	// stageTimes (queue, sim, repair, marshal, and a traced race's racer
+	// stageTimes (queue, sim, marshal, and a traced race's racer
 	// observations) are zero for cache hits, since those stages didn't run;
 	// for coalesced requests they describe the in-flight run that was joined.
 	Resolve time.Duration
@@ -175,10 +175,6 @@ type stageTimes struct {
 	queue   time.Duration
 	sim     time.Duration
 	marshal time.Duration
-	// repair is the estimated share of sim spent inside the fault-repair
-	// layer's active window (zero for fault-free runs); it surfaces as a
-	// "repair" child span on kept traces and a Server-Timing entry.
-	repair time.Duration
 	// racers is the run's per-racer observation list (portfolio runs with
 	// tracing enabled only), sorted by entrant index. Like the durations
 	// above it is written strictly before close(done).
@@ -249,13 +245,10 @@ type Service struct {
 	scheduleMisses map[string]*obs.Counter
 
 	// Per-stage latency histograms (seconds, power-of-two buckets ~1µs…32s)
-	// plus end-to-end request histograms per endpoint. stageRepair records
-	// the approximate wall share of faulted runs spent inside the repair
-	// layer's active window (zero-fault runs never touch it).
+	// plus end-to-end request histograms per endpoint.
 	stageResolve *obs.Histogram
 	stageQueue   *obs.Histogram
 	stageSim     *obs.Histogram
-	stageRepair  *obs.Histogram
 	stageMarshal *obs.Histogram
 	racerSim     *obs.Histogram
 	racerCancel  *obs.Histogram
@@ -362,11 +355,10 @@ func (s *Service) initObs() {
 	s.evictedBytes = r.Counter("dftp_cache_evicted_bytes_total", "Approximate retained bytes of the evicted result-cache entries.")
 	s.traceReplays = r.Counter("dftp_trace_replays_total", "GET /v1/trace requests admitted to re-simulate a cached run.")
 
-	const stageHelp = "Per-stage request latency: resolve (validate + materialize + hash), queue (admission to worker pickup), sim (the simulation or whole race), repair (estimated share of sim inside the fault-repair window), marshal (response encoding)."
+	const stageHelp = "Per-stage request latency: resolve (validate + materialize + hash), queue (admission to worker pickup), sim (the simulation or whole race), marshal (response encoding)."
 	s.stageResolve = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "resolve"))
 	s.stageQueue = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "queue"))
 	s.stageSim = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "sim"))
-	s.stageRepair = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "repair"))
 	s.stageMarshal = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "marshal"))
 
 	s.repairs = r.Counter("dftp_repairs_total", "Wake-tree repair interventions (rescue dispatches and stalled-process releases) across all completed runs.")
@@ -957,9 +949,6 @@ func serve[S solver](s *Service, ep endpoint, topt TraceOpt, sp *obs.Span, sol S
 		if err != nil {
 			return nil, err
 		}
-		if ts.repair = repairShare(res, ts.sim); ts.repair > 0 {
-			s.stageRepair.Record(ts.repair.Seconds())
-		}
 		s.recordSimProbes(in.alg.Name(), res, rep)
 		body, err := json.Marshal(out)
 		ts.marshal = rsp.Mark()
@@ -993,23 +982,6 @@ func (s *Service) recordSimProbes(alg string, res sim.Result, rep *dftp.Report) 
 		s.faultsInjected["roster-skip"].Add(f.RosterSkips)
 		s.repairs.Add(f.Repairs)
 	}
-}
-
-// repairShare approximates how much of a faulted run's sim wall time fell
-// inside the repair layer's active window: the virtual-time window scaled by
-// wall/makespan. Zero for fault-free and repair-free runs.
-func repairShare(res sim.Result, sim time.Duration) time.Duration {
-	if res.Faults.Repairs == 0 || res.Makespan <= 0 {
-		return 0
-	}
-	frac := (res.Faults.LastRepair - res.Faults.FirstRepair) / res.Makespan
-	if frac <= 0 {
-		return 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return time.Duration(frac * float64(sim))
 }
 
 // finish closes out one request: it records the resolve-stage and

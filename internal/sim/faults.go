@@ -112,11 +112,6 @@ type FaultStats struct {
 	// Repairs counts repair-layer interventions (rescue dispatches and
 	// stalled-process releases).
 	Repairs int64
-	// FirstRepair and LastRepair bound the virtual-time window the repair
-	// layer was active in (both zero when Repairs is 0). The serving tier
-	// scales them against the makespan to approximate a "repair" stage span.
-	FirstRepair float64
-	LastRepair  float64
 }
 
 // Injected returns the total number of injected faults (repairs and roster
@@ -229,12 +224,6 @@ func (e *Engine) AppendAsleep(buf []int) []int {
 // and emits the "repair" trace event.
 func (e *Engine) RecordRepair(id int, note string) {
 	e.fstats.Repairs++
-	if e.fstats.Repairs == 1 {
-		e.fstats.FirstRepair = e.now
-	}
-	if e.fstats.Repairs == 1 || e.now > e.fstats.LastRepair {
-		e.fstats.LastRepair = e.now
-	}
 	e.emit(Event{T: e.now, Robot: id, Kind: "repair", Pos: e.Robot(id).pos, Extra: note})
 }
 

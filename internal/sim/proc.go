@@ -270,6 +270,12 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 	d := p.eng.dist(start, dst)
 	speed := p.r.speed
 	faulted := p.eng.faults != nil
+	// Once a budget violation is on record, a leader may have run dry
+	// mid-move and left its team behind while the algorithm kept the
+	// roster: a member that is not awake and co-located is then left where
+	// it is, like a halted one. The violation already explains it, so it is
+	// not counted as a fault.
+	stranded := len(p.eng.violations) > 0
 	for _, id := range ids {
 		r := p.eng.Robot(id)
 		if r.stopped {
@@ -278,13 +284,17 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 			// treating the stale roster entry as an algorithm bug.
 			continue
 		}
-		if faulted && (r.state != Awake || !r.pos.Eq(start)) {
+		stale := r.state != Awake || !r.pos.Eq(start)
+		if faulted && stale {
 			// Under fault injection a stale roster entry is a runtime
 			// condition (a crash or repair raced this team's bookkeeping):
 			// the member is left behind and counted, not panicked over.
 			p.eng.fstats.RosterSkips++
 			p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "fault-roster", Pos: p.r.pos,
 				Extra: fmt.Sprintf("escort %d", id)})
+			continue
+		}
+		if stranded && stale {
 			continue
 		}
 		if r.state != Awake {
@@ -307,7 +317,7 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 		if r.stopped {
 			continue
 		}
-		if faulted && (r.state != Awake || !r.pos.Eq(start)) {
+		if (faulted || stranded) && (r.state != Awake || !r.pos.Eq(start)) {
 			// Skipped above (members are passive, so the invalid set cannot
 			// change while the leader moves); already counted there.
 			continue

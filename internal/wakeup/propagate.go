@@ -1,22 +1,44 @@
 package wakeup
 
-import "freezetag/internal/sim"
+import (
+	"math"
+	"sort"
 
-// Propagate realizes a wake-up tree on the simulator, implementing the
-// paper's Algorithm 1 ("Propagate Wake-Up Tree"). The calling process moves
-// to the root, wakes it, and the tree is split between waker and woken at
-// every step: the woken robot takes Children[0], the waker continues with
-// Children[1]. Each woken robot runs cont (may be nil) once its share of the
-// propagation is complete — this is how AGrid/AWave attach round
-// participation to freshly awakened robots.
-//
-// Propagate returns when the caller's own share is done; other branches
-// continue in their own processes. Robots in the tree must still be asleep
-// when reached — the paper's conflict-freedom precondition (Lemma 2), which
-// the callers establish by operating in exclusive regions.
-func Propagate(p *sim.Proc, root *Node, cont func(*sim.Proc)) error {
-	var b Builder
-	return b.Propagate(p, root, cont)
+	"freezetag/internal/sim"
+)
+
+// WakeAsleep is the wake step every algorithm and the repair layer end a
+// region with: one wake-up tree, rooted at the caller's position, over the
+// robots of ids that are still asleep, realized by Algorithm 1 with cont
+// attached to every woken robot. ids may come in any order and repeat; it
+// is sorted in place, and the tree is built over the distinct ids in
+// ascending order. Each target's position — and, on a heterogeneous engine,
+// its speed and remaining energy — is read from the engine's robot record,
+// and the tree comes from the engine's pooled Builder, so a steady stream
+// of wakes allocates nothing. An armed repair layer watches every handoff
+// (see Builder.Propagate).
+func WakeAsleep(p *sim.Proc, ids []int, cont func(*sim.Proc)) error {
+	e := p.Engine()
+	b := BuilderOf(e)
+	sort.Ints(ids)
+	b.stage = b.stage[:0]
+	for i, id := range ids {
+		r := e.Robot(id)
+		if (i > 0 && id == ids[i-1]) || r.State() != sim.Asleep {
+			continue
+		}
+		t := Target{ID: id, Pos: r.Pos()}
+		if e.Heterogeneous() {
+			// Profile-free engines keep the zero-valued targets that
+			// reproduce the pre-profile trees exactly (see BuildTreeIn).
+			t.Speed = r.Speed()
+			if c := r.Budget(); !math.IsInf(c, 1) {
+				t.Capacity = c - r.Energy()
+			}
+		}
+		b.stage = append(b.stage, t)
+	}
+	return b.Propagate(p, b.BuildIn(e.Metric(), p.Self().Pos(), b.stage), cont)
 }
 
 // propHandler is the wake handler of one tree node, carved from the
@@ -42,9 +64,19 @@ func (h *propHandler) RunProc(q *sim.Proc) {
 	}
 }
 
-// Propagate is the package-level Propagate drawing its per-wake handlers
-// from the Builder's slab. The walk, the wake order, and every spawned
-// process are identical; only the handler storage differs.
+// Propagate realizes a wake-up tree on the simulator, implementing the
+// paper's Algorithm 1 ("Propagate Wake-Up Tree"). The calling process moves
+// to the root, wakes it, and the tree is split between waker and woken at
+// every step: the woken robot takes Children[0], the waker continues with
+// Children[1]. Each woken robot runs cont (may be nil) once its share of the
+// propagation is complete — this is how AGrid/AWave attach round
+// participation to freshly awakened robots. The per-wake handlers come from
+// the Builder's slab, so waking a wave of n robots captures no closures.
+//
+// Propagate returns when the caller's own share is done; other branches
+// continue in their own processes. Robots in the tree must still be asleep
+// when reached — the paper's conflict-freedom precondition (Lemma 2), which
+// the callers establish by operating in exclusive regions.
 //
 // Under a fault plan with an armed repair layer (InstallRepair) every
 // handoff is watched as well; fault-free runs take the plain wakes.
@@ -58,8 +90,7 @@ func (b *Builder) Propagate(p *sim.Proc, root *Node, cont func(*sim.Proc)) error
 	return b.propagate(p, root, cont, rp)
 }
 
-// propagate is the one tree walk behind Propagate and the repair layer's
-// rescues. rp is the armed repair layer, or nil when there is none. With
+// propagate is the one tree walk behind Propagate. rp is the armed repair layer, or nil when there is none. With
 // one, every handoff is watched, a dropped wake or crashed carrier orphans
 // its branch instead of silently losing it, and a stale roster (double
 // coverage by a rescue) is tolerated; the walk and wake order are the same

@@ -63,7 +63,6 @@ type Repairer struct {
 	watches   []watch
 	orphans   []int
 	idbuf     []int
-	tbuf      []Target
 	attempts  []int
 }
 
@@ -244,28 +243,7 @@ func (rp *Repairer) rescue(e *sim.Engine) int {
 		// Continuations are not re-attached: the orphans' round duties died
 		// with their branch, and the stalled-release path absorbs whatever
 		// synchronization was counting on them.
-		ts := rp.tbuf[:0]
-		for _, id := range ids {
-			r := q.Engine().Robot(id)
-			if r.State() != sim.Asleep {
-				continue
-			}
-			t := Target{ID: id, Pos: r.Pos()}
-			if q.Engine().Heterogeneous() {
-				t.Speed = r.Speed()
-				if b := r.Budget(); !math.IsInf(b, 1) {
-					t.Capacity = b - r.Energy()
-				}
-			}
-			ts = append(ts, t)
-		}
-		rp.tbuf = ts[:0]
-		if len(ts) == 0 {
-			return
-		}
-		b := BuilderOf(q.Engine())
-		root := b.BuildIn(q.Engine().Metric(), q.Self().Pos(), ts)
-		_ = b.propagate(q, root, nil, rp)
+		_ = WakeAsleep(q, ids, nil)
 	})
 	return 1
 }

@@ -27,7 +27,7 @@ func propagateRun(t *testing.T, faults *sim.FaultPlan, repair bool) (sim.Result,
 		Trace:    func(ev sim.Event) { events = append(events, ev) },
 	})
 	root := BuildTreeIn(nil, geom.Origin, ts)
-	e.Spawn(sim.SourceID, func(p *sim.Proc) { _ = Propagate(p, root, nil) })
+	e.Spawn(sim.SourceID, func(p *sim.Proc) { _ = new(Builder).Propagate(p, root, nil) })
 	if repair {
 		InstallRepair(e, RepairConfig{Poll: 0.5})
 	}

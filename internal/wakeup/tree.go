@@ -91,6 +91,7 @@ type Builder struct {
 	kids   arena.Slab[*Node]
 	hands  arena.Slab[propHandler]
 	ts     []Target // working copy of the current build's targets
+	stage  []Target // WakeAsleep's targets, staged for BuildIn
 	part   []Target // bisection partition scratch (see build)
 }
 

@@ -3,6 +3,7 @@ package wakeup
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"freezetag/internal/geom"
@@ -137,7 +138,7 @@ func TestPropagateWakesAll(t *testing.T) {
 	root := BuildTreeIn(nil, geom.Origin, ts)
 	contCount := 0
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		if err := Propagate(p, root, func(q *sim.Proc) { contCount++ }); err != nil {
+		if err := new(Builder).Propagate(p, root, func(q *sim.Proc) { contCount++ }); err != nil {
 			t.Errorf("Propagate: %v", err)
 		}
 	})
@@ -175,7 +176,7 @@ func TestPropagateParallelism(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: pts})
 	root := BuildTreeIn(nil, geom.Origin, ts)
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		if err := Propagate(p, root, nil); err != nil {
+		if err := new(Builder).Propagate(p, root, nil); err != nil {
 			t.Errorf("Propagate: %v", err)
 		}
 	})
@@ -211,7 +212,7 @@ func TestPropagateMatchesMakespanRandom(t *testing.T) {
 		e := sim.NewEngine(sim.Config{Source: start, Sleepers: pts})
 		root := BuildTreeIn(nil, start, ts)
 		e.Spawn(sim.SourceID, func(p *sim.Proc) {
-			if err := Propagate(p, root, nil); err != nil {
+			if err := new(Builder).Propagate(p, root, nil); err != nil {
 				t.Errorf("Propagate: %v", err)
 			}
 		})
@@ -243,5 +244,57 @@ func TestValidRejectsBadTrees(t *testing.T) {
 	chain := &Node{ID: 1}
 	if Valid(chain, []int{1, 2}) {
 		t.Error("missing id accepted")
+	}
+}
+
+// WakeAsleep wakes exactly the still-asleep robots of its ids — given in
+// any order, repeats included — along the tree BuildTreeIn builds over
+// them in ascending order, with positions and (on a heterogeneous engine)
+// profiles read from the engine's robot records.
+func TestWakeAsleepMatchesBuiltTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for _, hetero := range []bool{false, true} {
+		ts := randomTargets(rng, 30, 8)
+		pts := make([]geom.Point, len(ts))
+		var profiles []sim.Profile
+		for i := range ts {
+			pts[i] = ts[i].Pos
+			if hetero {
+				ts[i].Speed, ts[i].Capacity = 0.5+rng.Float64(), 50+rng.Float64()*50
+				profiles = append(profiles, sim.Profile{Speed: ts[i].Speed, Capacity: ts[i].Capacity})
+			}
+		}
+		ids := rng.Perm(len(ts))
+		for i := range ids {
+			ids[i]++
+		}
+		ids = append(ids, ids[:5]...)
+		run := func(wake func(p *sim.Proc) error) []sim.Event {
+			var events []sim.Event
+			e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: pts, Profiles: profiles,
+				Trace: func(ev sim.Event) { events = append(events, ev) }})
+			e.Spawn(sim.SourceID, func(p *sim.Proc) {
+				// Robot 1 is awake before the tree is built, so WakeAsleep
+				// must leave it out.
+				if err := p.MoveTo(pts[0]); err != nil {
+					t.Error(err)
+				}
+				p.Wake(1, nil)
+				if err := wake(p); err != nil {
+					t.Error(err)
+				}
+			})
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return events
+		}
+		got := run(func(p *sim.Proc) error { return WakeAsleep(p, ids, nil) })
+		want := run(func(p *sim.Proc) error {
+			return new(Builder).Propagate(p, BuildTreeIn(nil, p.Self().Pos(), ts[1:]), nil)
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hetero=%v: WakeAsleep's %d events differ from the built tree's %d", hetero, len(got), len(want))
+		}
 	}
 }
