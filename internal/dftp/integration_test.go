@@ -161,9 +161,10 @@ func TestAGridRoundsGrowWithExtent(t *testing.T) {
 // while the algorithm keeps the roster, so the next escort finds members
 // away from their leader; every algorithm on every family shape, at
 // budgets from hopeless to ample, must finish with either everyone awake
-// or the violation that explains who is not. The walk shapes at param 1,
-// seed 3 are the ASeparator and ASeparatorAuto repros of the stranded
-// escort.
+// or the violation that explains who is not. Seed 3 holds the repros of
+// the stranded escort: ASeparatorAuto on walk at param 0.9 and budget 30,
+// and ASeparator at param 1 on walk at budget 50 and on walk+capband:40 at
+// budget 80.
 func TestBudgetSweepNeverCrashes(t *testing.T) {
 	type shape struct {
 		family string

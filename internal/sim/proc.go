@@ -262,9 +262,11 @@ func (p *Proc) WakeH(id int, handler Handler) {
 // stays a team, so its fast robots wait for the slow ones. It implements
 // team movement. If any member exhausts its budget, that member halts in
 // place and is dropped from the team — as is any member already halted by an
-// earlier exhaustion, so a stale roster keeps working; the returned slice
-// holds the ids that completed the move (the caller is not listed). A caller
-// budget exhaustion returns the error and moves nobody further.
+// earlier exhaustion or, once the run has recorded a budget violation, any
+// member no longer awake beside the caller, so a stale roster keeps working;
+// the returned slice holds the ids that completed the move (the caller is
+// not listed). A caller budget exhaustion returns the error and moves
+// nobody further.
 func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 	start := p.r.pos
 	d := p.eng.dist(start, dst)

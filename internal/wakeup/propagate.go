@@ -90,11 +90,11 @@ func (b *Builder) Propagate(p *sim.Proc, root *Node, cont func(*sim.Proc)) error
 	return b.propagate(p, root, cont, rp)
 }
 
-// propagate is the one tree walk behind Propagate. rp is the armed repair layer, or nil when there is none. With
-// one, every handoff is watched, a dropped wake or crashed carrier orphans
-// its branch instead of silently losing it, and a stale roster (double
-// coverage by a rescue) is tolerated; the walk and wake order are the same
-// either way.
+// propagate is the one tree walk behind Propagate. rp is the armed repair
+// layer, or nil when there is none. With one, every handoff is watched, a
+// dropped wake or crashed carrier orphans its branch instead of silently
+// losing it, and a stale roster (double coverage by a rescue) is tolerated;
+// the walk and wake order are the same either way.
 func (b *Builder) propagate(p *sim.Proc, root *Node, cont func(*sim.Proc), rp *Repairer) error {
 	node := root
 	for node != nil {
