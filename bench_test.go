@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"freezetag"
+	"freezetag/internal/arena"
 	"freezetag/internal/dftp"
 	"freezetag/internal/diskgraph"
 	"freezetag/internal/experiments"
@@ -220,6 +221,44 @@ func BenchmarkSim_MoveLookCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSim_Handoff prices the simulator's process resume, which every
+// event dispatch pays: the source spawns 64 processes half a time unit
+// apart and each waits 20 times, ~1,400 dispatches per op with ~41
+// processes alive at once. pooled runs every op on one arena engine, whose
+// idle process coroutines carry over; oneshot builds a fresh engine per op.
+func BenchmarkSim_Handoff(b *testing.B) {
+	worker := func(q *sim.Proc) {
+		for j := 0; j < 20; j++ {
+			q.Wait(1)
+		}
+	}
+	source := func(p *sim.Proc) {
+		for i := 0; i < 64; i++ {
+			p.Engine().Spawn(sim.SourceID, worker)
+			p.Wait(0.5)
+		}
+	}
+	cfg := sim.Config{Source: geom.Origin}
+	run := func(b *testing.B, engine func() *sim.Engine) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := engine()
+			e.Spawn(sim.SourceID, source)
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("pooled", func(b *testing.B) {
+		a := arena.New("bench")
+		defer a.Close()
+		run(b, func() *sim.Engine { return sim.NewEngineIn(a, cfg) })
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		run(b, func() *sim.Engine { return sim.NewEngine(cfg) })
+	})
 }
 
 func BenchmarkSpatial_Within(b *testing.B) {

@@ -81,7 +81,7 @@ func New(owner string) *Arena {
 }
 
 // closer matches stashed values owning resources beyond memory (an engine's
-// pooled process goroutines); Close releases them.
+// idle process coroutines); Close releases them.
 type closer interface{ Close() }
 
 // Close releases every stashed value that implements Close and empties the

@@ -2,6 +2,7 @@ package dftp
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,5 +76,67 @@ func TestArenaTraceMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// panicAlg is an Algorithm whose source wakes the robots it sees onto a
+// barrier no one else reaches, waits, and then panics, so the arena engine
+// it runs on holds awake robots and parked processes when it does.
+type panicAlg struct{}
+
+func (panicAlg) Name() string { return "panic" }
+
+func (panicAlg) Install(e *sim.Engine, tup Tuple) *Report {
+	e.Spawn(sim.SourceID, func(p *sim.Proc) {
+		seen := append([]sim.Sighting(nil), p.Look().Asleep...)
+		for _, s := range seen {
+			if err := p.MoveTo(s.Pos); err != nil {
+				break
+			}
+			p.Wake(s.ID, func(q *sim.Proc) { q.Barrier("panic/never", 2) })
+		}
+		p.Wait(1)
+		panic("panicAlg: source fault")
+	})
+	return &Report{}
+}
+
+// A process panic on a worker arena is the solve's error, not the end of
+// the program, and it does not poison the arena: the next solve there runs
+// on a fresh engine and emits exactly the events of a one-shot engine.
+func TestArenaSolveAfterProcessPanic(t *testing.T) {
+	inst, err := instance.Family("walk", 24, 0.9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := TupleForIn(nil, inst)
+	solve := func(ar *arena.Arena, alg Algorithm) (sim.Result, []sim.Event, error) {
+		rec := trace.New()
+		res, _, err := SolveFaulted(context.Background(), ar, nil, alg, inst, tup, 0, nil, rec.Record)
+		return res, rec.Events(), err
+	}
+	ar := arena.New("test")
+	defer ar.Close()
+	if _, _, err := solve(ar, AGrid{}); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := solve(ar, panicAlg{})
+	if !errors.Is(err, sim.ErrProcessPanic) || !strings.Contains(err.Error(), "panicAlg: source fault") {
+		t.Fatalf("err = %v, want ErrProcessPanic carrying the panic value", err)
+	}
+	if res.Awakened == 0 {
+		t.Fatal("the panicking source woke no robot before it panicked")
+	}
+	fresh, freshEvents, err := solve(nil, AGrid{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmEvents, err := solve(ar, AGrid{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, fresh) || !reflect.DeepEqual(warmEvents, freshEvents) {
+		t.Fatalf("the arena's solve after a panic differs from a fresh engine's:\n arena %+v (%d events)\n fresh %+v (%d events)",
+			warm, len(warmEvents), fresh, len(freshEvents))
 	}
 }

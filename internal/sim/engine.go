@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -65,8 +66,9 @@ type Event struct {
 // Engine is the deterministic discrete-event simulator. Create one with
 // NewEngine, install the source program with Spawn, then call Run.
 //
-// Engine is not safe for concurrent use from outside; internally it enforces
-// a strict handoff so at most one robot process executes at any instant.
+// Engine is not safe for concurrent use from outside. Each robot process is
+// a coroutine (iter.Pull) that the event loop resumes one step at a time on
+// its own goroutine, so at most one process executes at any instant.
 type Engine struct {
 	now      float64
 	seq      int64
@@ -80,7 +82,6 @@ type Engine struct {
 	awake    *spatial.Grid // indexes awake robots by id
 
 	pq       eventHeap
-	park     chan parkMsg
 	barriers map[string]*barrier
 	// parked holds every process currently parked indefinitely (barriers,
 	// wait-groups); used for deadlock detection and shutdown.
@@ -108,11 +109,14 @@ type Engine struct {
 	violations  []string
 	running     bool
 
-	// pooled marks an engine owned by a worker arena (NewEngineIn): finished
-	// process goroutines park in procFree for reuse instead of exiting, and
-	// Reset rewinds the engine for the next instance. Directly constructed
-	// engines (NewEngine) keep the one-shot lifecycle: spawn, run, discard.
+	// procFree holds finished processes, their coroutines suspended until
+	// SpawnH hands them a body. pooled marks an engine owned by a worker
+	// arena (NewEngineIn), which Reset rewinds and whose idle coroutines
+	// last until Close; any other engine stops them when RunCtx returns.
+	// panicked marks an engine whose run a process panic ended: its state
+	// is unknown, so NewEngineIn replaces it.
 	pooled   bool
+	panicked bool
 	procFree []*Proc
 	// lookAsleep and lookAwake back the latest Look's snapshot (see
 	// Proc.Look); they grow to the largest single Look and are refilled by
@@ -160,8 +164,8 @@ func ScratchOf[T any](e *Engine, key string, mk func() T) T {
 	return v
 }
 
+// parkMsg is what a process yields to the event loop when it parks.
 type parkMsg struct {
-	p    *Proc
 	kind parkKind
 	at   float64
 }
@@ -256,7 +260,6 @@ func newEngine(cfg Config, pooled bool) *Engine {
 		sleeping: spatial.NewGridInCap(metric, 1, n),
 		awake:    spatial.NewGridInCap(metric, 1, n+1),
 		pq:       make(eventHeap, 0, n+2),
-		park:     make(chan parkMsg),
 		barriers: make(map[string]*barrier),
 		parked:   make(map[*Proc]struct{}),
 		trace:    cfg.Trace,
@@ -269,15 +272,16 @@ func newEngine(cfg Config, pooled bool) *Engine {
 // NewEngineIn returns an engine backed by the worker arena a: the first call
 // builds a pooled engine and stashes it; later calls reset that engine
 // against the new configuration, so the whole simulation substrate — robot
-// block, spatial grids, event heap, process goroutines, algorithm scratch —
-// is reused across the jobs of one worker. A nil arena falls back to a
-// fresh one-shot NewEngine.
+// block, spatial grids, event heap, process coroutines, algorithm scratch —
+// is reused across the jobs of one worker. An engine whose last run
+// returned ErrProcessPanic is replaced by a fresh one. A nil arena falls
+// back to a fresh one-shot NewEngine.
 func NewEngineIn(a *arena.Arena, cfg Config) *Engine {
 	if a == nil {
 		return NewEngine(cfg)
 	}
 	slot := arena.Of(a, "sim.engine", func() *engineSlot { return &engineSlot{} })
-	if slot.e == nil {
+	if slot.e == nil || slot.e.panicked {
 		slot.e = newEngine(cfg, true)
 	} else {
 		slot.e.Reset(cfg)
@@ -286,7 +290,7 @@ func NewEngineIn(a *arena.Arena, cfg Config) *Engine {
 }
 
 // engineSlot is the arena stash entry for a pooled engine; the indirection
-// exists so arena.Close can release the engine's idle goroutine pool.
+// exists so arena.Close can stop the engine's idle process coroutines.
 type engineSlot struct{ e *Engine }
 
 func (s *engineSlot) Close() {
@@ -350,8 +354,8 @@ func (e *Engine) populate(cfg Config) {
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, both spatial grids, the event
 // heap, the Look buffers, barrier records, and all algorithm scratch (values
-// implementing RunScratch are rewound). The idle process-goroutine pool
-// survives. Every slice handed out by the previous run (Look snapshots,
+// implementing RunScratch are rewound). The idle process coroutines
+// survive. Every slice handed out by the previous run (Look snapshots,
 // EnergyByRobot) is invalidated.
 func (e *Engine) Reset(cfg Config) {
 	if !e.pooled {
@@ -384,12 +388,13 @@ func (e *Engine) Reset(cfg Config) {
 	e.populate(cfg)
 }
 
-// Close terminates the engine's idle pooled goroutines. It is required (and
-// only meaningful) for pooled engines; arena teardown calls it via the
-// stashed engineSlot. The engine must not be run again after Close.
+// Close stops the engine's idle process coroutines, each finished before
+// Close returns. RunCtx calls it on an engine no arena owns; arena teardown
+// calls it on a pooled engine via the stashed engineSlot. The engine must
+// not be run again after Close.
 func (e *Engine) Close() {
 	for _, p := range e.procFree {
-		e.kill(p)
+		p.stop()
 	}
 	e.procFree = e.procFree[:0]
 }
@@ -447,9 +452,9 @@ func (f HandlerFunc) RunProc(p *Proc) { f(p) }
 // handlers attached to newly awakened robots.
 func (e *Engine) Spawn(id int, fn func(*Proc)) { e.SpawnH(id, HandlerFunc(fn)) }
 
-// SpawnH is Spawn taking a Handler. On a pooled engine the process record
-// and its goroutine come from the free list when one is idle, so steady-
-// state spawning allocates nothing.
+// SpawnH is Spawn taking a Handler. The process record and its coroutine
+// come from the free list when one is idle, so spawning after another
+// process has finished allocates nothing.
 func (e *Engine) SpawnH(id int, h Handler) {
 	r := e.Robot(id)
 	if r.state != Awake || (e.faults != nil && r.stopped) {
@@ -479,8 +484,8 @@ func (e *Engine) SpawnH(id int, h Handler) {
 		p.r = r
 		p.fn = h
 	} else {
-		p = &Proc{eng: e, r: r, resume: make(chan struct{}), fn: h}
-		go p.loop()
+		p = &Proc{eng: e, r: r, fn: h}
+		p.next, p.stop = iter.Pull(p.loop)
 	}
 	p.pid = e.pidSeq
 	e.pidSeq++
@@ -547,13 +552,20 @@ var ErrDeadlock = errors.New("sim: deadlock — processes parked on unreleased b
 // still returned, describing the state at the instant the run was abandoned.
 var ErrCancelled = errors.New("sim: run cancelled")
 
+// ErrProcessPanic is wrapped by the error RunCtx returns when a robot
+// process panics: the run is abandoned, and the error's text carries the
+// robot, the panic value and the stack of the frame that raised it.
+var ErrProcessPanic = errors.New("sim: process panicked")
+
 // Run executes the simulation to completion and returns the summary. It is
 // an error to call Run twice or before any process was spawned.
 func (e *Engine) Run() (Result, error) { return e.RunCtx(context.Background()) }
 
 // RunCtx is Run with cooperative cancellation: the context is polled between
-// event dispatches (no robot process is ever interrupted mid-step), and on
-// cancellation every live process is unwound before RunCtx returns, so no
+// event dispatches (no robot process is ever interrupted mid-step). However
+// the run ends — completed, cancelled, deadlocked, or abandoned because a
+// process panicked — every live process is unwound before RunCtx returns,
+// and so are the idle coroutines of an engine no arena owns, so no
 // goroutine outlives the call. Cancellation is the mechanism the portfolio
 // racing engine uses to stop losing racers early.
 func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
@@ -561,75 +573,75 @@ func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 		return Result{}, errors.New("sim: Run called twice")
 	}
 	e.running = true
+	err := e.dispatch(ctx)
+	if err == nil && len(e.parked) > 0 {
+		err = ErrDeadlock
+	}
+	// Each stop returns once its process has unwound.
+	for len(e.pq) > 0 {
+		e.pq.pop().p.stop()
+	}
+	for p := range e.parked {
+		p.stop()
+	}
+	clear(e.parked)
+	clear(e.barriers)
+	if !e.pooled || e.panicked {
+		e.Close()
+	}
+	return e.result(), err
+}
+
+// dispatch is the event loop. Each step resumes the earliest scheduled
+// process until it parks again; the loop ends when no process is scheduled
+// or ctx is cancelled. A process's panic, wrapped by runOne and re-raised
+// here by next, ends it too, as its error, and marks the engine panicked;
+// any other panic is the engine's own and propagates.
+func (e *Engine) dispatch(ctx context.Context) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			perr, ok := rec.(error)
+			if !ok || !errors.Is(perr, ErrProcessPanic) {
+				panic(rec)
+			}
+			e.panicked, err = true, perr
+		}
+	}()
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	var cancelErr error
 	for len(e.pq) > 0 {
 		if done != nil {
 			select {
 			case <-done:
-				cancelErr = fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
+				return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 			default:
-			}
-			if cancelErr != nil {
-				break
 			}
 		}
 		it := e.pq.pop()
 		e.steps++
 		if it.t < e.now-geom.Eps {
-			return Result{}, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, it.t)
+			return fmt.Errorf("sim: time went backwards: %v -> %v", e.now, it.t)
 		}
 		if it.t > e.now {
 			e.now = it.t
 		}
-		it.p.resume <- struct{}{}
-		msg := <-e.park
+		msg, _ := it.p.next()
 		switch msg.kind {
 		case parkYield:
-			e.push(msg.p, msg.at)
+			e.push(it.p, msg.at)
 		case parkWait:
 			// Parked indefinitely; the releasing process re-enqueues it.
-			e.parked[msg.p] = struct{}{}
+			e.parked[it.p] = struct{}{}
 		case parkDone:
-			msg.p.r.procs--
-			e.emit(Event{T: e.now, Robot: msg.p.r.id, Kind: "done", Pos: msg.p.r.pos})
-			if e.pooled {
-				// The goroutine is looping back to wait for its next body;
-				// the record rejoins the free list for the next SpawnH.
-				e.procFree = append(e.procFree, msg.p)
-			}
+			it.p.r.procs--
+			e.emit(Event{T: e.now, Robot: it.p.r.id, Kind: "done", Pos: it.p.r.pos})
+			// The coroutine waits for its next body from SpawnH.
+			e.procFree = append(e.procFree, it.p)
 		}
 	}
-	err := cancelErr
-	if err != nil {
-		// Unwind every scheduled process. Each killed process panics with a
-		// sentinel right after resuming, touching no engine state.
-		for len(e.pq) > 0 {
-			e.kill(e.pq.pop().p)
-		}
-	}
-	if len(e.parked) > 0 {
-		if err == nil {
-			err = ErrDeadlock
-		}
-		// Unwind parked goroutines so no process leaks past Run.
-		for p := range e.parked {
-			e.kill(p)
-		}
-		clear(e.parked)
-		clear(e.barriers)
-	}
-	return e.result(), err
-}
-
-// kill unwinds one live process goroutine: the next (forced) resume makes it
-// panic with the errKilled sentinel, recovered by its Spawn wrapper.
-func (e *Engine) kill(p *Proc) {
-	p.killed = true
-	p.resume <- struct{}{}
+	return nil
 }
 
 func (e *Engine) result() Result {

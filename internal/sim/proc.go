@@ -2,64 +2,57 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"freezetag/internal/geom"
 )
 
 // Proc is the blocking API one robot process programs against. All methods
-// must be called from the process's own goroutine (the function passed to
-// Spawn or Wake); the engine guarantees only one process runs at a time, so
-// Proc methods may freely read and mutate engine state.
+// must be called from the process's own body (the function passed to Spawn
+// or Wake), which runs as a coroutine of the engine's event loop; only one
+// process runs at a time, so Proc methods may freely read and mutate engine
+// state.
 type Proc struct {
-	eng    *Engine
-	r      *Robot
-	resume chan struct{}
-	killed bool    // set by the engine to unwind a deadlocked process
-	fn     Handler // body to run on next resume; cleared once started
-	pid    int64   // spawn sequence number; orders stalled-process releases
+	eng *Engine
+	r   *Robot
+	fn  Handler // body to run on next resume; cleared once started
+	pid int64   // spawn sequence number; orders stalled-process releases
+	// The process's coroutine (iter.Pull over loop): next resumes it until
+	// it parks and stop unwinds it, both on the engine's goroutine alone;
+	// yield parks it, and returns false once stop has been called.
+	next  func() (parkMsg, bool)
+	stop  func()
+	yield func(parkMsg) bool
 }
 
-// errKilled unwinds a process goroutine that the engine terminated while it
-// was parked: either on a barrier that can never release (deadlock shutdown
-// path) or anywhere at all after the run's context was cancelled (RunCtx).
+// errKilled unwinds a process that the engine stopped while it was parked:
+// on a barrier that can never release (deadlock), anywhere at all after the
+// run's context was cancelled, or after another process panicked.
 var errKilled = &struct{ s string }{"sim: process killed"}
 
-// loop is the process goroutine. On a pooled engine it survives the body:
-// after reporting parkDone it waits for the engine to hand it a new body via
-// SpawnH (the engine recycles the record through procFree). On a one-shot
-// engine it exits after a single body, preserving the original lifecycle. A
-// kill — before the body ever ran or anywhere inside it — always exits the
-// goroutine: a killed process's state is unknown, so it never rejoins the
-// pool.
-func (p *Proc) loop() {
-	for {
-		<-p.resume
-		if p.killed {
-			return
-		}
-		p.runOne()
-		if p.killed {
-			return
-		}
-		p.eng.park <- parkMsg{p: p, kind: parkDone}
-		if !p.eng.pooled {
-			return
-		}
+// loop is the process's coroutine. It runs one body per spawn, yielding
+// parkDone after each and waiting there for SpawnH to hand it the next,
+// until the engine stops it.
+func (p *Proc) loop(yield func(parkMsg) bool) {
+	p.yield = yield
+	for p.runOne() && yield(parkMsg{kind: parkDone}) {
 	}
 }
 
-// runOne executes the pending body, converting the errKilled unwind panic
-// back into a normal return (the caller checks p.killed); any other panic is
-// a genuine algorithm bug and propagates.
-func (p *Proc) runOne() {
+// runOne executes the pending body and reports whether it returned: a body
+// unwound by stop (the errKilled panic) did not. Any other panic is wrapped
+// with the robot id and the stack of the frame that raised it, which the
+// re-panic in next, on the engine's goroutine, would not show.
+func (p *Proc) runOne() (ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil && rec != errKilled {
-			panic(rec)
+			panic(fmt.Errorf("%w on robot %d: %v\n%s", ErrProcessPanic, p.r.id, rec, debug.Stack()))
 		}
 	}()
 	fn := p.fn
 	p.fn = nil
 	fn.RunProc(p)
+	return true
 }
 
 // ID returns the robot id this process runs on.
@@ -75,27 +68,17 @@ func (p *Proc) Now() float64 { return p.eng.now }
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // yieldAt parks the process until virtual time t. A process the engine has
-// killed (cancelled run) unwinds here instead of parking: the engine's event
-// loop is gone, so parking again would block forever.
+// stopped unwinds here instead of parking.
 func (p *Proc) yieldAt(t float64) {
-	if p.killed {
-		panic(errKilled)
-	}
-	p.eng.park <- parkMsg{p: p, kind: parkYield, at: t}
-	<-p.resume
-	if p.killed {
+	if !p.yield(parkMsg{kind: parkYield, at: t}) {
 		panic(errKilled)
 	}
 }
 
-// parkWait parks the process indefinitely; some other process re-enqueues it.
+// parkWait parks the process indefinitely; some other process re-enqueues
+// it. A process the engine has stopped unwinds here instead of parking.
 func (p *Proc) parkWait() {
-	if p.killed {
-		panic(errKilled)
-	}
-	p.eng.park <- parkMsg{p: p, kind: parkWait}
-	<-p.resume
-	if p.killed {
+	if !p.yield(parkMsg{kind: parkWait}) {
 		panic(errKilled)
 	}
 }

@@ -1,11 +1,11 @@
 // Package sim implements the paper's Look-Compute-Move robot model as a
 // deterministic discrete-event simulator.
 //
-// Each active robot is a goroutine ("process") executing straight-line
-// algorithm code against a blocking API (MoveTo, Look, Wake, WaitUntil,
-// Barrier). A strict-handoff scheduler runs exactly one process at a time and
-// orders resumptions by (virtual time, monotone sequence number), so
-// identical inputs always produce identical executions — goroutines give the
+// Each active robot runs a coroutine ("process", an iter.Pull) executing
+// straight-line algorithm code against a blocking API (MoveTo, Look, Wake,
+// WaitUntil, Barrier). The event loop resumes exactly one process at a time
+// and orders resumptions by (virtual time, monotone sequence number), so
+// identical inputs always produce identical executions — coroutines give the
 // programming model of concurrent robots without nondeterminism.
 //
 // Model facts enforced here, matching §1.2 of the paper:

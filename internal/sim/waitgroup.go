@@ -7,8 +7,8 @@ import "fmt"
 // Unlike sync.WaitGroup this is a virtual-time construct: Wait parks the
 // process and the final Done re-enqueues it at the completion time.
 //
-// All methods must be called from process goroutines (or before Run), under
-// the engine's strict handoff; no additional locking is needed.
+// All methods must be called from process bodies (or before Run); the
+// engine runs one process at a time, so no additional locking is needed.
 type WaitGroup struct {
 	eng     *Engine
 	count   int
