@@ -199,28 +199,44 @@ func BenchmarkWakeup_Optimal10(b *testing.B) {
 
 // --- Substrate micro-benchmarks -------------------------------------------------
 
+// BenchmarkSim_MoveLookCycle prices the step every algorithm is made of, a
+// MoveTo followed by a Look: the source makes 100 of them over 100 sleepers
+// scattered on a 20×20 square. pooled runs every op on one arena engine, as
+// the service's workers do; oneshot builds a fresh engine per op.
 func BenchmarkSim_MoveLookCycle(b *testing.B) {
 	sleepers := make([]geom.Point, 100)
 	rng := rand.New(rand.NewSource(3))
 	for i := range sleepers {
 		sleepers[i] = geom.Pt(rng.Float64()*20, rng.Float64()*20)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: sleepers})
-		e.Spawn(sim.SourceID, func(p *sim.Proc) {
-			for j := 0; j < 100; j++ {
-				if err := p.MoveTo(geom.Pt(float64(j%20), float64(j%17))); err != nil {
-					b.Error(err)
-					return
-				}
-				p.Look()
+	source := func(p *sim.Proc) {
+		for j := 0; j < 100; j++ {
+			if err := p.MoveTo(geom.Pt(float64(j%20), float64(j%17))); err != nil {
+				b.Error(err)
+				return
 			}
-		})
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
+			p.Look()
 		}
 	}
+	cfg := sim.Config{Source: geom.Origin, Sleepers: sleepers}
+	run := func(b *testing.B, engine func() *sim.Engine) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := engine()
+			e.Spawn(sim.SourceID, source)
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("pooled", func(b *testing.B) {
+		a := arena.New("bench")
+		defer a.Close()
+		run(b, func() *sim.Engine { return sim.NewEngineIn(a, cfg) })
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		run(b, func() *sim.Engine { return sim.NewEngine(cfg) })
+	})
 }
 
 // BenchmarkSim_Handoff prices the simulator's process resume, which every

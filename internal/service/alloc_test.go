@@ -48,7 +48,7 @@ func TestAllocs_CacheHit(t *testing.T) {
 // TestAllocs_SteadyStateSolve gates the arena path for every algorithm:
 // each iteration is a real simulation (the budget changes, so neither cache
 // nor memo can serve it), but the request shape repeats, so the worker
-// arena's engine, spatial grids, wake-tree builder, and explore pools are
+// arena's engine, spatial grid, wake-tree builder, and explore pools are
 // all reused. Mirrors BenchmarkService_SolveSteadyState. AGrid's budget is
 // 50 versus ~2600 pre-arena; the others carry what is not pooled yet
 // (their knowledge maps and string barrier keys).

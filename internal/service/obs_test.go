@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -12,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"freezetag/internal/sim"
 )
 
 // getBody GETs a path from the test server and returns the response and body.
@@ -348,6 +351,23 @@ func TestStatszMatchesMetricsz(t *testing.T) {
 		if got := metricValue(t, exp, series); int64(got) != want {
 			t.Errorf("%s = %v but statsz says %d", series, got, want)
 		}
+	}
+}
+
+// A request that fails because a simulated process panicked logs the
+// error's one line and, beside it, the panicking frame's stack.
+func TestRequestLogKeepsPanicStack(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	defer s.Close()
+	perr := &sim.PanicError{Robot: 3, Value: "boom", Stack: []byte("goroutine 7 [running]:\nexplode()")}
+	s.logRequest("solve", Solved{}, TraceOpt{}, fmt.Errorf("solve: %w", perr))
+	var rec struct{ Error, Stack string }
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("log record %q: %v", buf.String(), err)
+	}
+	if rec.Error != "solve: sim: process panicked on robot 3: boom" || rec.Stack != string(perr.Stack) {
+		t.Errorf("log record = %+v, want the one-line error and the stack", rec)
 	}
 }
 

@@ -510,8 +510,9 @@ func (s *Service) observeRacer(ob portfolio.RacerObservation) {
 }
 
 // logRequest emits one structured record per request when logging is
-// enabled. Errors log at Warn with the error attached; successes at Info
-// with the full stage breakdown. The trace ID (when the request has one)
+// enabled. Errors log at Warn with the error attached, and a simulated
+// process's panic with its stack, which the one-line error text leaves
+// out; successes at Info with the full stage breakdown. The trace ID (when the request has one)
 // and the client's X-Request-ID land on every record, so one grep joins a
 // log line, its /tracez trace, and the client's own logs.
 func (s *Service) logRequest(endpoint string, sv Solved, topt TraceOpt, err error) {
@@ -527,6 +528,10 @@ func (s *Service) logRequest(endpoint string, sv Solved, topt TraceOpt, err erro
 			slog.String("outcome", sv.Outcome),
 			slog.Duration("total", sv.Total),
 			slog.String("error", err.Error()))
+		var perr *sim.PanicError
+		if errors.As(err, &perr) {
+			attrs = append(attrs, slog.String("stack", string(perr.Stack)))
+		}
 	} else {
 		attrs = append(attrs,
 			slog.String("hash", sv.Hash),

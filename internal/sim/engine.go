@@ -78,8 +78,10 @@ type Engine struct {
 	minSpeed float64 // slowest robot speed (source included); 1 when homogeneous
 	hetero   bool    // Config.Profiles was non-empty
 
-	sleeping *spatial.Grid // indexes robots by id while asleep (look radius 1)
-	awake    *spatial.Grid // indexes awake robots by id
+	// grid indexes every robot by id at its current position, asleep or
+	// awake: sleeping robots never move, so one index answers both halves
+	// of a Look, which splits its sightings by Robot.state.
+	grid *spatial.Grid
 
 	pq       eventHeap
 	barriers map[string]*barrier
@@ -87,10 +89,9 @@ type Engine struct {
 	// wait-groups); used for deadlock detection and shutdown.
 	parked map[*Proc]struct{}
 
-	// queryBuf backs the engine-level grid queries (Look's sleeping and
-	// awake scans). The engine runs one process at a time and each query's
-	// result is consumed before the next query, so one buffer serves every
-	// Look of the run without allocating.
+	// queryBuf backs Look's grid query. The engine runs one process at a
+	// time and each query's result is consumed before the next query, so
+	// one buffer serves every Look of the run without allocating.
 	queryBuf []int
 
 	trace func(Event)
@@ -247,7 +248,7 @@ type barrier struct {
 // source; robots 1..n start asleep at Config.Sleepers.
 //
 // Everything sized by the robot count — the robot records themselves, the
-// spatial indexes, the event heap — is allocated up front in one block
+// spatial index, the event heap — is allocated up front in one block
 // each, so a simulation's steady state allocates only per-process resume
 // machinery and whatever the algorithm itself builds.
 func NewEngine(cfg Config) *Engine { return newEngine(cfg, false) }
@@ -257,8 +258,7 @@ func newEngine(cfg Config, pooled bool) *Engine {
 	metric := geom.MetricOrL2(cfg.Metric)
 	e := &Engine{
 		metric:   metric,
-		sleeping: spatial.NewGridInCap(metric, 1, n),
-		awake:    spatial.NewGridInCap(metric, 1, n+1),
+		grid:     spatial.NewGridInCap(metric, 1, n+1),
 		pq:       make(eventHeap, 0, n+2),
 		barriers: make(map[string]*barrier),
 		parked:   make(map[*Proc]struct{}),
@@ -272,7 +272,7 @@ func newEngine(cfg Config, pooled bool) *Engine {
 // NewEngineIn returns an engine backed by the worker arena a: the first call
 // builds a pooled engine and stashes it; later calls reset that engine
 // against the new configuration, so the whole simulation substrate — robot
-// block, spatial grids, event heap, process coroutines, algorithm scratch —
+// block, spatial grid, event heap, process coroutines, algorithm scratch —
 // is reused across the jobs of one worker. An engine whose last run
 // returned ErrProcessPanic is replaced by a fresh one. A nil arena falls
 // back to a fresh one-shot NewEngine.
@@ -324,7 +324,7 @@ func (e *Engine) populate(cfg Config) {
 	block := e.block
 	block[0] = Robot{id: SourceID, initPos: cfg.Source, pos: cfg.Source, state: Awake, budget: budget, speed: 1}
 	e.robots[0] = &block[0]
-	e.awake.Insert(SourceID, cfg.Source)
+	e.grid.Insert(SourceID, cfg.Source)
 	for i, p := range cfg.Sleepers {
 		speed, b := 1.0, budget
 		if len(cfg.Profiles) > 0 {
@@ -339,7 +339,7 @@ func (e *Engine) populate(cfg Config) {
 		}
 		block[i+1] = Robot{id: i + 1, initPos: p, pos: p, state: Asleep, budget: b, speed: speed}
 		e.robots[i+1] = &block[i+1]
-		e.sleeping.Insert(i+1, p)
+		e.grid.Insert(i+1, p)
 		if speed < e.minSpeed {
 			e.minSpeed = speed
 		}
@@ -352,7 +352,7 @@ func (e *Engine) populate(cfg Config) {
 }
 
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
-// piece of run-sized storage: the robot block, both spatial grids, the event
+// piece of run-sized storage: the robot block, the spatial grid, the event
 // heap, the Look buffers, barrier records, and all algorithm scratch (values
 // implementing RunScratch are rewound). The idle process coroutines
 // survive. Every slice handed out by the previous run (Look snapshots,
@@ -365,8 +365,7 @@ func (e *Engine) Reset(cfg Config) {
 	e.now = 0
 	e.seq = 0
 	e.metric = metric
-	e.sleeping.Reset(metric)
-	e.awake.Reset(metric)
+	e.grid.Reset(metric)
 	e.pq = e.pq[:0]
 	clear(e.barriers)
 	clear(e.parked)
@@ -553,9 +552,26 @@ var ErrDeadlock = errors.New("sim: deadlock — processes parked on unreleased b
 var ErrCancelled = errors.New("sim: run cancelled")
 
 // ErrProcessPanic is wrapped by the error RunCtx returns when a robot
-// process panics: the run is abandoned, and the error's text carries the
-// robot, the panic value and the stack of the frame that raised it.
+// process panics: the run is abandoned, and the error is a *PanicError.
 var ErrProcessPanic = errors.New("sim: process panicked")
+
+// PanicError is the error RunCtx returns when a robot process panics. Its
+// text is one line naming the robot and the panic value, so the same panic
+// reads the same on every run and every server; the stack of the frame
+// that raised it is kept apart, for logs.
+type PanicError struct {
+	Robot int
+	Value any
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("%v on robot %d: %v", ErrProcessPanic, e.Robot, e.Value)
+}
+
+// Unwrap returns ErrProcessPanic.
+func (e *PanicError) Unwrap() error { return ErrProcessPanic }
 
 // Run executes the simulation to completion and returns the summary. It is
 // an error to call Run twice or before any process was spawned.
@@ -594,14 +610,15 @@ func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 
 // dispatch is the event loop. Each step resumes the earliest scheduled
 // process until it parks again; the loop ends when no process is scheduled
-// or ctx is cancelled. A process's panic, wrapped by runOne and re-raised
-// here by next, ends it too, as its error, and marks the engine panicked;
-// any other panic is the engine's own and propagates.
+// or ctx is cancelled. A process's panic, wrapped by runOne in a
+// *PanicError and re-raised here by next, ends it too, as its error, and
+// marks the engine panicked; any other panic is the engine's own and
+// propagates.
 func (e *Engine) dispatch(ctx context.Context) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			perr, ok := rec.(error)
-			if !ok || !errors.Is(perr, ErrProcessPanic) {
+			perr, ok := rec.(*PanicError)
+			if !ok {
 				panic(rec)
 			}
 			e.panicked, err = true, perr
@@ -673,42 +690,39 @@ func (e *Engine) result() Result {
 	return res
 }
 
-// SleepingWithin returns the ids of sleeping robots within distance d of p,
-// sorted ascending. This is the engine-level query behind Look; algorithm
-// code must use Proc.Look, which fixes d = 1. The returned slice aliases
-// the engine's query buffer: it is valid only until the next engine-level
-// query, and callers that keep ids copy them (Look does).
-func (e *Engine) sleepingWithin(p geom.Point, d float64) []int {
-	e.queryBuf = e.sleeping.Within(e.queryBuf[:0], p, d)
+// look refills the Look buffers with the robots within distance 1 of robot
+// self, self excluded: one grid query, sorted once and split by state, so
+// each list comes out in ascending id order.
+func (e *Engine) look(self *Robot) {
+	e.queryBuf = e.grid.Within(e.queryBuf[:0], self.pos, 1)
 	sort.Ints(e.queryBuf)
-	return e.queryBuf
-}
-
-func (e *Engine) awakeWithin(p geom.Point, d float64) []int {
-	e.queryBuf = e.awake.Within(e.queryBuf[:0], p, d)
-	sort.Ints(e.queryBuf)
-	return e.queryBuf
-}
-
-// sightings refills buf with the current positions of the robots in ids,
-// skipping robot skip (-1 skips none), and returns it. A buffer too small
-// for this Look is replaced by one of exactly its size, so buf never holds
-// more than the largest single Look's sightings.
-func (e *Engine) sightings(buf []Sighting, ids []int, skip int) []Sighting {
-	n := len(ids)
-	if skip >= 0 {
-		n-- // the caller is in its own awake query
-	}
-	if cap(buf) < n {
-		buf = make([]Sighting, 0, n)
-	}
-	buf = buf[:0]
-	for _, id := range ids {
-		if id != skip {
-			buf = append(buf, Sighting{ID: id, Pos: e.Robot(id).pos})
+	asleep := 0
+	for _, id := range e.queryBuf {
+		if e.robots[id].state == Asleep {
+			asleep++
 		}
 	}
-	return buf
+	// The caller is in its own query.
+	e.lookAsleep = emptied(e.lookAsleep, asleep)
+	e.lookAwake = emptied(e.lookAwake, len(e.queryBuf)-asleep-1)
+	for _, id := range e.queryBuf {
+		switch r := e.robots[id]; {
+		case r.state == Asleep:
+			e.lookAsleep = append(e.lookAsleep, Sighting{ID: id, Pos: r.pos})
+		case r != self:
+			e.lookAwake = append(e.lookAwake, Sighting{ID: id, Pos: r.pos})
+		}
+	}
+}
+
+// emptied returns buf truncated, or, when buf cannot hold n sightings, a
+// buffer of exactly n, so a Look buffer never holds more than the largest
+// single Look's sightings.
+func emptied(buf []Sighting, n int) []Sighting {
+	if cap(buf) < n {
+		return make([]Sighting, 0, n)
+	}
+	return buf[:0]
 }
 
 // wake flips robot id to Awake at the current time. Caller guarantees
@@ -720,8 +734,6 @@ func (e *Engine) wake(id int) {
 	}
 	r.state = Awake
 	r.wakeAt = e.now
-	e.sleeping.Remove(id)
-	e.awake.Insert(id, r.pos)
 	e.asleepCount--
 	if e.now > e.lastWake {
 		e.lastWake = e.now
@@ -734,7 +746,7 @@ func (e *Engine) moveRobot(r *Robot, dst geom.Point, dist float64) {
 	e.moves++
 	r.pos = dst
 	r.energy += dist
-	e.awake.Insert(r.id, dst)
+	e.grid.Insert(r.id, dst)
 	e.emit(Event{T: e.now, Robot: r.id, Kind: "move", Pos: dst})
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"freezetag/internal/geom"
@@ -140,15 +141,24 @@ func (e *Engine) installFaults(plan *FaultPlan) {
 		if scale <= 0 {
 			scale = 1
 		}
+		// Robot i's stream is rngstream.New(plan.Seed, i). Seeding one
+		// spare Rand gives the same state as a fresh one, so only the
+		// robots that draw a crash keep a stream of their own.
+		var rnd *rand.Rand
 		for i := 1; i < len(e.robots); i++ {
-			rnd := rngstream.New(plan.Seed, i)
+			seed := rngstream.TrialSeed(plan.Seed, i)
+			if rnd == nil {
+				rnd = rand.New(rand.NewSource(seed))
+			} else {
+				rnd.Seed(seed)
+			}
 			if rnd.Float64() >= plan.Rate {
 				continue
 			}
 			r := e.robots[i]
 			r.faulty = true
 			r.crashAt = rnd.Float64() * scale
-			r.frnd = rnd
+			r.frnd, rnd = rnd, nil
 		}
 	case FaultWakeDrop, FaultWakeDup:
 		e.wakeRand = rngstream.New(plan.Seed, 0)

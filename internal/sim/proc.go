@@ -40,13 +40,13 @@ func (p *Proc) loop(yield func(parkMsg) bool) {
 }
 
 // runOne executes the pending body and reports whether it returned: a body
-// unwound by stop (the errKilled panic) did not. Any other panic is wrapped
-// with the robot id and the stack of the frame that raised it, which the
-// re-panic in next, on the engine's goroutine, would not show.
+// unwound by stop (the errKilled panic) did not. Any other panic becomes a
+// *PanicError carrying the robot id and the stack of the frame that raised
+// it, which the re-panic in next, on the engine's goroutine, would not show.
 func (p *Proc) runOne() (ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil && rec != errKilled {
-			panic(fmt.Errorf("%w on robot %d: %v\n%s", ErrProcessPanic, p.r.id, rec, debug.Stack()))
+			panic(&PanicError{Robot: p.r.id, Value: rec, Stack: debug.Stack()})
 		}
 	}()
 	fn := p.fn
@@ -197,8 +197,7 @@ type Sighting struct {
 func (p *Proc) Look() Snapshot {
 	e := p.eng
 	e.looks++
-	e.lookAsleep = e.sightings(e.lookAsleep, e.sleepingWithin(p.r.pos, 1), -1)
-	e.lookAwake = e.sightings(e.lookAwake, e.awakeWithin(p.r.pos, 1), p.r.id)
+	e.look(p.r)
 	e.emit(Event{T: e.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
 	return Snapshot{Asleep: e.lookAsleep, Awake: e.lookAwake}
 }

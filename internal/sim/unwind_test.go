@@ -98,14 +98,16 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 func explodeInHelper() { panic("boom") }
 
 // A panicking process body ends the run with an error instead of the
-// program: RunCtx returns ErrProcessPanic naming the frame that panicked,
-// having unwound the other processes — one parked on a barrier, one
-// scheduled — on a one-shot engine and on a pooled one, which its arena
-// then replaces.
+// program: RunCtx returns ErrProcessPanic, whose *PanicError keeps the
+// stack naming the frame that panicked, having unwound the other processes
+// — one parked on a barrier, one scheduled — on a one-shot engine and on a
+// pooled one, which its arena then replaces. The error's text is one line,
+// the same on both engines.
 func TestRunReturnsProcessPanic(t *testing.T) {
 	a := arena.New("panic")
 	defer a.Close()
 	cfg := Config{Source: geom.Origin, Sleepers: unwindSleepers}
+	var texts []string
 	for _, pooled := range []bool{false, true} {
 		before := runtime.NumGoroutine()
 		e := NewEngine(cfg)
@@ -126,10 +128,17 @@ func TestRunReturnsProcessPanic(t *testing.T) {
 		if !errors.Is(err, ErrProcessPanic) {
 			t.Fatalf("pooled %v: err = %v, want ErrProcessPanic", pooled, err)
 		}
-		for _, want := range []string{"robot 0", "boom", "explodeInHelper"} {
+		for _, want := range []string{"robot 0", "boom"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("pooled %v: error does not mention %q:\n%v", pooled, want, err)
 			}
+		}
+		texts = append(texts, err.Error())
+		var perr *PanicError
+		if !errors.As(err, &perr) || perr.Robot != 0 || perr.Value != "boom" {
+			t.Errorf("pooled %v: err = %#v, want a *PanicError for robot 0 and value boom", pooled, err)
+		} else if !strings.Contains(string(perr.Stack), "explodeInHelper") {
+			t.Errorf("pooled %v: stack does not name the helper:\n%s", pooled, perr.Stack)
 		}
 		if res.Awakened != 2 || res.Duration != 1.5 {
 			t.Errorf("pooled %v: partial result = %+v, want 2 awake at t = 1.5", pooled, res)
@@ -140,5 +149,8 @@ func TestRunReturnsProcessPanic(t *testing.T) {
 		if pooled && NewEngineIn(a, cfg) == e {
 			t.Error("the arena hands out again the engine whose run panicked")
 		}
+	}
+	if texts[0] != texts[1] || strings.Contains(texts[0], "\n") {
+		t.Errorf("the one-shot and the pooled run's errors differ or span lines:\n%q\n%q", texts[0], texts[1])
 	}
 }

@@ -12,33 +12,12 @@ import (
 	"freezetag/internal/geom"
 )
 
-func TestInsertRemove(t *testing.T) {
-	g := NewGridIn(nil, 1)
-	g.Insert(1, geom.Pt(0.5, 0.5))
-	g.Insert(2, geom.Pt(1.5, 0.5))
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	p, ok := g.At(1)
-	if !ok || !p.Eq(geom.Pt(0.5, 0.5)) {
-		t.Fatalf("At(1) = %v, %v", p, ok)
-	}
-	g.Remove(1)
-	if g.Len() != 1 {
-		t.Fatalf("Len after remove = %d", g.Len())
-	}
-	if _, ok := g.At(1); ok {
-		t.Fatal("removed item still present")
-	}
-	g.Remove(99) // no-op
-}
-
 func TestInsertMoves(t *testing.T) {
 	g := NewGridIn(nil, 1)
 	g.Insert(1, geom.Pt(0, 0))
 	g.Insert(1, geom.Pt(10, 10))
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d", g.Len())
+	if g.used != 1 {
+		t.Fatalf("after a move the index holds %d cells, want 1", g.used)
 	}
 	ids := g.Within(nil, geom.Pt(10, 10), 0.1)
 	if len(ids) != 1 || ids[0] != 1 {
@@ -163,29 +142,61 @@ func (live churnItems) check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metri
 			t.Fatalf("step %d: Within(%v, %g) = %v, brute force %v", step, q, r, got, want)
 		}
 	}
-	if g.Len() != len(live) {
-		t.Fatalf("step %d: Len = %d, want %d", step, g.Len(), len(live))
+	indexed := 0
+	for _, it := range g.items {
+		if it.indexed {
+			indexed++
+		}
+	}
+	if indexed != len(live) {
+		t.Fatalf("step %d: %d items indexed, want %d", step, indexed, len(live))
+	}
+	// The table holds exactly the live items' cells, each reachable from
+	// its key's home slot: no emptied cell lingers and no deletion broke a
+	// probe run.
+	cells := map[uint64]bool{}
+	for _, p := range live {
+		cells[g.key(p)] = true
+	}
+	occupied := 0
+	for i, c := range g.table {
+		if len(c.ids) == 0 {
+			continue
+		}
+		occupied++
+		if !cells[c.key] || g.slot(c.key) != i {
+			t.Fatalf("step %d: slot %d holds cell %#x, live %v, probe finds slot %d", step, i, c.key, cells[c.key], g.slot(c.key))
+		}
+	}
+	if occupied != len(cells) || g.used != len(cells) {
+		t.Fatalf("step %d: %d slots occupied, %d counted, want %d cells", step, occupied, g.used, len(cells))
 	}
 }
 
-// Property: under random sequences of inserts, moves, removals and resets,
-// Within agrees with a brute-force scan after every step, under every
-// metric family. The sequences mix in the patterns that open, empty and
-// recycle cells: an item sweeping fresh cells, two items oscillating
-// between two cells, removals that empty cells, and a pair of items whose
-// cell indices differ by exactly 2³², which share a key bucket.
+// Property: under random sequences of inserts, moves and resets, Within
+// agrees with a brute-force scan after every step, under every metric
+// family, and the cell table holds exactly the occupied cells. The
+// sequences mix in the patterns that open, empty and recycle cells and
+// shift table slots: an item sweeping fresh cells, two items oscillating
+// between two cells, an item hopping round three cells it leaves empty
+// and reopens, moves to distant cells that usually empty the cell left, a
+// pair of items whose cell indices differ by exactly 2³², which share a
+// key, resets mid-churn, and ids far beyond the grid's capacity hint, so
+// the item index and the table grow on demand.
 func TestWithinMatchesBruteForceUnderChurn(t *testing.T) {
 	const (
 		sweeper = 100 + iota
 		oscA
 		oscB
+		hopper
 		aliasLo
 		aliasHi
 	)
+	hops := []geom.Point{geom.Pt(5.5, 5.5), geom.Pt(-6.5, 3.5), geom.Pt(0.25, -7.75)}
 	for _, m := range []geom.Metric{geom.L2, geom.L1, geom.LInf, mustLp(t, 3)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			g := NewGridIn(m, 1)
+			g := NewGridInCap(m, 1, 4)
 			live := churnItems{}
 			put := func(id int, p geom.Point) {
 				g.Insert(id, p)
@@ -196,26 +207,27 @@ func TestWithinMatchesBruteForceUnderChurn(t *testing.T) {
 				put(aliasHi, geom.Pt(-3.5+(1<<32), 2.25))
 			}
 			putAliased()
-			sweep := 0
+			sweep, hop := 0, 0
 			for step := 0; step < 1000; step++ {
 				switch op := rng.Intn(20); {
-				case op < 7: // insert or move an ordinary item
+				case op < 6: // insert or move an ordinary item
 					put(rng.Intn(24), geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10))
-				case op < 11: // the sweeper steps into the next cell of a 16-wide lattice
+				case op < 9: // the sweeper steps into the next cell of a 16-wide lattice
 					put(sweeper, geom.Pt(float64(sweep%16)-8+0.5, float64(sweep/16%16)-8+0.5))
 					sweep++
-				case op < 14: // the pair swaps between two adjacent cells
+				case op < 12: // the pair swaps between two adjacent cells
 					a, b := geom.Pt(1.5, -0.5), geom.Pt(2.5, -0.5)
 					if step%2 == 0 {
 						a, b = b, a
 					}
 					put(oscA, a)
 					put(oscB, b)
-				case op < 19 && len(live) > 0: // remove a random live item, usually emptying its cell
+				case op < 15: // the hopper empties its cell and reopens the next
+					put(hopper, hops[hop%len(hops)])
+					hop++
+				case op < 19: // a random live item moves to one of eight distant cells
 					ids := slices.Sorted(maps.Keys(live))
-					id := ids[rng.Intn(len(ids))]
-					g.Remove(id)
-					delete(live, id)
+					put(ids[rng.Intn(len(ids))], geom.Pt(float64(rng.Intn(8))*50-175.5, 40.5))
 				default:
 					g.Reset(m)
 					clear(live)
@@ -242,11 +254,11 @@ func TestGridIndexesOccupiedCellsOnly(t *testing.T) {
 		}
 	}
 	sweep()
-	if n := len(g.cells); n != 1 {
+	if n := g.used; n != 1 {
 		t.Fatalf("after a 10,000-cell sweep the index holds %d cells, want 1", n)
 	}
 	g.Reset(nil)
-	if n := len(g.cells); n != 0 {
+	if n := g.used; n != 0 {
 		t.Fatalf("after Reset the index holds %d cells, want 0", n)
 	}
 	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
@@ -288,4 +300,60 @@ func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
 	if n := len(g.Within(nil, geom.Pt(0.5, -2.5), 0.1)); n != 40 {
 		t.Fatalf("crowded cell holds %d items, want 40", n)
 	}
+}
+
+// Cells chosen to collide under one fixed multiplier cost a grid no more
+// than any others. The keys k_j = C⁻¹·mix⁻¹(j) of 16,384 cells, all inside
+// ±2³¹, would all start their probe at slot 0 if the multiplier were the
+// golden-ratio constant C, and the longest probe would run 16,384 slots.
+// Under a grid's own random multiplier the longest stays short: a
+// stand-alone copy of the table never probed more than 69 slots in 20,000
+// trials.
+func TestGridResistsKeyFlooding(t *testing.T) {
+	const (
+		golden = 0x9E3779B97F4A7C15
+		n      = 1 << 14
+	)
+	g := NewGridIn(nil, 1)
+	for j := range n {
+		k := inverse(golden) * unmix(uint64(j))
+		if mix(k*golden) != uint64(j) {
+			t.Fatalf("key %#x does not hash to %d under the golden multiplier", k, j)
+		}
+		g.Insert(j, geom.Pt(float64(int32(k>>32))+0.5, float64(int32(k))+0.5))
+	}
+	if g.used != n {
+		t.Fatalf("the index holds %d cells, want %d", g.used, n)
+	}
+	longest := 0
+	mask := len(g.table) - 1
+	for i, c := range g.table {
+		if len(c.ids) > 0 {
+			longest = max(longest, (i-g.home(c.key))&mask+1)
+		}
+	}
+	if longest > 256 {
+		t.Fatalf("the longest probe runs %d slots of %d, want at most 256", longest, len(g.table))
+	}
+}
+
+// inverse returns the inverse of odd c modulo 2⁶⁴: each Newton step doubles
+// the number of correct low bits, from the 3 that c itself gets right.
+func inverse(c uint64) uint64 {
+	x := c
+	for range 5 {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+// unmix inverts mix. Each x ^= x >> 33 step is its own inverse, because
+// 2·33 ≥ 64.
+func unmix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= inverse(0xc4ceb9fe1a85ec53)
+	x ^= x >> 33
+	x *= inverse(0xff51afd7ed558ccd)
+	x ^= x >> 33
+	return x
 }
