@@ -89,11 +89,12 @@ func (panicAlg) Name() string { return "panic" }
 func (panicAlg) Install(e *sim.Engine, tup Tuple) *Report {
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		seen := append([]sim.Sighting(nil), p.Look().Asleep...)
+		never := &sim.Barrier{Need: 2}
 		for _, s := range seen {
 			if err := p.MoveTo(s.Pos); err != nil {
 				break
 			}
-			p.Wake(s.ID, func(q *sim.Proc) { q.Barrier("panic/never", 2) })
+			p.Wake(s.ID, func(q *sim.Proc) { q.Await(never, "panic/never") })
 		}
 		p.Wait(1)
 		panic("panicAlg: source fault")

@@ -182,18 +182,6 @@ func simProfiles(inst *instance.Instance) []sim.Profile {
 	return ps
 }
 
-// asleepNow filters a discovery map down to robots still asleep, which under
-// region exclusivity equals the caller's logical knowledge.
-func asleepNow(e *sim.Engine, known map[int]geom.Point) map[int]geom.Point {
-	out := make(map[int]geom.Point, len(known))
-	for id, pos := range known {
-		if e.Robot(id).State() == sim.Asleep {
-			out[id] = pos
-		}
-	}
-	return out
-}
-
 // assignSub maps a point to the index of the sub-square that owns it:
 // the first quadrant strictly containing it, falling back to tolerant
 // containment for points on the top/right boundary. Every point of the

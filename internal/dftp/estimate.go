@@ -43,7 +43,7 @@ func (ASeparatorAuto) Install(e *sim.Engine, tup Tuple) *Report {
 			rep.miss("auto escort: %v", err)
 			return
 		}
-		ctx.round(p, est.Team, S, S.Contains, asleepNow(e, est.Known), 1)
+		ctx.round(p, est.Team, S, S.Contains, est.Known, 1)
 	})
 	return rep
 }

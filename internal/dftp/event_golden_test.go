@@ -111,23 +111,34 @@ func eventGoldenCases() []eventGoldenCase {
 }
 
 // solveEventGolden solves one case on ar (nil: a fresh engine) and returns
-// its events and its record without the stream hash.
-func solveEventGolden(t *testing.T, ar *arena.Arena, c eventGoldenCase) ([]sim.Event, eventGolden) {
+// its events and its record without the stream hash. An untraced solve
+// (traced false) installs no trace sink, returns no events and records no
+// event count.
+func solveEventGolden(t *testing.T, ar *arena.Arena, c eventGoldenCase, traced bool) ([]sim.Event, eventGolden) {
 	t.Helper()
 	inst, err := instance.Family(c.family, c.n, c.param, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New()
+	var rec *trace.Recorder
+	var sink func(sim.Event)
+	if traced {
+		rec = trace.New()
+		sink = rec.Record
+	}
 	res, rep, err := SolveFaulted(context.Background(), ar, c.metric, c.alg, inst,
-		TupleForIn(c.metric, inst), c.budget, c.faults, rec.Record)
+		TupleForIn(c.metric, inst), c.budget, c.faults, sink)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
+	var events []sim.Event
+	if traced {
+		events = rec.Events()
+	}
 	fs := res.Faults
-	return rec.Events(), eventGolden{
+	return events, eventGolden{
 		Name:        c.name,
-		Events:      len(rec.Events()),
+		Events:      len(events),
 		Makespan:    res.Makespan,
 		Duration:    res.Duration,
 		MaxEnergy:   res.MaxEnergy,
@@ -148,19 +159,26 @@ func solveEventGolden(t *testing.T, ar *arena.Arena, c eventGoldenCase) ([]sim.E
 
 // runEventGolden solves c on a fresh engine, hashing its NDJSON event
 // stream, and again on the warm arena ar; the arena run must emit the same
-// events and outcome.
+// events and outcome. A third solve on ar, with no trace sink, must reach
+// the same outcome: work skipped when nothing traces, such as building
+// barrier labels, must not change the run.
 func runEventGolden(t *testing.T, ar *arena.Arena, c eventGoldenCase) eventGolden {
 	t.Helper()
-	events, got := solveEventGolden(t, nil, c)
+	events, got := solveEventGolden(t, nil, c, true)
 	h := sha256.New()
 	if err := trace.WriteEventsNDJSON(h, events); err != nil {
 		t.Fatal(err)
 	}
 	got.SHA256 = hex.EncodeToString(h.Sum(nil))
-	warmEvents, warm := solveEventGolden(t, ar, c)
+	warmEvents, warm := solveEventGolden(t, ar, c, true)
 	warm.SHA256 = got.SHA256
 	if warm != got || !reflect.DeepEqual(warmEvents, events) {
 		t.Errorf("%s: the arena engine's run differs from the fresh engine's:\n arena %+v\n fresh %+v", c.name, warm, got)
+	}
+	_, untraced := solveEventGolden(t, ar, c, false)
+	untraced.SHA256, untraced.Events = got.SHA256, got.Events
+	if untraced != got {
+		t.Errorf("%s: the untraced run differs from the traced one:\n untraced %+v\n traced   %+v", c.name, untraced, got)
 	}
 	return got
 }

@@ -46,8 +46,9 @@ type sepCtx struct {
 	// wg, when non-nil, tracks spawned recursion branches so an AWave slot
 	// leader can wait for the whole subtree.
 	wg *sim.WaitGroup
-	// nonce makes barrier keys unique across separate executions that may
-	// visit the same square.
+	// nonce tells apart, on the trace, the reorganization meetings of
+	// separate executions that may visit the same square. It is set only
+	// when the engine traces.
 	nonce string
 }
 
@@ -58,7 +59,9 @@ type sepCtx struct {
 // caller decides whether the source itself gets the continuation.
 func (c *sepCtx) runFromSource(p *sim.Proc, S geom.Square, admit func(geom.Point) bool) bool {
 	l4 := 4 * c.tup.L()
-	c.nonce = fmt.Sprintf("sep@%d/%.6g", p.ID(), p.Now())
+	if c.eng.Tracing() {
+		c.nonce = fmt.Sprintf("sep@%d/%.6g", p.ID(), p.Now())
+	}
 	out, err := sampling.Run(p, nil, sampling.Request{
 		Region:        S.Rect(),
 		Square:        S,
@@ -75,17 +78,16 @@ func (c *sepCtx) runFromSource(p *sim.Proc, S geom.Square, admit func(geom.Point
 		c.rep.miss("round 0 escort: %v", err)
 		return false
 	}
-	known := asleepNow(c.eng, out.Discovered)
-	return c.round(p, out.Members, S, admit, known, 1)
+	return c.round(p, out.Members, S, admit, out.Discovered, 1)
 }
 
 // round executes Round k on square S with the calling process as leader and
 // members as co-located passive teammates, all positioned at the center of
 // S. admit is the ownership predicate for S (points of sibling regions are
-// excluded); known maps discovered, still-sleeping robots of S to their
-// positions. It returns true when this was a terminal round (the leader's
-// robot is free afterwards) and false when the team was partitioned into new
-// teams that own the leader's robot.
+// excluded); known maps robots discovered in S to their initial positions,
+// and every reader keeps only those still asleep. It returns true when this
+// was a terminal round (the leader's robot is free afterwards) and false
+// when the team was partitioned into new teams that own the leader's robot.
 func (c *sepCtx) round(p *sim.Proc, members []int, S geom.Square,
 	admit func(geom.Point) bool, known map[int]geom.Point, depth int) bool {
 	c.rep.sawRound(depth)
@@ -106,36 +108,39 @@ func (c *sepCtx) round(p *sim.Proc, members []int, S geom.Square,
 	subs := S.SubSquares()
 	groups := partitionTeam(p.ID(), members)
 	st := &roundState{}
-	key := fmt.Sprintf("reorg/%s/%.6g,%.6g/%.6g/%d", c.nonce, S.Center.X, S.Center.Y, S.Width, depth)
+	if c.eng.Tracing() {
+		st.label = fmt.Sprintf("reorg/%s/%.6g,%.6g/%.6g/%d", c.nonce, S.Center.X, S.Center.Y, S.Width, depth)
+	}
 	allTeam := append([]int{p.ID()}, members...)
 
 	for i := 1; i < 4; i++ {
 		i := i
 		g := groups[i]
 		if len(g) == 0 {
-			// Degenerate tiny team split; mark the slot empty.
-			st.outcomes[i].Discovered = map[int]geom.Point{}
-			continue
+			continue // degenerate tiny team split: the slot stays empty
 		}
 		leader, rest := g[0], g[1:]
-		st.active++
+		st.Need++
 		c.eng.Spawn(leader, func(q *sim.Proc) {
-			c.groupWork(q, rest, S, subs, i, admit, known, allTeam, st, key)
+			c.groupWork(q, rest, S, subs, i, admit, known, allTeam, st)
 		})
 	}
-	st.active++
-	c.groupWork(p, groups[0], S, subs, 0, admit, known, allTeam, st, key)
+	st.Need++
+	c.groupWork(p, groups[0], S, subs, 0, admit, known, allTeam, st)
 
 	// --- Reorganization (coordinator = group-0 leader) ------------------
-	c.reorganize(p, S, subs, admit, known, allTeam, st, depth)
+	c.reorganize(subs, admit, allTeam, st, depth)
 	return false
 }
 
 // roundState is the blackboard the four group leaders share; writes happen
-// before the reorganization barrier, reads after, under strict handoff.
+// before the reorganization barrier, reads after, under strict handoff. Its
+// barrier needs one arrival per group process spawned, and label names the
+// meeting on the trace.
 type roundState struct {
+	sim.Barrier
 	outcomes [4]sampling.Outcome
-	active   int // number of group processes participating in the barrier
+	label    string
 }
 
 // partitionTeam splits leader+members into four groups of near-equal size.
@@ -169,7 +174,7 @@ func partitionTeam(leaderID int, members []int) [4][]int {
 // recruit by DFSampling, then return to the center of S and synchronize.
 func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.Square,
 	i int, admit func(geom.Point) bool, known map[int]geom.Point,
-	allTeam []int, st *roundState, key string) {
+	allTeam []int, st *roundState) {
 
 	sub := subs[i]
 	subAdmit := func(pt geom.Point) bool { return admit(pt) && assignSub(pt, subs) == i }
@@ -204,8 +209,8 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 	// robots found asleep plus those of already-awake robots (the team's
 	// own origins in the separator).
 	var seeds []sampling.Seed
-	for id, pos := range asleepNow(c.eng, disc) {
-		if sep.Contains(pos) && subAdmit(pos) {
+	for id, pos := range disc {
+		if c.eng.Robot(id).State() == sim.Asleep && sep.Contains(pos) && subAdmit(pos) {
 			seeds = append(seeds, sampling.Seed{Pos: pos, AsleepID: id})
 		}
 	}
@@ -245,29 +250,30 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 	if _, err := q.Escort(out.Members, S.Center); err != nil {
 		c.rep.miss("return escort: %v", err)
 	}
-	q.Barrier(key, st.active)
+	q.Await(&st.Barrier, st.label)
 	// Groups 1..3 end here; their robots are passive at the center of S and
 	// get re-teamed by the coordinator. Group 0 continues in round().
 }
 
 // reorganize is phase (v): form the next-round teams by sub-square of
-// origin, spawn their leaders, and dispatch them.
-func (c *sepCtx) reorganize(p *sim.Proc, S geom.Square, subs [4]geom.Square,
-	admit func(geom.Point) bool, known map[int]geom.Point,
+// origin, spawn their leaders, and dispatch them. Each child team learns
+// the robots of its sub-square that are still asleep.
+func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 	allTeam []int, st *roundState, depth int) {
 
-	merged := make(map[int]geom.Point, len(known))
-	for id, pos := range known {
-		merged[id] = pos
-	}
+	// Group 0's discoveries already extend the round's knowledge; the other
+	// groups' merge into them.
+	merged := st.outcomes[0].Discovered
 	var teams [4][]int
-	for i := range st.outcomes {
-		for id, pos := range st.outcomes[i].Discovered {
-			if _, ok := merged[id]; !ok {
-				merged[id] = pos
+	for i, out := range st.outcomes {
+		if i > 0 {
+			for id, pos := range out.Discovered {
+				if _, ok := merged[id]; !ok {
+					merged[id] = pos
+				}
 			}
 		}
-		teams[i] = append(teams[i], st.outcomes[i].Recruits...)
+		teams[i] = append(teams[i], out.Recruits...)
 	}
 	// Existing robots join the team of their origin's sub-square; imported
 	// robots stay with the caller.
@@ -282,7 +288,6 @@ func (c *sepCtx) reorganize(p *sim.Proc, S geom.Square, subs [4]geom.Square,
 		teams[assignSub(origin, subs)] = append(teams[assignSub(origin, subs)], id)
 	}
 
-	stillAsleep := asleepNow(c.eng, merged)
 	for i := range teams {
 		if len(teams[i]) == 0 {
 			continue
@@ -293,8 +298,8 @@ func (c *sepCtx) reorganize(p *sim.Proc, S geom.Square, subs [4]geom.Square,
 		leader, rest := team[0], team[1:]
 		subAdmit := func(pt geom.Point) bool { return admit(pt) && assignSub(pt, subs) == i }
 		childKnown := make(map[int]geom.Point)
-		for id, pos := range stillAsleep {
-			if subAdmit(pos) {
+		for id, pos := range merged {
+			if c.eng.Robot(id).State() == sim.Asleep && subAdmit(pos) {
 				childKnown[id] = pos
 			}
 		}

@@ -157,7 +157,9 @@ func (w *waveRun) leadSlots(p *sim.Proc, k int, home geom.Square, members []int)
 			imported: imported,
 			wg:       w.eng.NewWaitGroup(),
 		}
-		ctx.nonce = fmt.Sprintf("wave%d.%d@%d", k, i, p.ID())
+		if w.eng.Tracing() {
+			ctx.nonce = fmt.Sprintf("wave%d.%d@%d", k, i, p.ID())
+		}
 		ctx.round(p, members, target, w.cellAdmit(target), nil, 1)
 		ctx.wg.Wait(p)
 		// The imported team reassembles at the center of the target square

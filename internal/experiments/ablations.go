@@ -6,8 +6,6 @@ import (
 	"freezetag/internal/instance"
 	"freezetag/internal/metrics"
 	"freezetag/internal/report"
-	"freezetag/internal/sampling"
-	"freezetag/internal/sim"
 	"freezetag/internal/wakeup"
 )
 
@@ -88,11 +86,11 @@ func (r *Runner) A3TeamGrowth(scale Scale) (*report.Table, error) {
 	t := report.NewTable("A3 — DFSampling with vs without team growth (Lemma 5 ablation)",
 		"ell", "recruits", "with growth", "without growth", "speedup")
 	err := Sweep(r, t, cfgs, func(_ *Trial, c cfg) (Row, error) {
-		with, err := dfsampleAblation(c.ell, c.target, false)
+		with, _, err := dfsampleDuration(c.ell, c.target, false)
 		if err != nil {
 			return nil, err
 		}
-		without, err := dfsampleAblation(c.ell, c.target, true)
+		without, _, err := dfsampleDuration(c.ell, c.target, true)
 		if err != nil {
 			return nil, err
 		}
@@ -102,34 +100,6 @@ func (r *Runner) A3TeamGrowth(scale Scale) (*report.Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-func dfsampleAblation(ell float64, target int, noGrowth bool) (float64, error) {
-	var pts []geom.Point
-	for i := 1; i <= 2*target+4; i++ {
-		pts = append(pts, geom.Pt(float64(i)*1.5*ell, 0))
-	}
-	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: pts})
-	region := geom.Sq(geom.Pt(float64(len(pts))*ell, 0), 8*float64(len(pts))*ell)
-	var dur float64
-	var rerr error
-	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		start := p.Now()
-		_, err := sampling.Run(p, nil, sampling.Request{
-			Region:        region.Rect(),
-			Square:        region,
-			Ell:           ell,
-			RecruitTarget: target,
-			Seeds:         []sampling.Seed{{Pos: geom.Origin, AsleepID: -1}},
-			NoTeamGrowth:  noGrowth,
-		})
-		rerr = err
-		dur = p.Now() - start
-	})
-	if _, err := e.Run(); err != nil {
-		return 0, err
-	}
-	return dur, rerr
 }
 
 // A4EllRobustness checks Definition 1's "any admissible tuple" clause: the

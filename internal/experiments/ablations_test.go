@@ -56,13 +56,3 @@ func TestA4EllRobustness(t *testing.T) {
 		t.Errorf("over-estimated ℓ broke correctness:\n%s", tb.String())
 	}
 }
-
-func TestAblationsAll(t *testing.T) {
-	tabs, err := Ablations(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 5 {
-		t.Fatalf("got %d ablation tables, want 5", len(tabs))
-	}
-}

@@ -269,7 +269,7 @@ func (r *Runner) L5DFSampling(scale Scale) (*report.Table, error) {
 	t := report.NewTable("L5 — DFSampling time vs recruits (chain; model ℓ²·lg k, valid for k ≤ 4ℓ)",
 		"ell", "recruit target", "recruited", "duration", "model ℓ²lg(k)", "ratio")
 	err := Sweep(r, t, cfgs, func(_ *Trial, c cfg) (Row, error) {
-		dur, got, err := dfsampleDuration(c.ell, c.target)
+		dur, got, err := dfsampleDuration(c.ell, c.target, false)
 		if err != nil {
 			return nil, err
 		}
@@ -282,9 +282,12 @@ func (r *Runner) L5DFSampling(scale Scale) (*report.Table, error) {
 	return t, nil
 }
 
-func dfsampleDuration(ell float64, target int) (float64, int, error) {
-	// A chain long enough to saturate the largest target, spaced 1.5ℓ so
-	// every consecutive pair is a 2ℓ-hop and every sample recruits.
+// dfsampleDuration times one DFSampling run from the source that recruits
+// up to target robots, and returns its duration and the number recruited.
+// noGrowth keeps the recruits out of the sweeps (the A3 ablation). The
+// chain is long enough to saturate the largest target, spaced 1.5ℓ so
+// every consecutive pair is a 2ℓ-hop and every sample recruits.
+func dfsampleDuration(ell float64, target int, noGrowth bool) (float64, int, error) {
 	var pts []geom.Point
 	for i := 1; i <= 2*target+4; i++ {
 		pts = append(pts, geom.Pt(float64(i)*1.5*ell, 0))
@@ -302,11 +305,9 @@ func dfsampleDuration(ell float64, target int) (float64, int, error) {
 			Ell:           ell,
 			RecruitTarget: target,
 			Seeds:         []sampling.Seed{{Pos: geom.Origin, AsleepID: -1}},
+			NoTeamGrowth:  noGrowth,
 		})
-		if err != nil {
-			rerr = err
-			return
-		}
+		rerr = err
 		dur = p.Now() - start
 		got = len(out.Recruits)
 	})

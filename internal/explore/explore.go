@@ -127,21 +127,31 @@ func newResult() *Result {
 type rectScratch struct {
 	resFree  []*Result
 	teamFree []*team
-	// keyseq disambiguates barrier keys (several explorations can share an
-	// (ID, Now) pair). It counts within one run and rewinds with the engine,
-	// so the keys, which appear on traces, depend only on the run.
+	// solo is the one-party barrier every single-robot sweep meets. It
+	// never parks anyone, so one serves them all; meeting it only puts the
+	// sweep's end on the trace.
+	solo sim.Barrier
+	// keyseq disambiguates meeting labels (several explorations can share
+	// an (ID, Now) pair). It counts within one traced run and rewinds with
+	// the engine, so the labels depend only on the run.
 	keyseq uint64
 }
 
 func scratchOf(e *sim.Engine) *rectScratch {
-	return sim.ScratchOf(e, "explore.rect", func() *rectScratch { return &rectScratch{} })
+	return sim.ScratchOf(e, "explore.rect", func() *rectScratch {
+		return &rectScratch{solo: sim.Barrier{Need: 1}}
+	})
 }
 
 // ResetRun implements sim.RunScratch.
 func (sc *rectScratch) ResetRun() { sc.keyseq = 0 }
 
-// barrierKey names one exploration's meeting barrier.
-func (sc *rectScratch) barrierKey(p *sim.Proc) string {
+// label names one exploration's meeting on the trace, and is "" when the
+// engine does not trace.
+func (sc *rectScratch) label(p *sim.Proc) string {
+	if !p.Engine().Tracing() {
+		return ""
+	}
 	sc.keyseq++
 	return fmt.Sprintf("explore/%d/%.9f/%d", p.ID(), p.Now(), sc.keyseq)
 }
@@ -196,12 +206,14 @@ func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
 }
 
 // team is the per-call state of one team sweep, pooled on the engine's
-// exploration scratch. The member handlers live in it, like wakeup's
-// propHandler slab, so spawning k members captures no closures.
+// exploration scratch: the barrier the team meets at, and the member
+// handlers, which live in it like wakeup's propHandler slab, so spawning k
+// members captures no closures.
 type team struct {
+	sim.Barrier
 	r       geom.Rect
 	dest    geom.Point
-	key     string
+	label   string
 	results []*Result // one per strip; strip 0 is the caller's
 	errs    []error
 	members []member // members[i] sweeps strip i; members[0] is unused
@@ -223,7 +235,7 @@ func (m *member) RunProc(q *sim.Proc) {
 	k := len(t.results)
 	t.errs[m.i] = runPlan(q, t.r.HStrip(m.i, k), t.dest, t.results[m.i])
 	t.arrived++
-	q.Barrier(t.key, k)
+	q.Await(&t.Barrier, t.label)
 }
 
 // Rect explores rectangle r with the caller plus the passive awake team
@@ -245,20 +257,12 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	sc := scratchOf(e)
 	if len(memberIDs) == 0 {
 		// Lemma 1 with k = 1 degenerates to a single sweep of r itself
-		// (HStrip(0, 1) is r bit-for-bit), and a one-party barrier releases
-		// its arriver immediately, so its only observable effect is the
-		// trace event. The solo path therefore sweeps r directly and touches
-		// the barrier machinery only when a trace sink is listening; stops
-		// and looks are bit-identical to the general path.
+		// (HStrip(0, 1) is r bit-for-bit), whose stops and looks are those
+		// of the general path; the one-party meeting releases at once.
 		res := sc.getResult()
-		var key string
-		if e.Tracing() {
-			key = sc.barrierKey(p)
-		}
+		label := sc.label(p)
 		err := runPlan(p, r, dest, res)
-		if e.Tracing() {
-			p.Barrier(key, 1)
-		}
+		p.Await(&sc.solo, label)
 		return res, err
 	}
 	k := 1 + len(memberIDs)
@@ -268,7 +272,8 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	} else {
 		t = &team{}
 	}
-	t.r, t.dest, t.key, t.arrived = r, dest, sc.barrierKey(p), 0
+	t.r, t.dest, t.label, t.arrived = r, dest, sc.label(p), 0
+	t.Need = k
 	t.results, t.errs = t.results[:0], t.errs[:0]
 	for i := 0; i < k; i++ {
 		t.results = append(t.results, sc.getResult())
@@ -281,7 +286,7 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 		e.SpawnH(id, &t.members[i+1])
 	}
 	t.errs[0] = runPlan(p, r.HStrip(0, k), dest, t.results[0])
-	p.Barrier(t.key, k)
+	p.Await(&t.Barrier, t.label)
 	merged := sc.getResult()
 	var firstErr error
 	for i, res := range t.results {
@@ -295,9 +300,10 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 			firstErr = t.errs[i]
 		}
 	}
-	// Recycle only after a normal release: a barrier voided by
+	// Recycle only after a normal release: a barrier emptied by
 	// ReleaseStalled under faults can free the caller while a member is
-	// still sweeping into its Result, so that call's state goes to the GC.
+	// still sweeping into its Result, so that call's state, barrier
+	// included, goes to the GC.
 	if t.arrived == len(memberIDs) {
 		sc.resFree = append(sc.resFree, t.results...)
 		sc.teamFree = append(sc.teamFree, t)

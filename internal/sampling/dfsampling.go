@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"sort"
-
 	"freezetag/internal/explore"
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
@@ -38,7 +36,9 @@ type Request struct {
 	// Seeds are the DFS start positions X, unordered (the run sorts them).
 	Seeds []Seed
 	// Known seeds the discovery state: robots already known to the team,
-	// id → initial position, typically from a prior Explore of sep(S).
+	// id → initial position, typically from a prior Explore of sep(S). Run
+	// takes ownership of the map and extends it into Outcome.Discovered,
+	// so the caller passes a map it owns, or nil.
 	Known map[int]geom.Point
 	// Admit, when non-nil, restricts sampling/recruiting to positions it
 	// accepts. ASeparator passes the sub-square assignment predicate so
@@ -70,7 +70,8 @@ type Outcome struct {
 	// Recruits are the ids of robots awakened (and escorted) by this run.
 	Recruits []int
 	// Discovered maps every robot id seen during the run (or passed in via
-	// Known) to its initial position.
+	// Known, whose map it is when Known was non-nil) to its initial
+	// position.
 	Discovered map[int]geom.Point
 	// Covered is Lemma 5's case (2): the run exhausted all branches before
 	// reaching any target, so every admitted robot of S is within ℓ of a
@@ -88,9 +89,9 @@ type Outcome struct {
 // with the error.
 func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	metric := p.Engine().Metric()
-	out := Outcome{Discovered: make(map[int]geom.Point, len(req.Known))}
-	for id, pos := range req.Known {
-		out.Discovered[id] = pos
+	out := Outcome{Discovered: req.Known}
+	if out.Discovered == nil {
+		out.Discovered = make(map[int]geom.Point)
 	}
 	out.Members = append(out.Members, members...)
 
@@ -189,14 +190,9 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 
 	// nextCandidate picks the sampling candidate reachable from cur: a
 	// discovered sleeping robot in S within 2ℓ of cur and > ℓ from every
-	// sample; nearest first, then lowest id, for determinism.
-	nextCandidate := func(cur geom.Point) (int, geom.Point, bool) {
-		type cand struct {
-			id  int
-			pos geom.Point
-			d   float64
-		}
-		var cs []cand
+	// sample; nearest first, then lowest id, so the pick is unique.
+	nextCandidate := func(cur geom.Point) (best int, bestPos geom.Point, ok bool) {
+		bestD := 0.0
 		for id := range asleep {
 			pos := out.Discovered[id]
 			if !admit(pos) {
@@ -206,21 +202,15 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 			if d > 2*req.Ell+geom.Eps {
 				continue
 			}
+			if ok && (d > bestD || d == bestD && id > best) {
+				continue
+			}
 			if !farFromSamples(pos) {
 				continue
 			}
-			cs = append(cs, cand{id: id, pos: pos, d: d})
+			best, bestPos, bestD, ok = id, pos, d, true
 		}
-		if len(cs) == 0 {
-			return 0, geom.Point{}, false
-		}
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i].d != cs[j].d {
-				return cs[i].d < cs[j].d
-			}
-			return cs[i].id < cs[j].id
-		})
-		return cs[0].id, cs[0].pos, true
+		return best, bestPos, ok
 	}
 
 	for _, seed := range ordered {

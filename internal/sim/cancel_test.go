@@ -75,7 +75,7 @@ func TestRunCtxCancelUnwindsBarrier(t *testing.T) {
 		}
 		p.Wake(1, func(q *Proc) {
 			// Parks forever: the source never arrives at this barrier.
-			q.Barrier("never", 2)
+			q.Await(&Barrier{Need: 2}, "never")
 		})
 		// Keep dispatching events so the cancel poll runs after the barrier.
 		for i := 0; i < 10; i++ {

@@ -83,10 +83,10 @@ type Engine struct {
 	// of a Look, which splits its sightings by Robot.state.
 	grid *spatial.Grid
 
-	pq       eventHeap
-	barriers map[string]*barrier
+	pq eventHeap
 	// parked holds every process currently parked indefinitely (barriers,
-	// wait-groups); used for deadlock detection and shutdown.
+	// wait-groups); used for deadlock detection and shutdown. The barriers
+	// themselves belong to the algorithm code that meets at them.
 	parked map[*Proc]struct{}
 
 	// queryBuf backs Look's grid query. The engine runs one process at a
@@ -127,9 +127,6 @@ type Engine struct {
 	lookAsleep []Sighting
 	lookAwake  []Sighting
 	energyBuf  []float64
-	// barrierFree holds released barrier records for reuse, waiter slices
-	// truncated but retained.
-	barrierFree []*barrier
 	// scratch holds per-algorithm reusable state keyed by algorithm name
 	// (see ScratchOf); values implementing RunScratch rewind on Reset.
 	scratch map[string]any
@@ -239,11 +236,6 @@ func (h *eventHeap) pop() schedItem {
 	return top
 }
 
-type barrier struct {
-	need    int
-	waiters []*Proc
-}
-
 // NewEngine builds an engine over the given instance. Robot 0 is the awake
 // source; robots 1..n start asleep at Config.Sleepers.
 //
@@ -257,13 +249,12 @@ func newEngine(cfg Config, pooled bool) *Engine {
 	n := len(cfg.Sleepers)
 	metric := geom.MetricOrL2(cfg.Metric)
 	e := &Engine{
-		metric:   metric,
-		grid:     spatial.NewGridInCap(metric, 1, n+1),
-		pq:       make(eventHeap, 0, n+2),
-		barriers: make(map[string]*barrier),
-		parked:   make(map[*Proc]struct{}),
-		trace:    cfg.Trace,
-		pooled:   pooled,
+		metric: metric,
+		grid:   spatial.NewGridInCap(metric, 1, n+1),
+		pq:     make(eventHeap, 0, n+2),
+		parked: make(map[*Proc]struct{}),
+		trace:  cfg.Trace,
+		pooled: pooled,
 	}
 	e.populate(cfg)
 	return e
@@ -353,10 +344,10 @@ func (e *Engine) populate(cfg Config) {
 
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, the spatial grid, the event
-// heap, the Look buffers, barrier records, and all algorithm scratch (values
-// implementing RunScratch are rewound). The idle process coroutines
-// survive. Every slice handed out by the previous run (Look snapshots,
-// EnergyByRobot) is invalidated.
+// heap, the Look buffers, and all algorithm scratch (values implementing
+// RunScratch are rewound). The idle process coroutines survive. Every slice
+// handed out by the previous run (Look snapshots, EnergyByRobot) is
+// invalidated.
 func (e *Engine) Reset(cfg Config) {
 	if !e.pooled {
 		panic("sim: Reset on a non-pooled engine")
@@ -367,7 +358,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.metric = metric
 	e.grid.Reset(metric)
 	e.pq = e.pq[:0]
-	clear(e.barriers)
 	clear(e.parked)
 	e.trace = cfg.Trace
 	e.steps, e.looks, e.moves = 0, 0, 0
@@ -601,7 +591,6 @@ func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 		p.stop()
 	}
 	clear(e.parked)
-	clear(e.barriers)
 	if !e.pooled || e.panicked {
 		e.Close()
 	}

@@ -80,10 +80,11 @@ type FaultPlan struct {
 	// per-wake fault probability for the wake kinds. Ignored by Byzantine.
 	Rate float64
 	// CrashDist scales the odometer reading at which a faulty robot's next
-	// crash fires (drawn uniformly from [0, CrashDist)); ≤ 0 means 1.
+	// crash fires (drawn uniformly from [0, CrashDist)); the crash kinds
+	// require it to be > 0.
 	CrashDist float64
 	// Downtime scales a crash-recovery outage: down for (0.5+u)·Downtime
-	// with u uniform in [0,1); ≤ 0 means 1.
+	// with u uniform in [0,1); crash-recovery requires it to be > 0.
 	Downtime float64
 	// Byzantine is the number of adversary-controlled robots (FaultByzantine
 	// only), chosen by a seeded shuffle of ids 1..n.
@@ -137,10 +138,6 @@ func (e *ErrCrashed) Error() string {
 func (e *Engine) installFaults(plan *FaultPlan) {
 	switch plan.Kind {
 	case FaultCrashStop, FaultCrashRecovery:
-		scale := plan.CrashDist
-		if scale <= 0 {
-			scale = 1
-		}
 		// Robot i's stream is rngstream.New(plan.Seed, i). Seeding one
 		// spare Rand gives the same state as a fresh one, so only the
 		// robots that draw a crash keep a stream of their own.
@@ -157,7 +154,7 @@ func (e *Engine) installFaults(plan *FaultPlan) {
 			}
 			r := e.robots[i]
 			r.faulty = true
-			r.crashAt = rnd.Float64() * scale
+			r.crashAt = rnd.Float64() * plan.CrashDist
 			r.frnd, rnd = rnd, nil
 		}
 	case FaultWakeDrop, FaultWakeDup:
@@ -238,10 +235,11 @@ func (e *Engine) RecordRepair(id int, note string) {
 }
 
 // ReleaseStalled re-enqueues every indefinitely-parked process at the current
-// time and voids the synchronization they were parked on: all barrier records
-// are dropped and every engine-built WaitGroup is zeroed (so released waiters
-// that re-check it fall through, and stragglers' Done calls are absorbed).
-// It returns the number of processes released.
+// time and voids the synchronization they were parked on: each barrier a
+// released process waited at is emptied, so a later arrival counts from
+// zero, and every engine-built WaitGroup is zeroed (so released waiters that
+// re-check it fall through, and stragglers' Done calls are absorbed). It
+// returns the number of processes released.
 //
 // This is the self-stabilization escape hatch: when injected faults have
 // killed the branches that would have released a barrier or wait-group, the
@@ -259,10 +257,13 @@ func (e *Engine) ReleaseStalled() int {
 		}
 		sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 		for _, p := range procs {
+			if b := p.barrier; b != nil {
+				b.waiters = b.waiters[:0]
+				p.barrier = nil
+			}
 			e.push(p, e.now)
 		}
 	}
-	clear(e.barriers)
 	for _, w := range e.wgs {
 		w.count = 0
 		w.waiters = w.waiters[:0]
@@ -292,30 +293,32 @@ func (p *Proc) moveFaulty(dst geom.Point, speed float64) error {
 			p.yieldAt(p.eng.now + gap/speed)
 			p.eng.moveRobot(p.r, stop, gap)
 		}
-		plan := p.eng.faults
-		p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "fault-crash", Pos: p.r.pos})
-		if plan.Kind == FaultCrashStop {
-			p.r.stopped = true
-			p.r.downUntil = math.Inf(1)
-			p.eng.fstats.CrashStops++
+		if p.eng.crash(p.r) {
 			return &ErrCrashed{Robot: p.r.id}
 		}
-		mean := plan.Downtime
-		if mean <= 0 {
-			mean = 1
-		}
-		p.eng.fstats.Recoveries++
-		p.r.downUntil = p.eng.now + (0.5+p.r.frnd.Float64())*mean
 		p.yieldAt(p.r.downUntil)
 		p.r.downUntil = 0
 		p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "fault-recover", Pos: p.r.pos})
-		scale := plan.CrashDist
-		if scale <= 0 {
-			scale = 1
-		}
-		p.r.crashAt = p.r.energy + p.r.frnd.Float64()*scale
 		// Loop: continue the interrupted move toward dst.
 	}
+}
+
+// crash fires robot r's injected crash at the current time and reports
+// whether it stopped r for good. Crash-stop halts r; crash-recovery draws
+// r's outage end into downUntil and then its next crash point, from r's
+// private stream in that order.
+func (e *Engine) crash(r *Robot) bool {
+	e.emit(Event{T: e.now, Robot: r.id, Kind: "fault-crash", Pos: r.pos})
+	if e.faults.Kind == FaultCrashStop {
+		r.stopped = true
+		r.downUntil = math.Inf(1)
+		e.fstats.CrashStops++
+		return true
+	}
+	e.fstats.Recoveries++
+	r.downUntil = e.now + (0.5+r.frnd.Float64())*e.faults.Downtime
+	r.crashAt = r.energy + r.frnd.Float64()*e.faults.CrashDist
+	return false
 }
 
 // escortCrash fires a passive escort member's crash when it lies inside the
@@ -335,25 +338,7 @@ func (p *Proc) escortCrash(r *Robot, dst geom.Point, d float64) bool {
 	}
 	stop := geom.MoveToward(p.eng.metric, r.pos, dst, gap)
 	p.eng.moveRobot(r, stop, gap)
-	p.eng.emit(Event{T: p.eng.now, Robot: r.id, Kind: "fault-crash", Pos: r.pos})
-	plan := p.eng.faults
-	if plan.Kind == FaultCrashStop {
-		r.stopped = true
-		r.downUntil = math.Inf(1)
-		p.eng.fstats.CrashStops++
-		return true
-	}
-	mean := plan.Downtime
-	if mean <= 0 {
-		mean = 1
-	}
-	p.eng.fstats.Recoveries++
-	r.downUntil = p.eng.now + (0.5+r.frnd.Float64())*mean
-	scale := plan.CrashDist
-	if scale <= 0 {
-		scale = 1
-	}
-	r.crashAt = r.energy + r.frnd.Float64()*scale
+	p.eng.crash(r)
 	return true
 }
 

@@ -23,6 +23,9 @@ type Proc struct {
 	next  func() (parkMsg, bool)
 	stop  func()
 	yield func(parkMsg) bool
+	// barrier is the barrier the process is parked at, if any, so that
+	// ReleaseStalled can empty it.
+	barrier *Barrier
 }
 
 // errKilled unwinds a process that the engine stopped while it was parked:
@@ -193,7 +196,7 @@ type Sighting struct {
 // allocates nothing once they have grown to the largest Look of the run.
 // A snapshot is valid until the next Look on the same engine, by any
 // process: a caller that keeps sightings across a call that can block
-// (MoveTo, Wait, Barrier, ...) copies them first.
+// (MoveTo, Wait, Await, ...) copies them first.
 func (p *Proc) Look() Snapshot {
 	e := p.eng
 	e.looks++
@@ -325,58 +328,45 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 	return arrived, nil
 }
 
-// Barrier parks the process until need processes in total have arrived at the
-// same key, then releases them all at the arrival time of the last. Keys are
-// single-use: the barrier is deleted on release, and its record is kept for
-// the engine's next barrier.
-func (p *Proc) Barrier(key string, need int) {
-	if need <= 0 {
+// Barrier is a meeting point for Need processes, owned by the algorithm code
+// that builds it: its participants reach it through the value itself, so
+// no name is looked up and no two meetings can collide. A Barrier with Need
+// set is ready to use; once released it is empty again and may be met once
+// more.
+type Barrier struct {
+	// Need is the number of processes that must arrive before any leaves.
+	Need    int
+	waiters []*Proc
+}
+
+// Await parks the process at b until b.Need processes in total have
+// arrived, then releases them all at the arrival time of the last, in
+// ascending robot id. Every arrival emits a "barrier" trace event carrying
+// label, which only names the meeting on the trace: callers build it only
+// when Engine.Tracing reports a sink.
+func (p *Proc) Await(b *Barrier, label string) {
+	if b.Need <= 0 {
 		panic("sim: Barrier needs a positive count")
 	}
-	if need == 1 {
-		// A one-party barrier releases its sole arriver immediately; the
-		// general path below would build and tear down a barrier record for
-		// nothing. Only the count-mismatch check and the trace event are
-		// observable, so that is all this path does.
-		if b := p.eng.barriers[key]; b != nil {
-			panic(fmt.Sprintf("sim: Barrier %q count mismatch: %d vs %d", key, b.need, need))
-		}
-		p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "barrier", Pos: p.r.pos, Extra: key})
+	p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "barrier", Pos: p.r.pos, Extra: label})
+	if len(b.waiters)+1 < b.Need {
+		b.waiters = append(b.waiters, p)
+		p.barrier = b
+		p.parkWait()
 		return
 	}
-	b := p.eng.barriers[key]
-	if b == nil {
-		if n := len(p.eng.barrierFree); n > 0 {
-			b = p.eng.barrierFree[n-1]
-			p.eng.barrierFree = p.eng.barrierFree[:n-1]
-			b.need = need
-		} else {
-			b = &barrier{need: need}
+	// The last arriver releases everyone, sorted for determinism. Waiter
+	// lists are team-sized; insertion sort keeps the release path free of
+	// sort.Slice's reflection allocations.
+	ws := b.waiters
+	for i := 1; i < len(ws); i++ {
+		for j := i; j > 0 && ws[j].r.id < ws[j-1].r.id; j-- {
+			ws[j], ws[j-1] = ws[j-1], ws[j]
 		}
-		p.eng.barriers[key] = b
 	}
-	if b.need != need {
-		panic(fmt.Sprintf("sim: Barrier %q count mismatch: %d vs %d", key, b.need, need))
+	for _, w := range ws {
+		w.barrier = nil
+		p.eng.push(w, p.eng.now)
 	}
-	p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "barrier", Pos: p.r.pos, Extra: key})
-	if len(b.waiters)+1 == need {
-		// Last arriver releases everyone, sorted for determinism. Waiter
-		// lists are team-sized; insertion sort keeps the release path free
-		// of sort.Slice's reflection allocations.
-		ws := b.waiters
-		delete(p.eng.barriers, key)
-		for i := 1; i < len(ws); i++ {
-			for j := i; j > 0 && ws[j].r.id < ws[j-1].r.id; j-- {
-				ws[j], ws[j-1] = ws[j-1], ws[j]
-			}
-		}
-		for _, w := range ws {
-			p.eng.push(w, p.eng.now)
-		}
-		b.waiters = ws[:0]
-		p.eng.barrierFree = append(p.eng.barrierFree, b)
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	p.parkWait()
+	b.waiters = ws[:0]
 }

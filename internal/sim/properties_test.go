@@ -211,16 +211,17 @@ func TestBarrierManyParticipants(t *testing.T) {
 	}
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers})
 	var releases []float64
+	big := &Barrier{Need: n + 1}
 	e.Spawn(SourceID, func(p *Proc) {
 		for i := 1; i <= n; i++ {
 			i := i
 			p.Wake(i, func(q *Proc) {
 				q.Wait(float64(i)) // staggered arrivals 1..n
-				q.Barrier("big", n+1)
+				q.Await(big, "big")
 				releases = append(releases, q.Now())
 			})
 		}
-		p.Barrier("big", n+1)
+		p.Await(big, "big")
 		releases = append(releases, p.Now())
 	})
 	if _, err := e.Run(); err != nil {

@@ -3,10 +3,11 @@
 //
 // Each active robot runs a coroutine ("process", an iter.Pull) executing
 // straight-line algorithm code against a blocking API (MoveTo, Look, Wake,
-// WaitUntil, Barrier). The event loop resumes exactly one process at a time
-// and orders resumptions by (virtual time, monotone sequence number), so
-// identical inputs always produce identical executions — coroutines give the
-// programming model of concurrent robots without nondeterminism.
+// WaitUntil, and Await at a Barrier the algorithm owns). The event loop
+// resumes exactly one process at a time and orders resumptions by (virtual
+// time, monotone sequence number), so identical inputs always produce
+// identical executions — coroutines give the programming model of
+// concurrent robots without nondeterminism.
 //
 // Model facts enforced here, matching §1.2 of the paper:
 //   - robots move at unit speed by default (moving distance δ takes time

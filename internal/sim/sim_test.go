@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"freezetag/internal/geom"
@@ -162,16 +163,17 @@ func TestWaitUntil(t *testing.T) {
 func TestBarrierSynchronizes(t *testing.T) {
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: []geom.Point{geom.Pt(1, 0)}})
 	var releaseA, releaseB float64
+	meet := &Barrier{Need: 2}
 	e.Spawn(SourceID, func(p *Proc) {
 		if err := p.MoveTo(geom.Pt(1, 0)); err != nil {
 			t.Errorf("move: %v", err)
 		}
 		p.Wake(1, func(q *Proc) {
 			q.Wait(5) // arrives at barrier at t=6
-			q.Barrier("meet", 2)
+			q.Await(meet, "meet")
 			releaseB = q.Now()
 		})
-		p.Barrier("meet", 2) // arrives at t=1
+		p.Await(meet, "meet") // arrives at t=1
 		releaseA = p.Now()
 	})
 	if _, err := e.Run(); err != nil {
@@ -185,11 +187,66 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine(Config{Source: geom.Origin})
 	e.Spawn(SourceID, func(p *Proc) {
-		p.Barrier("never", 2)
+		p.Await(&Barrier{Need: 2}, "never")
 	})
 	_, err := e.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+// ReleaseStalled frees every parked process in spawn order, not robot id
+// order, whatever it is parked on. It empties the barrier they were parked
+// at, so the next arrivals count from zero, and it zeroes the WaitGroup, so
+// a late Done is absorbed.
+func TestReleaseStalled(t *testing.T) {
+	e := NewEngine(Config{
+		Source:   geom.Origin,
+		Sleepers: []geom.Point{geom.Origin, geom.Origin, geom.Origin},
+		Faults:   &FaultPlan{Kind: FaultNone},
+	})
+	b := &Barrier{Need: 4}
+	wg := e.NewWaitGroup()
+	wg.Add(1)
+	var released []int
+	var left []float64
+	meetAgain := func(q *Proc, after float64) {
+		released = append(released, q.ID())
+		q.Wait(after)
+		q.Await(b, "again")
+		left = append(left, q.Now())
+	}
+	e.Spawn(SourceID, func(p *Proc) {
+		// Spawned as robots 3, 2, 1: two of four at b, one on wg.
+		p.Wake(3, func(q *Proc) { q.Await(b, "stall"); meetAgain(q, 1) })
+		p.Wake(2, func(q *Proc) { wg.Wait(q); meetAgain(q, 2) })
+		p.Wake(1, func(q *Proc) { q.Await(b, "stall"); meetAgain(q, 1) })
+		p.Wait(1)
+		if !e.Quiescent() || e.ParkedCount() != 3 {
+			t.Errorf("before release: quiescent %v, %d parked, want true, 3", e.Quiescent(), e.ParkedCount())
+		}
+		if n := e.ReleaseStalled(); n != 3 || e.ParkedCount() != 0 {
+			t.Errorf("released %d, %d still parked, want 3, 0", n, e.ParkedCount())
+		}
+		wg.Done()
+		if wg.Pending() != 0 {
+			t.Errorf("late Done left %d pending", wg.Pending())
+		}
+		// Robots 3 and 1 meet b again at t = 2, robot 2 at t = 3: with the
+		// stalled arrivals gone, b releases only when this one, at t = 4,
+		// is its fourth.
+		p.Wait(3)
+		p.Await(b, "again")
+		left = append(left, p.Now())
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 2, 1}; !slices.Equal(released, want) {
+		t.Errorf("released in order %v, want spawn order %v", released, want)
+	}
+	if want := []float64{4, 4, 4, 4}; !slices.Equal(left, want) {
+		t.Errorf("second meeting left at %v, want %v", left, want)
 	}
 }
 

@@ -26,7 +26,7 @@ func spawnUnwindProgram(t *testing.T, e *Engine, park bool) {
 		}
 		p.Wake(1, func(q *Proc) {
 			if park {
-				q.Barrier("never", 2)
+				q.Await(&Barrier{Need: 2}, "never")
 			}
 		})
 		p.Wake(2, func(q *Proc) { q.Wait(3) })
@@ -119,7 +119,7 @@ func TestRunReturnsProcessPanic(t *testing.T) {
 				t.Errorf("move: %v", err)
 				return
 			}
-			p.Wake(1, func(q *Proc) { q.Barrier("never", 2) })
+			p.Wake(1, func(q *Proc) { q.Await(&Barrier{Need: 2}, "never") })
 			p.Wake(2, func(q *Proc) { q.Wait(5) })
 			p.Wait(1)
 			explodeInHelper()
