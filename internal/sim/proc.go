@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 
 	"freezetag/internal/geom"
@@ -114,16 +115,24 @@ func (p *Proc) MoveTo(dst geom.Point) error {
 }
 
 // moveToAt is MoveTo at an explicit speed: Escort uses it to slow a team
-// leader down to the pace of its slowest member.
+// leader down to the pace of its slowest member. A robot that has stopped
+// stays where it stopped: its halt or crash was recorded once, when it
+// happened, so a later move is refused with the same error, untraced and
+// uncounted.
 func (p *Proc) moveToAt(dst geom.Point, speed float64) error {
-	if p.r.faulty {
+	if p.r.faulty && !p.r.stopped {
 		return p.moveFaulty(dst, speed)
 	}
 	d := p.eng.dist(p.r.pos, dst)
-	if d <= geom.Eps {
+	switch {
+	case d <= geom.Eps:
 		return nil
+	case !p.r.stopped:
+		return p.moveLeg(dst, d, speed)
+	case math.IsInf(p.r.downUntil, 1):
+		return &ErrCrashed{Robot: p.r.id}
 	}
-	return p.moveLeg(dst, d, speed)
+	return &ErrBudget{Robot: p.r.id, Needed: d}
 }
 
 // moveLeg finishes a move of metric length d > Eps to dst under the energy

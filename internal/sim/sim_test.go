@@ -139,6 +139,79 @@ func TestBudgetHaltsRobot(t *testing.T) {
 	}
 }
 
+// A robot that has stopped stays stopped: asked to move again, it returns
+// the error it stopped with, and its halt or crash is counted and traced
+// once.
+func TestStoppedRobotStopsOnce(t *testing.T) {
+	countKind := func(events []Event, kind string) int {
+		n := 0
+		for _, ev := range events {
+			if ev.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+
+	var events []Event
+	e := NewEngine(Config{Source: geom.Origin, Budget: 3, Trace: func(ev Event) { events = append(events, ev) }})
+	var errs [2]error
+	e.Spawn(SourceID, func(p *Proc) {
+		errs[0] = p.MoveTo(geom.Pt(10, 0))
+		errs[1] = p.MoveTo(geom.Pt(0, 10))
+	})
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		var be *ErrBudget
+		if !errors.As(err, &be) {
+			t.Errorf("budget move %d: want *ErrBudget, got %v", i, err)
+		}
+	}
+	if len(res.Violations) != 1 || countKind(events, "halt") != 1 {
+		t.Errorf("budget halt: violations %q and %d halt events, want one of each",
+			res.Violations, countKind(events, "halt"))
+	}
+	if !e.Robot(SourceID).Pos().Eq(geom.Pt(3, 0)) {
+		t.Errorf("halted robot at %v, want (3,0)", e.Robot(SourceID).Pos())
+	}
+
+	events = nil
+	e = NewEngine(Config{
+		Source:   geom.Origin,
+		Sleepers: []geom.Point{geom.Origin},
+		Faults:   &FaultPlan{Kind: FaultCrashStop, Seed: 1, Rate: 1, CrashDist: 1, Downtime: 1},
+		Trace:    func(ev Event) { events = append(events, ev) },
+	})
+	var at geom.Point
+	e.Spawn(SourceID, func(p *Proc) {
+		p.Wake(1, func(q *Proc) {
+			errs[0] = q.MoveTo(geom.Pt(10, 0))
+			at = q.Self().Pos()
+			errs[1] = q.MoveTo(geom.Pt(0, 10))
+		})
+	})
+	res, err = e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		var ce *ErrCrashed
+		if !errors.As(err, &ce) {
+			t.Errorf("crash move %d: want *ErrCrashed, got %v", i, err)
+		}
+	}
+	if res.Faults.CrashStops != 1 || countKind(events, "fault-crash") != 1 {
+		t.Errorf("crash-stop: %d crash-stops and %d fault-crash events, want one of each",
+			res.Faults.CrashStops, countKind(events, "fault-crash"))
+	}
+	if !e.Robot(1).Pos().Eq(at) {
+		t.Errorf("crashed robot moved from %v to %v", at, e.Robot(1).Pos())
+	}
+}
+
 func TestWaitUntil(t *testing.T) {
 	e := NewEngine(Config{Source: geom.Origin})
 	var t1, t2 float64
