@@ -183,9 +183,3 @@ func (r *Runner) Ablations(scale Scale) ([]*report.Table, error) {
 	}
 	return out, nil
 }
-
-// Ablations runs the ablation suite on a fresh default runner (GOMAXPROCS
-// workers, DefaultSeed).
-func Ablations(scale Scale) ([]*report.Table, error) {
-	return NewRunner().Ablations(scale)
-}

@@ -377,9 +377,3 @@ func (r *Runner) All(scale Scale) ([]*report.Table, error) {
 	out = append(out, sanity)
 	return out, nil
 }
-
-// All runs every experiment on a fresh default runner (GOMAXPROCS workers,
-// DefaultSeed).
-func All(scale Scale) ([]*report.Table, error) {
-	return NewRunner().All(scale)
-}

@@ -359,6 +359,11 @@ func (p *Proc) Await(b *Barrier, label string) {
 	}
 	p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "barrier", Pos: p.r.pos, Extra: label})
 	if len(b.waiters)+1 < b.Need {
+		if b.waiters == nil {
+			// Many barriers, a round's among them, are met only once:
+			// size the list for all of them up front.
+			b.waiters = make([]*Proc, 0, b.Need-1)
+		}
 		b.waiters = append(b.waiters, p)
 		p.barrier = b
 		p.parkWait()
