@@ -32,7 +32,7 @@ func (ASeparatorAuto) Install(e *sim.Engine, tup Tuple) *Report {
 			ctx := &sepCtx{eng: e, tup: tup, rep: rep}
 			ctx.nonce = "auto"
 			all := geom.Sq(p.Self().Pos(), 4*est.Rho+4*tup.Ell+2)
-			ctx.terminalWake(p, est.Team, all, all.Contains, est.Known)
+			ctx.terminalWake(p, est.Team, all.Contains, est.Known)
 			return
 		}
 		tup.Rho = est.Rho
@@ -58,9 +58,10 @@ type Estimate struct {
 	Covered bool
 	// Team is the recruited team (passive, co-located with the caller).
 	Team []int
-	// Known maps every robot discovered during estimation to its initial
-	// position.
-	Known map[int]geom.Point
+	// Known lists the ids of every sleeping robot discovered during
+	// estimation, ascending and each once; whoever it is handed to reads
+	// it and never writes through it.
+	Known []int
 }
 
 // EstimateRho implements the §5 procedure on the calling process (the
@@ -89,14 +90,11 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 		// Everything is discovered: ρ* is exact (in the run metric).
 		metric := p.Engine().Metric()
 		rho := 0.0
-		for _, pos := range known {
-			if d := metric.Dist(p.Self().InitPos(), pos); d > rho {
-				rho = d
-			}
-		}
-		for _, id := range out.Members {
-			if d := metric.Dist(p.Self().InitPos(), p.Engine().Robot(id).InitPos()); d > rho {
-				rho = d
+		for _, ids := range [][]int{known, out.Members} {
+			for _, id := range ids {
+				if d := metric.Dist(p.Self().InitPos(), p.Engine().Robot(id).InitPos()); d > rho {
+					rho = d
+				}
 			}
 		}
 		return Estimate{Rho: math.Max(rho, ell), Covered: true, Team: out.Members, Known: known}
@@ -110,7 +108,8 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 		s := geom.Sq(origin, ell*math.Exp2(float64(i)))
 		sep := separator.Of(s, ell)
 		occupied := false
-		// Awake robots (the team and the source) count via their origins.
+		// Awake robots (the team and the source) count via their origins;
+		// the sweeps below look only for sleeping ones.
 		for _, id := range append([]int{p.ID()}, team...) {
 			if sep.Contains(p.Engine().Robot(id).InitPos()) {
 				occupied = true
@@ -128,17 +127,12 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 				rep.miss("estimate explore: %v", err)
 				return Estimate{Rho: s.Width, Team: team, Known: known}
 			}
-			for id, pos := range res.Asleep {
-				known[id] = pos
-				if sep.Contains(pos) {
-					occupied = true
-				}
-			}
-			for id := range res.AwakeSeen {
+			for _, id := range res.Asleep {
 				if sep.Contains(p.Engine().Robot(id).InitPos()) {
 					occupied = true
 				}
 			}
+			known = explore.SortIDs(append(known, res.Asleep...))
 			explore.Recycle(p, res)
 		}
 		if !occupied {

@@ -139,8 +139,8 @@ func (g *gridRun) exploreWake(p *sim.Proc, s geom.Square, cont func(*sim.Proc)) 
 	// owns the rest).
 	owns := g.cellAdmit(s)
 	g.ids = g.ids[:0]
-	for id, pos := range res.Asleep {
-		if owns(pos) {
+	for _, id := range res.Asleep {
+		if owns(p.Engine().Robot(id).InitPos()) {
 			g.ids = append(g.ids, id)
 		}
 	}

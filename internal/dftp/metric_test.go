@@ -51,8 +51,9 @@ func solveEngine(t *testing.T, m geom.Metric, alg Algorithm, in *instance.Instan
 	if err != nil {
 		return res, rep, err
 	}
-	for _, r := range e.AllRobots() {
-		if r.ID() == sim.SourceID || r.State() != sim.Awake {
+	for id := sim.SourceID + 1; id < e.NumRobots(); id++ {
+		r := e.Robot(id)
+		if r.State() != sim.Awake {
 			continue
 		}
 		lb := geom.MetricOrL2(m).Dist(in.Source, r.InitPos())

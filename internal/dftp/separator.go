@@ -84,17 +84,18 @@ func (c *sepCtx) runFromSource(p *sim.Proc, S geom.Square, admit func(geom.Point
 // round executes Round k on square S with the calling process as leader and
 // members as co-located passive teammates, all positioned at the center of
 // S. admit is the ownership predicate for S (points of sibling regions are
-// excluded); known maps robots discovered in S to their initial positions,
-// and every reader keeps only those still asleep. It returns true when this
-// was a terminal round (the leader's robot is free afterwards) and false
-// when the team was partitioned into new teams that own the leader's robot.
+// excluded); known lists the ids of robots discovered in S, ascending and
+// each once, and every reader keeps only those still asleep and never
+// writes through it. It returns true when this was a terminal round (the
+// leader's robot is free afterwards) and false when the team was
+// partitioned into new teams that own the leader's robot.
 func (c *sepCtx) round(p *sim.Proc, members []int, S geom.Square,
-	admit func(geom.Point) bool, known map[int]geom.Point, depth int) bool {
+	admit func(geom.Point) bool, known []int, depth int) bool {
 	c.rep.sawRound(depth)
 	l4 := 4 * c.tup.L()
 	total := len(members) + 1
 	if total < l4 {
-		c.terminalWake(p, members, S, admit, known)
+		c.terminalWake(p, members, admit, known)
 		return true
 	}
 	if S.Width <= 4*c.tup.Ell {
@@ -173,7 +174,7 @@ func partitionTeam(leaderID int, members []int) [4][]int {
 // groupWork is phase (iii)+(iv) for one sub-square: explore its separator,
 // recruit by DFSampling, then return to the center of S and synchronize.
 func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.Square,
-	i int, admit func(geom.Point) bool, known map[int]geom.Point,
+	i int, admit func(geom.Point) bool, known []int,
 	allTeam []int, st *roundState) {
 
 	sub := subs[i]
@@ -182,10 +183,7 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 
 	// (iii) Exploration of sep(sub): sweep its rectangles, gathering at the
 	// sub-square center.
-	disc := make(map[int]geom.Point, len(known))
-	for id, pos := range known {
-		disc[id] = pos
-	}
+	disc := append([]int(nil), known...)
 	rects := sep.Rects()
 	team := rest
 	for j, r := range rects {
@@ -197,21 +195,19 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 		if err != nil {
 			c.rep.miss("sep explore: %v", err)
 		}
-		for id, pos := range res.Asleep {
-			if _, ok := disc[id]; !ok {
-				disc[id] = pos
-			}
-		}
+		disc = append(disc, res.Asleep...)
 		explore.Recycle(q, res)
 	}
+	disc = explore.SortIDs(disc)
 
 	// (iv) Recruitment: seeds X_i are the initial positions in sep(sub) of
 	// robots found asleep plus those of already-awake robots (the team's
 	// own origins in the separator).
 	var seeds []sampling.Seed
-	for id, pos := range disc {
-		if c.eng.Robot(id).State() == sim.Asleep && sep.Contains(pos) && subAdmit(pos) {
-			seeds = append(seeds, sampling.Seed{Pos: pos, AsleepID: id})
+	for _, id := range disc {
+		r := c.eng.Robot(id)
+		if r.State() == sim.Asleep && sep.Contains(r.InitPos()) && subAdmit(r.InitPos()) {
+			seeds = append(seeds, sampling.Seed{Pos: r.InitPos(), AsleepID: id})
 		}
 	}
 	for _, id := range allTeam {
@@ -261,20 +257,20 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 	allTeam []int, st *roundState, depth int) {
 
-	// Group 0's discoveries already extend the round's knowledge; the other
-	// groups' merge into them.
-	merged := st.outcomes[0].Discovered
+	// The round's knowledge is the union of the groups' discoveries (each
+	// extends the round's known list); only the robots still asleep are
+	// handed on.
+	var asleep []int
 	var teams [4][]int
 	for i, out := range st.outcomes {
-		if i > 0 {
-			for id, pos := range out.Discovered {
-				if _, ok := merged[id]; !ok {
-					merged[id] = pos
-				}
+		for _, id := range out.Discovered {
+			if c.eng.Robot(id).State() == sim.Asleep {
+				asleep = append(asleep, id)
 			}
 		}
 		teams[i] = append(teams[i], out.Recruits...)
 	}
+	asleep = explore.SortIDs(asleep)
 	// Existing robots join the team of their origin's sub-square; imported
 	// robots stay with the caller.
 	for _, id := range allTeam {
@@ -297,12 +293,7 @@ func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 		sort.Ints(team)
 		leader, rest := team[0], team[1:]
 		subAdmit := func(pt geom.Point) bool { return admit(pt) && assignSub(pt, subs) == i }
-		childKnown := make(map[int]geom.Point)
-		for id, pos := range merged {
-			if c.eng.Robot(id).State() == sim.Asleep && subAdmit(pos) {
-				childKnown[id] = pos
-			}
-		}
+		childKnown := c.appendAdmitted(nil, asleep, subAdmit)
 		if c.wg != nil {
 			c.wg.Add(1)
 		}
@@ -327,10 +318,10 @@ func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 // terminalWake is the Termination phase: a centralized awakening of the
 // known sleeping robots of S (the team was recruited below 4ℓ, so Lemma 5
 // guarantees known covers all of P ∩ S).
-func (c *sepCtx) terminalWake(p *sim.Proc, members []int, S geom.Square,
-	admit func(geom.Point) bool, known map[int]geom.Point) {
+func (c *sepCtx) terminalWake(p *sim.Proc, members []int,
+	admit func(geom.Point) bool, known []int) {
 
-	ids := appendAdmitted(make([]int, 0, len(known)), known, admit)
+	ids := c.appendAdmitted(make([]int, 0, len(known)), known, admit)
 	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("terminal propagate: %v", err)
 	}
@@ -341,14 +332,14 @@ func (c *sepCtx) terminalWake(p *sim.Proc, members []int, S geom.Square,
 // the team, then wake every discovered robot with a wake-up tree
 // (Corollary 1's explore-and-wake, generalized to a team).
 func (c *sepCtx) baseExploreWake(p *sim.Proc, members []int, S geom.Square,
-	admit func(geom.Point) bool, known map[int]geom.Point) {
+	admit func(geom.Point) bool, known []int) {
 
 	res, err := explore.Rect(p, members, S.Rect(), S.Center)
 	if err != nil {
 		c.rep.miss("base explore: %v", err)
 	}
-	ids := appendAdmitted(make([]int, 0, len(known)+len(res.Asleep)), known, admit)
-	ids = appendAdmitted(ids, res.Asleep, admit)
+	ids := c.appendAdmitted(make([]int, 0, len(known)+len(res.Asleep)), known, admit)
+	ids = c.appendAdmitted(ids, res.Asleep, admit)
 	explore.Recycle(p, res)
 	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("base propagate: %v", err)
@@ -356,16 +347,15 @@ func (c *sepCtx) baseExploreWake(p *sim.Proc, members []int, S geom.Square,
 	c.releaseMembers(members)
 }
 
-// appendAdmitted appends to ids the robots of set whose position admit
-// accepts, in map order; wakeup.WakeAsleep sorts them, drops repeats and
-// keeps only the robots still asleep.
-func appendAdmitted(ids []int, set map[int]geom.Point, admit func(geom.Point) bool) []int {
-	for id, pos := range set {
-		if admit(pos) {
-			ids = append(ids, id)
+// appendAdmitted appends to dst the robots of ids whose initial position
+// admit accepts, in the order of ids.
+func (c *sepCtx) appendAdmitted(dst, ids []int, admit func(geom.Point) bool) []int {
+	for _, id := range ids {
+		if admit(c.eng.Robot(id).InitPos()) {
+			dst = append(dst, id)
 		}
 	}
-	return ids
+	return dst
 }
 
 // releaseMembers ends the team life of passive members after a terminal

@@ -13,6 +13,7 @@ package explore
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
@@ -107,21 +108,16 @@ func (pl Plan) CoversIn(m geom.Metric, probes []geom.Point) bool {
 	return true
 }
 
-// Result is the merged outcome of an exploration: the sleeping robots seen,
-// keyed by robot id, with their (initial) positions.
+// Result is the merged outcome of an exploration: Asleep lists the ids of
+// the sleeping robots seen, ascending, each once. A sleeping robot never
+// leaves its initial position, so the engine's Robot(id).InitPos() is
+// where it was seen. Callers read the list and never write through it.
 type Result struct {
-	Asleep map[int]geom.Point
-	// AwakeSeen lists awake robots observed during the sweep, keyed by id,
-	// at the position they were observed.
-	AwakeSeen map[int]geom.Point
-}
-
-func newResult() *Result {
-	return &Result{Asleep: make(map[int]geom.Point), AwakeSeen: make(map[int]geom.Point)}
+	Asleep []int
 }
 
 // rectScratch is the per-engine exploration pool: recycled Results (their
-// maps keep capacity; they are cleared on checkout) and team records. It
+// lists keep capacity; they are emptied on checkout) and team records. It
 // lives in the engine's scratch stash, so a pooled engine's repeated runs
 // settle into allocation-free exploration.
 type rectScratch struct {
@@ -160,17 +156,16 @@ func (sc *rectScratch) getResult() *Result {
 	if n := len(sc.resFree); n > 0 {
 		res := sc.resFree[n-1]
 		sc.resFree = sc.resFree[:n-1]
-		clear(res.Asleep)
-		clear(res.AwakeSeen)
+		res.Asleep = res.Asleep[:0]
 		return res
 	}
-	return newResult()
+	return &Result{}
 }
 
 // Recycle returns a Result obtained from Rect to the engine's exploration
 // pool. Callers that are done with a result — typically right after copying
-// the sightings they need — recycle it so the next exploration reuses its
-// maps; the result must not be used after.
+// the ids they need — recycle it so the next exploration reuses its list;
+// the result must not be used after.
 func Recycle(p *sim.Proc, res *Result) {
 	if res == nil {
 		return
@@ -179,19 +174,11 @@ func Recycle(p *sim.Proc, res *Result) {
 	sc.resFree = append(sc.resFree, res)
 }
 
-func (res *Result) absorb(snap sim.Snapshot) {
-	for _, s := range snap.Asleep {
-		res.Asleep[s.ID] = s.Pos
-	}
-	for _, s := range snap.Awake {
-		res.AwakeSeen[s.ID] = s.Pos
-	}
-}
-
 // runPlan drives one robot through r's sweep lattice, looking at every
-// stop, then moves it to dest. Each snapshot is absorbed before the next
-// move. Budget exhaustion aborts the remaining stops but still reports what
-// was seen; the error is returned alongside.
+// stop, then moves it to dest. Each snapshot's sleeping ids are appended to
+// res before the next move, repeats included; Rect sorts them. Budget
+// exhaustion aborts the remaining stops but still reports what was seen;
+// the error is returned alongside.
 func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
 	l := RectLattice(p.Engine().Metric(), r)
 	for row := 0; row < l.Rows; row++ {
@@ -199,7 +186,9 @@ func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
 			if err := p.MoveTo(l.Stop(row, col)); err != nil {
 				return err
 			}
-			res.absorb(p.Look())
+			for _, s := range p.Look().Asleep {
+				res.Asleep = append(res.Asleep, s.ID)
+			}
 		}
 	}
 	return p.MoveTo(dest)
@@ -242,7 +231,8 @@ func (m *member) RunProc(q *sim.Proc) {
 // members in memberIDs (all co-located with the caller), implementing
 // Lemma 1: the rectangle is split into k = 1+len(memberIDs) horizontal
 // strips, each robot sweeps one strip, and everyone meets at dest. The call
-// returns when the whole team has gathered at dest with merged knowledge.
+// returns when the whole team has gathered at dest with merged knowledge:
+// the ids of the sleeping robots any of them saw.
 //
 // Team members must be awake and co-located with the caller; they run
 // temporary processes and are passive again (parked at dest) on return.
@@ -263,6 +253,7 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 		label := sc.label(p)
 		err := runPlan(p, r, dest, res)
 		p.Await(&sc.solo, label)
+		res.Asleep = SortIDs(res.Asleep)
 		return res, err
 	}
 	k := 1 + len(memberIDs)
@@ -290,16 +281,12 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	merged := sc.getResult()
 	var firstErr error
 	for i, res := range t.results {
-		for id, pos := range res.Asleep {
-			merged.Asleep[id] = pos
-		}
-		for id, pos := range res.AwakeSeen {
-			merged.AwakeSeen[id] = pos
-		}
+		merged.Asleep = append(merged.Asleep, res.Asleep...)
 		if t.errs[i] != nil && firstErr == nil {
 			firstErr = t.errs[i]
 		}
 	}
+	merged.Asleep = SortIDs(merged.Asleep)
 	// Recycle only after a normal release: a barrier emptied by
 	// ReleaseStalled under faults can free the caller while a member is
 	// still sweeping into its Result, so that call's state, barrier
@@ -309,6 +296,14 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 		sc.teamFree = append(sc.teamFree, t)
 	}
 	return merged, firstErr
+}
+
+// SortIDs sorts ids in place, ascending, drops repeats and returns the
+// shortened list: the form of every list of robot ids a team knows
+// (Result.Asleep, DFSampling's discoveries, ASeparator's known robots).
+func SortIDs(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // SpiralPlanIn returns snapshot stops along an Archimedean spiral r = a·θ,

@@ -186,12 +186,13 @@ func TestRectFindsAllSleepers(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Every sleeper, ascending, each once.
 	if len(res.Asleep) != len(sleepers) {
-		t.Fatalf("found %d of %d sleepers", len(res.Asleep), len(sleepers))
+		t.Fatalf("found %d of %d sleepers: %v", len(res.Asleep), len(sleepers), res.Asleep)
 	}
-	for id, pos := range res.Asleep {
-		if !pos.Eq(sleepers[id-1]) {
-			t.Errorf("sleeper %d at %v, recorded %v", id, sleepers[id-1], pos)
+	for i, id := range res.Asleep {
+		if id != i+1 {
+			t.Fatalf("Asleep = %v, want the ids 1..%d in order", res.Asleep, len(sleepers))
 		}
 	}
 	// The explorer must end at the rendezvous point.
@@ -230,6 +231,13 @@ func TestRectTeamSpeedup(t *testing.T) {
 			durations[k] = p.Now() - start
 			if len(res.Asleep) < 20 {
 				t.Errorf("k=%d found only %d sleepers", k, len(res.Asleep))
+			}
+			// The strips overlap in what they see; the merge lists each
+			// sleeper once, ascending.
+			for i := 1; i < len(res.Asleep); i++ {
+				if res.Asleep[i] <= res.Asleep[i-1] {
+					t.Fatalf("k=%d: Asleep = %v is not ascending and repeat-free", k, res.Asleep)
+				}
 			}
 		})
 		if _, err := e.Run(); err != nil {

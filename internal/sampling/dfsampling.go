@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"slices"
+
 	"freezetag/internal/explore"
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
@@ -9,7 +11,8 @@ import (
 // Seed is a DFSampling start position. AsleepID names the sleeping robot at
 // the position (recruited if the seed becomes a sample); it is -1 when the
 // position carries no sleeping robot (the source position, or the initial
-// position of an already-awake robot).
+// position of an already-awake robot). Robots that share a position are
+// separate seeds, and SortSeeds puts the lowest id first.
 type Seed struct {
 	Pos      geom.Point
 	AsleepID int
@@ -25,21 +28,18 @@ type Request struct {
 	Square geom.Square
 	// Ell is ℓ. Samples are pairwise > ℓ apart; the DFS hops ≤ 2ℓ.
 	Ell float64
-	// Target is the number of samples to collect; the run stops as soon as
-	// len(Samples) reaches it (case |P′| = 4ℓ of Lemma 5). Zero or negative
-	// disables the sample cap.
-	Target int
-	// RecruitTarget, when positive, additionally stops the run once that
-	// many robots have been recruited. ASeparator uses it to fill teams to
-	// 4ℓ counting members that already have an origin in the region.
+	// RecruitTarget, when positive, stops the run once that many robots
+	// have been recruited (case |P′| = 4ℓ of Lemma 5). ASeparator uses it
+	// to fill teams to 4ℓ counting members that already have an origin in
+	// the region. Zero or negative disables the cap.
 	RecruitTarget int
-	// Seeds are the DFS start positions X, unordered (the run sorts them).
+	// Seeds are the DFS start positions X, unordered; Run sorts them in
+	// place (SortSeeds).
 	Seeds []Seed
-	// Known seeds the discovery state: robots already known to the team,
-	// id → initial position, typically from a prior Explore of sep(S). Run
-	// takes ownership of the map and extends it into Outcome.Discovered,
-	// so the caller passes a map it owns, or nil.
-	Known map[int]geom.Point
+	// Known seeds the discovery state: the ids of robots already known to
+	// the team, typically from a prior Explore of sep(S), ascending and
+	// each once. Run reads the list and never writes through it.
+	Known []int
 	// Admit, when non-nil, restricts sampling/recruiting to positions it
 	// accepts. ASeparator passes the sub-square assignment predicate so
 	// sibling teams never race to wake the same boundary robot. Positions
@@ -53,14 +53,8 @@ type Request struct {
 }
 
 // wantMore reports whether the run should continue sampling.
-func (r *Request) wantMore(samples, recruits int) bool {
-	if r.Target > 0 && samples >= r.Target {
-		return false
-	}
-	if r.RecruitTarget > 0 && recruits >= r.RecruitTarget {
-		return false
-	}
-	return true
+func (r *Request) wantMore(recruits int) bool {
+	return r.RecruitTarget <= 0 || recruits < r.RecruitTarget
 }
 
 // Outcome reports a completed DFSampling.
@@ -69,10 +63,12 @@ type Outcome struct {
 	Samples []geom.Point
 	// Recruits are the ids of robots awakened (and escorted) by this run.
 	Recruits []int
-	// Discovered maps every robot id seen during the run (or passed in via
-	// Known, whose map it is when Known was non-nil) to its initial
-	// position.
-	Discovered map[int]geom.Point
+	// Discovered lists the ids of every robot known when the run ended:
+	// Known, the seeds' sleeping robots and every sleeping robot a ball
+	// sweep saw, ascending and each once. It is a fresh list the caller
+	// owns; whoever it is handed on to reads it and never writes through
+	// it.
+	Discovered []int
 	// Covered is Lemma 5's case (2): the run exhausted all branches before
 	// reaching any target, so every admitted robot of S is within ℓ of a
 	// sample and Discovered holds all of P ∩ S reachable from the seeds.
@@ -88,33 +84,30 @@ type Outcome struct {
 // O(ℓ² log |P′|) effect). On budget exhaustion the run returns what it has
 // with the error.
 func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
-	metric := p.Engine().Metric()
-	out := Outcome{Discovered: req.Known}
-	if out.Discovered == nil {
-		out.Discovered = make(map[int]geom.Point)
+	e := p.Engine()
+	metric := e.Metric()
+	out := Outcome{Discovered: make([]int, 0, len(req.Known)+len(req.Seeds))}
+	out.Discovered = append(out.Discovered, req.Known...)
+	for _, s := range req.Seeds {
+		if s.AsleepID >= 0 {
+			out.Discovered = append(out.Discovered, s.AsleepID)
+		}
 	}
+	out.Discovered = explore.SortIDs(out.Discovered)
 	out.Members = append(out.Members, members...)
 
-	// asleep tracks robots believed asleep (discovered asleep, not yet
-	// recruited by us). Region exclusivity keeps this belief exact.
-	asleep := make(map[int]bool)
-	for id := range out.Discovered {
-		if p.Engine().Robot(id).State() == sim.Asleep {
-			asleep[id] = true
+	// asleep is the team's belief: robots discovered asleep and not yet
+	// recruited by this run. Region exclusivity keeps it exact, so it is
+	// never re-read from robot state: a recruit whose wake was dropped
+	// stays recruited.
+	asleep := make([]int, 0, len(out.Discovered))
+	for _, id := range out.Discovered {
+		if e.Robot(id).State() == sim.Asleep {
+			asleep = append(asleep, id)
 		}
 	}
 
-	seedPts := make([]geom.Point, len(req.Seeds))
-	seedBy := make(map[geom.Point]int, len(req.Seeds))
-	for i, s := range req.Seeds {
-		seedPts[i] = s.Pos
-		seedBy[s.Pos] = s.AsleepID
-		if s.AsleepID >= 0 {
-			out.Discovered[s.AsleepID] = s.Pos
-			asleep[s.AsleepID] = true
-		}
-	}
-	ordered := SortSeeds(req.Square, seedPts)
+	SortSeeds(req.Square, req.Seeds)
 
 	admit := req.Admit
 	if admit == nil {
@@ -130,31 +123,9 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 		return true
 	}
 
-	// addSample moves the team to q, records the sample, and recruits the
-	// sleeping robot there if any.
-	addSample := func(q geom.Point, robotID int) error {
-		if _, err := p.Escort(out.Members, q); err != nil {
-			return err
-		}
-		out.Samples = append(out.Samples, q)
-		if robotID >= 0 && asleep[robotID] {
-			p.Wake(robotID, nil) // recruited: passive team member
-			delete(asleep, robotID)
-			out.Recruits = append(out.Recruits, robotID)
-			out.Members = append(out.Members, robotID)
-		}
-		return nil
-	}
-
-	// exploreBall sweeps B(cur, 2ℓ) ∩ S with the whole team and returns to
-	// cur, merging discoveries. Each ball is swept at most once (backtracking
-	// must cost only moves, per the Lemma 5 analysis).
-	explored := make(map[geom.Point]bool)
-	exploreBall := func(cur geom.Point) error {
-		if explored[cur] {
-			return nil
-		}
-		explored[cur] = true
+	// sweepBall sweeps B(cur, 2ℓ) ∩ S with the whole team and returns to
+	// cur, merging discoveries.
+	sweepBall := func(cur geom.Point) error {
 		ball := geom.DiskAt(cur, 2*req.Ell).BoundingSquare().Rect()
 		clip := geom.Rect{
 			Min: geom.Pt(maxf(ball.Min.X, req.Region.Min.X), maxf(ball.Min.Y, req.Region.Min.Y)),
@@ -172,20 +143,36 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 		if err != nil {
 			return err
 		}
-		for id, pos := range res.Asleep {
-			if _, known := out.Discovered[id]; !known {
-				out.Discovered[id] = pos
-				asleep[id] = true
+		known := len(out.Discovered)
+		for _, id := range res.Asleep {
+			if _, ok := slices.BinarySearch(out.Discovered[:known], id); !ok {
+				out.Discovered = append(out.Discovered, id)
+				asleep = append(asleep, id)
 			}
 		}
-		for id, pos := range res.AwakeSeen {
-			if _, known := out.Discovered[id]; !known {
-				// An awake robot seen mid-run: record its observed position
-				// as knowledge; it is not a sampling candidate.
-				out.Discovered[id] = pos
-			}
-		}
+		slices.Sort(out.Discovered)
 		return nil
+	}
+
+	// addSample moves the team to q, records the sample, and recruits the
+	// sleeping robot id there if any. While the run wants more, it then
+	// sweeps the sample's ball; that is the ball's only sweep, so
+	// backtracking to q costs only moves, per the Lemma 5 analysis.
+	addSample := func(q geom.Point, id int) error {
+		if _, err := p.Escort(out.Members, q); err != nil {
+			return err
+		}
+		out.Samples = append(out.Samples, q)
+		if i := slices.Index(asleep, id); i >= 0 {
+			p.Wake(id, nil) // recruited: passive team member
+			asleep = slices.Delete(asleep, i, i+1)
+			out.Recruits = append(out.Recruits, id)
+			out.Members = append(out.Members, id)
+		}
+		if !req.wantMore(len(out.Recruits)) {
+			return nil
+		}
+		return sweepBall(q)
 	}
 
 	// nextCandidate picks the sampling candidate reachable from cur: a
@@ -193,8 +180,8 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	// sample; nearest first, then lowest id, so the pick is unique.
 	nextCandidate := func(cur geom.Point) (best int, bestPos geom.Point, ok bool) {
 		bestD := 0.0
-		for id := range asleep {
-			pos := out.Discovered[id]
+		for _, id := range asleep {
+			pos := e.Robot(id).InitPos()
 			if !admit(pos) {
 				continue
 			}
@@ -213,27 +200,24 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 		return best, bestPos, ok
 	}
 
-	for _, seed := range ordered {
-		if !req.wantMore(len(out.Samples), len(out.Recruits)) {
+	var stack []geom.Point
+	for _, seed := range req.Seeds {
+		if !req.wantMore(len(out.Recruits)) {
 			break
 		}
-		if !admit(seed) {
+		if !admit(seed.Pos) {
 			continue // assigned to a sibling region
 		}
-		if !farFromSamples(seed) {
+		if !farFromSamples(seed.Pos) {
 			continue // B_seed(ℓ) already covered
 		}
-		if err := addSample(seed, seedBy[seed]); err != nil {
+		if err := addSample(seed.Pos, seed.AsleepID); err != nil {
 			return out, err
 		}
 		// Depth-first search from this seed over the 2ℓ-disk graph.
-		stack := []geom.Point{seed}
-		for len(stack) > 0 && req.wantMore(len(out.Samples), len(out.Recruits)) {
-			cur := stack[len(stack)-1]
-			if err := exploreBall(cur); err != nil {
-				return out, err
-			}
-			id, pos, ok := nextCandidate(cur)
+		stack = append(stack[:0], seed.Pos)
+		for len(stack) > 0 && req.wantMore(len(out.Recruits)) {
+			id, pos, ok := nextCandidate(stack[len(stack)-1])
 			if !ok {
 				// Backtrack one hop.
 				stack = stack[:len(stack)-1]
@@ -250,7 +234,7 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 			stack = append(stack, pos)
 		}
 	}
-	out.Covered = req.wantMore(len(out.Samples), len(out.Recruits))
+	out.Covered = req.wantMore(len(out.Recruits))
 	return out, nil
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // runDFS builds an engine over sleepers and runs one DFSampling from the
-// source position with the given parameters, returning the outcome.
+// source position with the given parameters, returning the outcome. A
+// target of zero recruits without a cap.
 func runDFS(t *testing.T, sleepers []geom.Point, region geom.Square, ell float64, target int) (Outcome, sim.Result) {
 	t.Helper()
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: sleepers})
@@ -17,11 +18,11 @@ func runDFS(t *testing.T, sleepers []geom.Point, region geom.Square, ell float64
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		var err error
 		out, err = Run(p, nil, Request{
-			Region: region.Rect(),
-			Square: region,
-			Ell:    ell,
-			Target: target,
-			Seeds:  []Seed{{Pos: geom.Origin, AsleepID: -1}},
+			Region:        region.Rect(),
+			Square:        region,
+			Ell:           ell,
+			RecruitTarget: target,
+			Seeds:         []Seed{{Pos: geom.Origin, AsleepID: -1}},
 		})
 		if err != nil {
 			t.Errorf("DFSampling: %v", err)
@@ -65,8 +66,9 @@ func TestDFSamplingTargetStops(t *testing.T) {
 	}
 	region := geom.Sq(geom.Pt(15, 0), 80)
 	out, _ := runDFS(t, sleepers, region, 2, 4)
-	if len(out.Samples) != 4 {
-		t.Fatalf("samples = %d, want target 4", len(out.Samples))
+	// The source's own position is the first sample and recruits nobody.
+	if len(out.Recruits) != 4 || len(out.Samples) != 5 {
+		t.Fatalf("recruits = %d, samples = %d; want the target 4 and 5", len(out.Recruits), len(out.Samples))
 	}
 	if out.Covered {
 		t.Error("run that hit target must not report Covered")
@@ -142,7 +144,7 @@ func TestDFSamplingCoverageRandomConnected(t *testing.T) {
 		}
 		ell := 1.5 // walk steps are < 1.14, well under ℓ
 		region := geom.Sq(geom.Origin, 200)
-		out, _ := runDFS(t, pts, region, ell, 1<<30)
+		out, _ := runDFS(t, pts, region, ell, 0)
 		if !out.Covered {
 			t.Fatalf("trial %d: not covered", trial)
 		}
@@ -173,7 +175,6 @@ func TestDFSamplingSeedOrderUsed(t *testing.T) {
 			Region: region.Rect(),
 			Square: region,
 			Ell:    2,
-			Target: 1 << 30,
 			Seeds: []Seed{
 				{Pos: geom.Pt(5, 5), AsleepID: 1},
 				{Pos: geom.Pt(-5, -5), AsleepID: 3},
@@ -207,7 +208,6 @@ func TestDFSamplingSkipsCoveredSeeds(t *testing.T) {
 			Region: region.Rect(),
 			Square: region,
 			Ell:    2,
-			Target: 1 << 30,
 			Seeds: []Seed{
 				{Pos: geom.Pt(1, 0), AsleepID: 1},
 				{Pos: geom.Pt(1.2, 0), AsleepID: 2},

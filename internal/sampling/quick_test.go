@@ -123,16 +123,18 @@ func TestQuickSortSeedsPermutation(t *testing.T) {
 	f := func(seed int64) bool {
 		pts := ptsFromSeed(seed, 50, 8)
 		s := geom.Sq(geom.Pt(4, 4), 10)
-		sorted := SortSeeds(s, pts)
-		if len(sorted) != len(pts) {
-			return false
+		seeds := make([]Seed, len(pts))
+		for i, p := range pts {
+			seeds[i] = Seed{Pos: p, AsleepID: i % 7}
 		}
-		count := map[geom.Point]int{}
-		for _, p := range pts {
-			count[p]++
+		sorted := append([]Seed(nil), seeds...)
+		SortSeeds(s, sorted)
+		count := map[Seed]int{}
+		for _, sd := range seeds {
+			count[sd]++
 		}
-		for _, p := range sorted {
-			count[p]--
+		for _, sd := range sorted {
+			count[sd]--
 		}
 		for _, c := range count {
 			if c != 0 {

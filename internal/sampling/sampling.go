@@ -11,8 +11,9 @@
 package sampling
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"freezetag/internal/geom"
 )
@@ -56,36 +57,24 @@ func MaxSamples(r, ell float64) int {
 	return int(math.Ceil(16 * r * r / (math.Pi * ell * ell)))
 }
 
-// SortSeeds orders seed positions per the paper's Sort(X): each seed is
+// SortSeeds sorts seeds in place per the paper's Sort(X): each seed is
 // projected to the closest point of the border of square S, and seeds are
-// sorted by the clockwise order of their projections around the center
-// (ties broken by coordinates for determinism). The returned slice is a
-// sorted copy; the input is not modified.
-func SortSeeds(s geom.Square, seeds []geom.Point) []geom.Point {
-	type keyed struct {
-		p   geom.Point
-		ang float64
+// sorted by the clockwise order of their projections around the center.
+// Ties are broken by coordinates and then by robot id, so seeds that share
+// a position come lowest id first and the order never depends on how the
+// seeds were gathered.
+func SortSeeds(s geom.Square, seeds []Seed) {
+	angle := func(p geom.Point) float64 {
+		return -projectToBorder(s, p).Sub(s.Center).Angle() // negative angle = clockwise order
 	}
-	ks := make([]keyed, len(seeds))
-	for i, p := range seeds {
-		proj := projectToBorder(s, p)
-		v := proj.Sub(s.Center)
-		ks[i] = keyed{p: p, ang: -v.Angle()} // negative angle = clockwise order
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].ang != ks[j].ang {
-			return ks[i].ang < ks[j].ang
-		}
-		if ks[i].p.X != ks[j].p.X {
-			return ks[i].p.X < ks[j].p.X
-		}
-		return ks[i].p.Y < ks[j].p.Y
+	slices.SortFunc(seeds, func(a, b Seed) int {
+		return cmp.Or(
+			cmp.Compare(angle(a.Pos), angle(b.Pos)),
+			cmp.Compare(a.Pos.X, b.Pos.X),
+			cmp.Compare(a.Pos.Y, b.Pos.Y),
+			cmp.Compare(a.AsleepID, b.AsleepID),
+		)
 	})
-	out := make([]geom.Point, len(ks))
-	for i, k := range ks {
-		out[i] = k.p
-	}
-	return out
 }
 
 // projectToBorder returns the closest point to p on the boundary of s.

@@ -71,14 +71,16 @@ func TestSortSeedsClockwise(t *testing.T) {
 	north := geom.Pt(0, 4.5)
 	west := geom.Pt(-4.5, 0)
 	south := geom.Pt(0, -4.5)
-	got := SortSeeds(s, []geom.Point{west, north, east, south})
+	got := []Seed{{Pos: west, AsleepID: -1}, {Pos: north, AsleepID: -1},
+		{Pos: east, AsleepID: -1}, {Pos: south, AsleepID: -1}}
+	SortSeeds(s, got)
 	// Clockwise from the angle-0 side: east, south, west, north (negative
 	// angle ordering puts angle 0 first, then decreasing angle = clockwise:
 	// east(0) → south(-π/2) → west(π)... verify by adjacency rather than
 	// absolute start: consecutive elements must be 90° apart clockwise.
 	idx := map[geom.Point]int{}
-	for i, p := range got {
-		idx[p] = i
+	for i, sd := range got {
+		idx[sd.Pos] = i
 	}
 	// east must be immediately followed (mod 4) by south in clockwise order.
 	if (idx[south]-idx[east]+4)%4 != 1 {
@@ -95,18 +97,29 @@ func TestSortSeedsClockwise(t *testing.T) {
 func TestSortSeedsDeterministic(t *testing.T) {
 	s := geom.Sq(geom.Origin, 8)
 	rng := rand.New(rand.NewSource(19))
-	seeds := make([]geom.Point, 20)
-	for i := range seeds {
-		seeds[i] = geom.Pt(rng.Float64()*8-4, rng.Float64()*8-4)
+	// Twenty positions, each shared by two robots: the order must not
+	// depend on the order the seeds were gathered in, and robots that share
+	// a position come lowest id first.
+	var seeds []Seed
+	for i := 1; i <= 20; i++ {
+		p := geom.Pt(rng.Float64()*8-4, rng.Float64()*8-4)
+		seeds = append(seeds, Seed{Pos: p, AsleepID: i + 20}, Seed{Pos: p, AsleepID: i})
 	}
-	a := SortSeeds(s, seeds)
-	// Shuffle and re-sort: same order.
-	shuffled := append([]geom.Point(nil), seeds...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	b := SortSeeds(s, shuffled)
-	for i := range a {
-		if !a[i].Eq(b[i]) {
-			t.Fatalf("order differs at %d: %v vs %v", i, a, b)
+	a := append([]Seed(nil), seeds...)
+	SortSeeds(s, a)
+	for i := 0; i < len(a); i += 2 {
+		if a[i].Pos != a[i+1].Pos || a[i].AsleepID >= a[i+1].AsleepID {
+			t.Fatalf("seeds %d and %d: %v then %v, want one position, lower id first", i, i+1, a[i], a[i+1])
+		}
+	}
+	for trial := 0; trial < 10; trial++ {
+		b := append([]Seed(nil), seeds...)
+		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		SortSeeds(s, b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("trial %d: order differs at %d: %v vs %v", trial, i, a, b)
+			}
 		}
 	}
 }

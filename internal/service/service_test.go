@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +192,35 @@ func TestInlineAndFamilyShareKey(t *testing.T) {
 	}
 	if s.Stats().Solves != 1 {
 		t.Fatalf("ran %d simulations", s.Stats().Solves)
+	}
+}
+
+// Robots that share a position differ only by id, and the id alone breaks
+// the tie between them, so fresh services answer an inline request of
+// coincident pairs with the same bytes: every point of a seed-2, 20-step
+// random walk held by two robots of different speeds.
+func TestCoincidentRobotsByteIdentical(t *testing.T) {
+	walk := instance.RandomWalk(rand.New(rand.NewSource(2)), 20, 0.9)
+	in := &instance.Instance{Name: "walk-pairs-n40", Source: walk.Source}
+	for _, p := range walk.Points {
+		in.Points = append(in.Points, p, p)
+	}
+	for i := range in.Points {
+		in.Profiles = append(in.Profiles, instance.Profile{Speed: 0.5 + float64(i%7)/7})
+	}
+	var want []byte
+	for i := 0; i < 20; i++ {
+		s := New(Config{Workers: 1})
+		sv, err := s.Solve(SolveRequest{Algorithm: "aseparator", Instance: in})
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = sv.Body
+		} else if !bytes.Equal(sv.Body, want) {
+			t.Fatalf("service %d answered differently:\n got  %s\n want %s", i, sv.Body, want)
+		}
 	}
 }
 

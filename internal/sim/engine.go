@@ -738,7 +738,3 @@ func (e *Engine) moveRobot(r *Robot, dst geom.Point, dist float64) {
 	e.grid.Insert(r.id, dst)
 	e.emit(Event{T: e.now, Robot: r.id, Kind: "move", Pos: dst})
 }
-
-// AllRobots returns the engine's robots; callers must not mutate them. Used
-// by harnesses for reporting.
-func (e *Engine) AllRobots() []*Robot { return e.robots }

@@ -190,10 +190,6 @@ func (e *Engine) installFaults(plan *FaultPlan) {
 // injection a stale roster is a runtime condition, not an algorithm bug.
 func (e *Engine) FaultsEnabled() bool { return e.faults != nil }
 
-// FaultStats returns the fault counters accumulated so far; the final values
-// are also carried on Result.Faults.
-func (e *Engine) FaultStats() FaultStats { return e.fstats }
-
 // IsByzantine reports whether robot id is adversary-controlled.
 func (e *Engine) IsByzantine(id int) bool { return e.Robot(id).byz }
 

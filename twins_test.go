@@ -66,6 +66,55 @@ func TestNoL2Twins(t *testing.T) {
 	}
 }
 
+// TestKnowledgeIsRobotIDs keeps a team's knowledge as robot ids. A sleeping
+// robot never leaves its initial position, so what a sweep, a DFSampling run
+// or an ASeparator round learns is which robots exist, and the engine's
+// robot record already holds where each one is. Non-test code of the
+// packages that hold such knowledge must not key or fill a map with
+// geom.Point: such a map copies positions the engine has, and a map keyed
+// by position picks between robots that share one in map order.
+func TestKnowledgeIsRobotIDs(t *testing.T) {
+	var found []string
+	for _, dir := range []string{"internal/explore", "internal/sampling", "internal/dftp"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no Go files", dir)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if m, ok := n.(*ast.MapType); ok && (isGeomPoint(m.Key) || isGeomPoint(m.Value)) {
+					found = append(found, fset.Position(m.Pos()).String())
+				}
+				return true
+			})
+		}
+	}
+	for _, at := range found {
+		t.Errorf("map over geom.Point (keep robot ids and read Robot(id).InitPos()): %s", at)
+	}
+}
+
+// isGeomPoint reports whether typ spells geom.Point.
+func isGeomPoint(typ ast.Expr) bool {
+	sel, ok := typ.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Point" {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "geom"
+}
+
 // receiverOf returns "T." for a method on T or *T, and "" for a function.
 func receiverOf(fn *ast.FuncDecl) string {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
