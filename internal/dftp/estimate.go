@@ -76,7 +76,6 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 	// than any reachable geometry (the DFS only ever visits robot positions).
 	huge := geom.Sq(p.Self().InitPos(), 1e9)
 	out, err := sampling.Run(p, nil, sampling.Request{
-		Region:        huge.Rect(),
 		Square:        huge,
 		Ell:           ell,
 		RecruitTarget: l4 - 1,
@@ -121,19 +120,17 @@ func EstimateRho(p *sim.Proc, ell float64, rep *Report) Estimate {
 			if j < len(rects)-1 {
 				dest = rects[j+1].Min
 			}
-			res, err := explore.Rect(p, team, r, dest)
+			seen, err := explore.Rect(p, team, r, dest)
 			if err != nil {
-				explore.Recycle(p, res)
 				rep.miss("estimate explore: %v", err)
 				return Estimate{Rho: s.Width, Team: team, Known: known}
 			}
-			for _, id := range res.Asleep {
+			for _, id := range seen {
 				if sep.Contains(p.Engine().Robot(id).InitPos()) {
 					occupied = true
 				}
 			}
-			known = explore.SortIDs(append(known, res.Asleep...))
-			explore.Recycle(p, res)
+			known = explore.SortIDs(append(known, seen...))
 		}
 		if !occupied {
 			// Empty separator: P is confined to the inside of s (Cor. 2),

@@ -128,9 +128,8 @@ func (g *gridRun) exploreWake(p *sim.Proc, s geom.Square, cont func(*sim.Proc)) 
 		g.rep.miss("explore entry: %v", err)
 		return
 	}
-	res, err := explore.Rect(p, nil, s.Rect(), s.Center)
+	seen, err := explore.Rect(p, nil, s.Rect(), s.Center)
 	if err != nil {
-		explore.Recycle(p, res)
 		g.rep.miss("explore: %v", err)
 		return
 	}
@@ -139,12 +138,11 @@ func (g *gridRun) exploreWake(p *sim.Proc, s geom.Square, cont func(*sim.Proc)) 
 	// owns the rest).
 	owns := g.cellAdmit(s)
 	g.ids = g.ids[:0]
-	for _, id := range res.Asleep {
+	for _, id := range seen {
 		if owns(p.Engine().Robot(id).InitPos()) {
 			g.ids = append(g.ids, id)
 		}
 	}
-	explore.Recycle(p, res)
 	if err := wakeup.WakeAsleep(p, g.ids, cont); err != nil {
 		g.rep.miss("propagate: %v", err)
 	}

@@ -40,9 +40,6 @@ type sepCtx struct {
 	// cont, when non-nil, runs on every robot woken by this execution after
 	// its share of the work completes (AWave round participation).
 	cont func(*sim.Proc)
-	// imported marks robots that entered the region from outside (AWave wave
-	// teams); they never join reorganized teams and return to the caller.
-	imported map[int]bool
 	// wg, when non-nil, tracks spawned recursion branches so an AWave slot
 	// leader can wait for the whole subtree.
 	wg *sim.WaitGroup
@@ -63,7 +60,6 @@ func (c *sepCtx) runFromSource(p *sim.Proc, S geom.Square, admit func(geom.Point
 		c.nonce = fmt.Sprintf("sep@%d/%.6g", p.ID(), p.Now())
 	}
 	out, err := sampling.Run(p, nil, sampling.Request{
-		Region:        S.Rect(),
 		Square:        S,
 		Ell:           c.tup.Ell,
 		RecruitTarget: l4 - 1,
@@ -191,12 +187,11 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 		if j < len(rects)-1 {
 			dest = rects[j+1].Min
 		}
-		res, err := explore.Rect(q, team, r, dest)
+		seen, err := explore.Rect(q, team, r, dest)
 		if err != nil {
 			c.rep.miss("sep explore: %v", err)
 		}
-		disc = append(disc, res.Asleep...)
-		explore.Recycle(q, res)
+		disc = append(disc, seen...)
 	}
 	disc = explore.SortIDs(disc)
 
@@ -219,7 +214,7 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 
 	existing := 0
 	for _, id := range allTeam {
-		if !c.imported[id] && assignSub(c.eng.Robot(id).InitPos(), subs) == i && admit(c.eng.Robot(id).InitPos()) {
+		if subAdmit(c.eng.Robot(id).InitPos()) {
 			existing++
 		}
 	}
@@ -228,7 +223,6 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 	if target := l4 - existing; target > 0 {
 		var err error
 		out, err = sampling.Run(q, team, sampling.Request{
-			Region:        sub.Rect(),
 			Square:        sub,
 			Ell:           c.tup.Ell,
 			RecruitTarget: target,
@@ -271,12 +265,10 @@ func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 		teams[i] = append(teams[i], out.Recruits...)
 	}
 	asleep = explore.SortIDs(asleep)
-	// Existing robots join the team of their origin's sub-square; imported
-	// robots stay with the caller.
+	// Existing robots join the team of their origin's sub-square. A robot
+	// whose origin S does not admit came from outside (an AWave wave team)
+	// and stays with the caller.
 	for _, id := range allTeam {
-		if c.imported[id] {
-			continue
-		}
 		origin := c.eng.Robot(id).InitPos()
 		if !admit(origin) {
 			continue
@@ -311,8 +303,8 @@ func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 		})
 	}
 	// The coordinator's process ends in round()'s caller; if its robot was
-	// re-teamed, the new leader's process now owns it. Imported robots
-	// (AWave) remain with the caller at the center of S.
+	// re-teamed, the new leader's process now owns it. Robots from outside
+	// S (AWave) remain with the caller at the center of S.
 }
 
 // terminalWake is the Termination phase: a centralized awakening of the
@@ -325,7 +317,7 @@ func (c *sepCtx) terminalWake(p *sim.Proc, members []int,
 	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("terminal propagate: %v", err)
 	}
-	c.releaseMembers(members)
+	c.releaseMembers(members, admit)
 }
 
 // baseExploreWake handles squares of width ≤ 4ℓ: sweep the whole square with
@@ -334,17 +326,16 @@ func (c *sepCtx) terminalWake(p *sim.Proc, members []int,
 func (c *sepCtx) baseExploreWake(p *sim.Proc, members []int, S geom.Square,
 	admit func(geom.Point) bool, known []int) {
 
-	res, err := explore.Rect(p, members, S.Rect(), S.Center)
+	seen, err := explore.Rect(p, members, S.Rect(), S.Center)
 	if err != nil {
 		c.rep.miss("base explore: %v", err)
 	}
-	ids := c.appendAdmitted(make([]int, 0, len(known)+len(res.Asleep)), known, admit)
-	ids = c.appendAdmitted(ids, res.Asleep, admit)
-	explore.Recycle(p, res)
+	ids := c.appendAdmitted(make([]int, 0, len(known)+len(seen)), known, admit)
+	ids = c.appendAdmitted(ids, seen, admit)
 	if err := wakeup.WakeAsleep(p, ids, c.cont); err != nil {
 		c.rep.miss("base propagate: %v", err)
 	}
-	c.releaseMembers(members)
+	c.releaseMembers(members, admit)
 }
 
 // appendAdmitted appends to dst the robots of ids whose initial position
@@ -359,16 +350,16 @@ func (c *sepCtx) appendAdmitted(dst, ids []int, admit func(geom.Point) bool) []i
 }
 
 // releaseMembers ends the team life of passive members after a terminal
-// round: fresh robots get the continuation, imported robots stay passive
-// for their caller to collect.
-func (c *sepCtx) releaseMembers(members []int) {
+// round: robots whose origin admit accepts get the continuation, and robots
+// from outside the region (an AWave wave team) stay passive for their
+// caller to collect.
+func (c *sepCtx) releaseMembers(members []int, admit func(geom.Point) bool) {
 	if c.cont == nil {
 		return
 	}
 	for _, id := range members {
-		if c.imported[id] {
-			continue
+		if admit(c.eng.Robot(id).InitPos()) {
+			c.eng.Spawn(id, c.cont)
 		}
-		c.eng.Spawn(id, c.cont)
 	}
 }

@@ -128,10 +128,6 @@ func (w *waveRun) participant(k int) func(*sim.Proc) {
 // leadSlots drives a wave team through the 8 adjacent squares of home.
 func (w *waveRun) leadSlots(p *sim.Proc, k int, home geom.Square, members []int) {
 	members = w.present(p, members)
-	imported := map[int]bool{p.ID(): true}
-	for _, id := range members {
-		imported[id] = true
-	}
 	for i, target := range home.Adjacent8() {
 		var err error
 		members, err = p.Escort(members, target.LowerLeft())
@@ -150,19 +146,20 @@ func (w *waveRun) leadSlots(p *sim.Proc, k int, home geom.Square, members []int)
 			return
 		}
 		ctx := &sepCtx{
-			eng:      w.eng,
-			tup:      w.sepTuple(),
-			rep:      w.rep,
-			cont:     w.participant(k + 1),
-			imported: imported,
-			wg:       w.eng.NewWaitGroup(),
+			eng:  w.eng,
+			tup:  w.sepTuple(),
+			rep:  w.rep,
+			cont: w.participant(k + 1),
+			wg:   w.eng.NewWaitGroup(),
 		}
 		if w.eng.Tracing() {
 			ctx.nonce = fmt.Sprintf("wave%d.%d@%d", k, i, p.ID())
 		}
+		// The team's origins lie in home, which the target's cellAdmit
+		// rejects, so the execution leaves the team to this leader.
 		ctx.round(p, members, target, w.cellAdmit(target), nil, 1)
 		ctx.wg.Wait(p)
-		// The imported team reassembles at the center of the target square
+		// The team reassembles at the center of the target square
 		// (reorganize leaves it there) before heading to the next corner.
 	}
 }

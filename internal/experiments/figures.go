@@ -178,14 +178,12 @@ func exploreDuration(w, h float64, k int) (float64, error) {
 			members = append(members, i)
 		}
 		start := p.Now()
-		res, err := explore.Rect(p, members, geom.RectWH(geom.Origin, w, h), geom.Pt(w/2, h/2))
-		found := len(res.Asleep) > 0
-		explore.Recycle(p, res)
+		seen, err := explore.Rect(p, members, geom.RectWH(geom.Origin, w, h), geom.Pt(w/2, h/2))
 		if err != nil {
 			rerr = err
 			return
 		}
-		if !found {
+		if len(seen) == 0 {
 			rerr = fmt.Errorf("probe robot not found in %vx%v sweep", w, h)
 			return
 		}
@@ -300,7 +298,6 @@ func dfsampleDuration(ell float64, target int, noGrowth bool) (float64, int, err
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		start := p.Now()
 		out, err := sampling.Run(p, nil, sampling.Request{
-			Region:        region.Rect(),
 			Square:        region,
 			Ell:           ell,
 			RecruitTarget: target,

@@ -108,25 +108,15 @@ func (pl Plan) CoversIn(m geom.Metric, probes []geom.Point) bool {
 	return true
 }
 
-// Result is the merged outcome of an exploration: Asleep lists the ids of
-// the sleeping robots seen, ascending, each once. A sleeping robot never
-// leaves its initial position, so the engine's Robot(id).InitPos() is
-// where it was seen. Callers read the list and never write through it.
-type Result struct {
-	Asleep []int
-}
-
-// rectScratch is the per-engine exploration pool: recycled Results (their
-// lists keep capacity; they are emptied on checkout) and team records. It
-// lives in the engine's scratch stash, so a pooled engine's repeated runs
-// settle into allocation-free exploration.
+// rectScratch is the per-engine exploration pool: the list every Rect
+// returns and recycled team records. It lives in the engine's scratch
+// stash, so a pooled engine's repeated runs settle into allocation-free
+// exploration.
 type rectScratch struct {
-	resFree  []*Result
+	// seen backs the list Rect returns: the merged ids of the latest sweep
+	// to return, refilled by the next.
+	seen     []int
 	teamFree []*team
-	// solo is the one-party barrier every single-robot sweep meets. It
-	// never parks anyone, so one serves them all; meeting it only puts the
-	// sweep's end on the trace.
-	solo sim.Barrier
 	// keyseq disambiguates meeting labels (several explorations can share
 	// an (ID, Now) pair). It counts within one traced run and rewinds with
 	// the engine, so the labels depend only on the run.
@@ -134,9 +124,7 @@ type rectScratch struct {
 }
 
 func scratchOf(e *sim.Engine) *rectScratch {
-	return sim.ScratchOf(e, "explore.rect", func() *rectScratch {
-		return &rectScratch{solo: sim.Barrier{Need: 1}}
-	})
+	return sim.ScratchOf(e, "explore.rect", func() *rectScratch { return &rectScratch{} })
 }
 
 // ResetRun implements sim.RunScratch.
@@ -152,34 +140,12 @@ func (sc *rectScratch) label(p *sim.Proc) string {
 	return fmt.Sprintf("explore/%d/%.9f/%d", p.ID(), p.Now(), sc.keyseq)
 }
 
-func (sc *rectScratch) getResult() *Result {
-	if n := len(sc.resFree); n > 0 {
-		res := sc.resFree[n-1]
-		sc.resFree = sc.resFree[:n-1]
-		res.Asleep = res.Asleep[:0]
-		return res
-	}
-	return &Result{}
-}
-
-// Recycle returns a Result obtained from Rect to the engine's exploration
-// pool. Callers that are done with a result — typically right after copying
-// the ids they need — recycle it so the next exploration reuses its list;
-// the result must not be used after.
-func Recycle(p *sim.Proc, res *Result) {
-	if res == nil {
-		return
-	}
-	sc := scratchOf(p.Engine())
-	sc.resFree = append(sc.resFree, res)
-}
-
 // runPlan drives one robot through r's sweep lattice, looking at every
 // stop, then moves it to dest. Each snapshot's sleeping ids are appended to
-// res before the next move, repeats included; Rect sorts them. Budget
+// *seen before the next move, repeats included; Rect sorts them. Budget
 // exhaustion aborts the remaining stops but still reports what was seen;
 // the error is returned alongside.
-func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
+func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, seen *[]int) error {
 	l := RectLattice(p.Engine().Metric(), r)
 	for row := 0; row < l.Rows; row++ {
 		for col := 0; col < l.Cols; col++ {
@@ -187,27 +153,29 @@ func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, res *Result) error {
 				return err
 			}
 			for _, s := range p.Look().Asleep {
-				res.Asleep = append(res.Asleep, s.ID)
+				*seen = append(*seen, s.ID)
 			}
 		}
 	}
 	return p.MoveTo(dest)
 }
 
-// team is the per-call state of one team sweep, pooled on the engine's
-// exploration scratch: the barrier the team meets at, and the member
-// handlers, which live in it like wakeup's propHandler slab, so spawning k
-// members captures no closures.
+// team is the per-call state of one sweep, pooled on the engine's
+// exploration scratch: the barrier the team meets at, each strip's sighted
+// ids, and the member handlers, which live in it like wakeup's propHandler
+// slab, so spawning k members captures no closures.
 type team struct {
 	sim.Barrier
-	r       geom.Rect
-	dest    geom.Point
-	label   string
-	results []*Result // one per strip; strip 0 is the caller's
+	r     geom.Rect
+	dest  geom.Point
+	label string
+	// strips[i] lists the sleeping ids strip i's sweeper saw; strip 0 is
+	// the caller's. The lists keep their storage from call to call.
+	strips  [][]int
 	errs    []error
 	members []member // members[i] sweeps strip i; members[0] is unused
 	// arrived counts the members that finished their strip, and so wrote
-	// their Result for the last time.
+	// their list for the last time.
 	arrived int
 }
 
@@ -221,8 +189,7 @@ type member struct {
 // the barrier: the caller may recycle it as soon as the barrier releases.
 func (m *member) RunProc(q *sim.Proc) {
 	t := m.t
-	k := len(t.results)
-	t.errs[m.i] = runPlan(q, t.r.HStrip(m.i, k), t.dest, t.results[m.i])
+	t.errs[m.i] = runPlan(q, t.r.HStrip(m.i, len(t.strips)), t.dest, &t.strips[m.i])
 	t.arrived++
 	q.Await(&t.Barrier, t.label)
 }
@@ -230,32 +197,26 @@ func (m *member) RunProc(q *sim.Proc) {
 // Rect explores rectangle r with the caller plus the passive awake team
 // members in memberIDs (all co-located with the caller), implementing
 // Lemma 1: the rectangle is split into k = 1+len(memberIDs) horizontal
-// strips, each robot sweeps one strip, and everyone meets at dest. The call
+// strips, each robot sweeps one strip, and everyone meets at dest. A lone
+// caller is a team of one, whose strip HStrip(0, 1) is r itself. The call
 // returns when the whole team has gathered at dest with merged knowledge:
-// the ids of the sleeping robots any of them saw.
+// the ids of the sleeping robots any of them saw, ascending and each once.
+// A sleeping robot never leaves its initial position, so the engine's
+// Robot(id).InitPos() is where it was seen.
 //
 // Team members must be awake and co-located with the caller; they run
 // temporary processes and are passive again (parked at dest) on return.
 //
-// The returned Result comes from the engine's exploration pool: the caller
-// owns it until it hands it back with Recycle, which it should do once it
-// has copied what it needs. A sweep holds O(1) plan memory whatever the
-// rectangle's area, and on a pooled engine the team path reuses its Results
-// and per-call state across calls and runs.
-func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, error) {
+// The returned list is the engine's own exploration buffer, like a Look's
+// snapshot: it is valid until the next Rect on the same engine returns, by
+// any process, so a caller that keeps ids across a call that can block
+// (MoveTo, Escort, Await, ...) copies them first, and no caller writes
+// through it. A sweep holds O(1) plan memory whatever the rectangle's area,
+// and on a pooled engine it reuses its per-call state across calls and
+// runs.
+func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) ([]int, error) {
 	e := p.Engine()
 	sc := scratchOf(e)
-	if len(memberIDs) == 0 {
-		// Lemma 1 with k = 1 degenerates to a single sweep of r itself
-		// (HStrip(0, 1) is r bit-for-bit), whose stops and looks are those
-		// of the general path; the one-party meeting releases at once.
-		res := sc.getResult()
-		label := sc.label(p)
-		err := runPlan(p, r, dest, res)
-		p.Await(&sc.solo, label)
-		res.Asleep = SortIDs(res.Asleep)
-		return res, err
-	}
 	k := 1 + len(memberIDs)
 	var t *team
 	if n := len(sc.teamFree); n > 0 {
@@ -265,9 +226,15 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	}
 	t.r, t.dest, t.label, t.arrived = r, dest, sc.label(p), 0
 	t.Need = k
-	t.results, t.errs = t.results[:0], t.errs[:0]
-	for i := 0; i < k; i++ {
-		t.results = append(t.results, sc.getResult())
+	// Grow within capacity first, so strips a larger call used keep their
+	// lists.
+	t.strips = t.strips[:cap(t.strips)]
+	for len(t.strips) < k {
+		t.strips = append(t.strips, nil)
+	}
+	t.strips, t.errs = t.strips[:k], t.errs[:0]
+	for i := range t.strips {
+		t.strips[i] = t.strips[i][:0]
 		t.errs = append(t.errs, nil)
 	}
 	for i := len(t.members); i < k; i++ {
@@ -276,31 +243,30 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) (*Result, 
 	for i, id := range memberIDs {
 		e.SpawnH(id, &t.members[i+1])
 	}
-	t.errs[0] = runPlan(p, r.HStrip(0, k), dest, t.results[0])
+	t.errs[0] = runPlan(p, r.HStrip(0, k), dest, &t.strips[0])
 	p.Await(&t.Barrier, t.label)
-	merged := sc.getResult()
+	sc.seen = sc.seen[:0]
 	var firstErr error
-	for i, res := range t.results {
-		merged.Asleep = append(merged.Asleep, res.Asleep...)
+	for i, ids := range t.strips {
+		sc.seen = append(sc.seen, ids...)
 		if t.errs[i] != nil && firstErr == nil {
 			firstErr = t.errs[i]
 		}
 	}
-	merged.Asleep = SortIDs(merged.Asleep)
+	sc.seen = SortIDs(sc.seen)
 	// Recycle only after a normal release: a barrier emptied by
 	// ReleaseStalled under faults can free the caller while a member is
-	// still sweeping into its Result, so that call's state, barrier
+	// still sweeping into its strip's list, so that call's state, barrier
 	// included, goes to the GC.
 	if t.arrived == len(memberIDs) {
-		sc.resFree = append(sc.resFree, t.results...)
 		sc.teamFree = append(sc.teamFree, t)
 	}
-	return merged, firstErr
+	return sc.seen, firstErr
 }
 
 // SortIDs sorts ids in place, ascending, drops repeats and returns the
 // shortened list: the form of every list of robot ids a team knows
-// (Result.Asleep, DFSampling's discoveries, ASeparator's known robots).
+// (Rect's list, DFSampling's discoveries, ASeparator's known robots).
 func SortIDs(ids []int) []int {
 	slices.Sort(ids)
 	return slices.Compact(ids)

@@ -175,24 +175,24 @@ func TestRectFindsAllSleepers(t *testing.T) {
 		sleepers = append(sleepers, geom.Pt(rng.Float64()*8, rng.Float64()*8))
 	}
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: sleepers})
-	var res *Result
+	var seen []int
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		var err error
-		res, err = Rect(p, nil, region, geom.Pt(4, 4))
+		ids, err := Rect(p, nil, region, geom.Pt(4, 4))
 		if err != nil {
 			t.Errorf("Rect: %v", err)
 		}
+		seen = append(seen, ids...)
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Every sleeper, ascending, each once.
-	if len(res.Asleep) != len(sleepers) {
-		t.Fatalf("found %d of %d sleepers: %v", len(res.Asleep), len(sleepers), res.Asleep)
+	if len(seen) != len(sleepers) {
+		t.Fatalf("found %d of %d sleepers: %v", len(seen), len(sleepers), seen)
 	}
-	for i, id := range res.Asleep {
+	for i, id := range seen {
 		if id != i+1 {
-			t.Fatalf("Asleep = %v, want the ids 1..%d in order", res.Asleep, len(sleepers))
+			t.Fatalf("Rect = %v, want the ids 1..%d in order", seen, len(sleepers))
 		}
 	}
 	// The explorer must end at the rendezvous point.
@@ -224,19 +224,19 @@ func TestRectTeamSpeedup(t *testing.T) {
 				members = append(members, i)
 			}
 			start := p.Now()
-			res, err := Rect(p, members, region, geom.Pt(8, 8))
+			seen, err := Rect(p, members, region, geom.Pt(8, 8))
 			if err != nil {
 				t.Errorf("Rect: %v", err)
 			}
 			durations[k] = p.Now() - start
-			if len(res.Asleep) < 20 {
-				t.Errorf("k=%d found only %d sleepers", k, len(res.Asleep))
+			if len(seen) < 20 {
+				t.Errorf("k=%d found only %d sleepers", k, len(seen))
 			}
 			// The strips overlap in what they see; the merge lists each
 			// sleeper once, ascending.
-			for i := 1; i < len(res.Asleep); i++ {
-				if res.Asleep[i] <= res.Asleep[i-1] {
-					t.Fatalf("k=%d: Asleep = %v is not ascending and repeat-free", k, res.Asleep)
+			for i := 1; i < len(seen); i++ {
+				if seen[i] <= seen[i-1] {
+					t.Fatalf("k=%d: Rect = %v is not ascending and repeat-free", k, seen)
 				}
 			}
 		})
@@ -404,11 +404,11 @@ func TestRectBudgetSurvivesPartially(t *testing.T) {
 		Budget:   3,
 	})
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		res, err := Rect(p, nil, region, geom.Pt(5, 5))
+		seen, err := Rect(p, nil, region, geom.Pt(5, 5))
 		if err == nil {
 			t.Error("expected budget error")
 		}
-		if len(res.Asleep) == 0 {
+		if len(seen) == 0 {
 			t.Error("should have seen the nearby sleeper before halting")
 		}
 	})

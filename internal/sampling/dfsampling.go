@@ -20,11 +20,8 @@ type Seed struct {
 
 // Request parameterizes one DFSampling run.
 type Request struct {
-	// Region is the sampled region S; samples and DFS candidates are
-	// restricted to it.
-	Region geom.Rect
-	// Square is the square S used for seed ordering (Sort(X)); its Rect
-	// normally equals Region.
+	// Square is the sampled region S: samples and DFS candidates are
+	// restricted to it, and it orders the seeds (Sort(X)).
 	Square geom.Square
 	// Ell is ℓ. Samples are pairwise > ℓ apart; the DFS hops ≤ 2ℓ.
 	Ell float64
@@ -109,9 +106,10 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 
 	SortSeeds(req.Square, req.Seeds)
 
+	region := req.Square.Rect()
 	admit := req.Admit
 	if admit == nil {
-		admit = req.Region.Contains
+		admit = region.Contains
 	}
 
 	farFromSamples := func(q geom.Point) bool {
@@ -128,8 +126,8 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	sweepBall := func(cur geom.Point) error {
 		ball := geom.DiskAt(cur, 2*req.Ell).BoundingSquare().Rect()
 		clip := geom.Rect{
-			Min: geom.Pt(maxf(ball.Min.X, req.Region.Min.X), maxf(ball.Min.Y, req.Region.Min.Y)),
-			Max: geom.Pt(minf(ball.Max.X, req.Region.Max.X), minf(ball.Max.Y, req.Region.Max.Y)),
+			Min: geom.Pt(maxf(ball.Min.X, region.Min.X), maxf(ball.Min.Y, region.Min.Y)),
+			Max: geom.Pt(minf(ball.Max.X, region.Max.X), minf(ball.Max.Y, region.Max.Y)),
 		}
 		if clip.Min.X > clip.Max.X || clip.Min.Y > clip.Max.Y {
 			return nil
@@ -138,13 +136,12 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 		if req.NoTeamGrowth {
 			sweepers = members // ablation: only the original team sweeps
 		}
-		res, err := explore.Rect(p, sweepers, clip, cur)
-		defer explore.Recycle(p, res)
+		seen, err := explore.Rect(p, sweepers, clip, cur)
 		if err != nil {
 			return err
 		}
 		known := len(out.Discovered)
-		for _, id := range res.Asleep {
+		for _, id := range seen {
 			if _, ok := slices.BinarySearch(out.Discovered[:known], id); !ok {
 				out.Discovered = append(out.Discovered, id)
 				asleep = append(asleep, id)

@@ -18,7 +18,6 @@ func runDFS(t *testing.T, sleepers []geom.Point, region geom.Square, ell float64
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		var err error
 		out, err = Run(p, nil, Request{
-			Region:        region.Rect(),
 			Square:        region,
 			Ell:           ell,
 			RecruitTarget: target,
@@ -172,7 +171,6 @@ func TestDFSamplingSeedOrderUsed(t *testing.T) {
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		var err error
 		out, err = Run(p, nil, Request{
-			Region: region.Rect(),
 			Square: region,
 			Ell:    2,
 			Seeds: []Seed{
@@ -205,7 +203,6 @@ func TestDFSamplingSkipsCoveredSeeds(t *testing.T) {
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
 		var err error
 		out, err = Run(p, nil, Request{
-			Region: region.Rect(),
 			Square: region,
 			Ell:    2,
 			Seeds: []Seed{

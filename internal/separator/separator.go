@@ -14,13 +14,34 @@ import (
 type Sep struct {
 	Outer geom.Square
 	Ell   float64
+	// rects[:n] is the annulus cut into the rectangles a sweep covers (see
+	// Rects), computed once by Of.
+	rects [4]geom.Rect
+	n     int
 }
 
 // Of returns the separator of square s for connectivity parameter ell.
 // The paper requires s.Width > 2ℓ; narrower squares yield a separator that
 // degenerates to the full square (inner region empty), which is still sound:
 // membership only grows.
-func Of(s geom.Square, ell float64) Sep { return Sep{Outer: s, Ell: ell} }
+func Of(s geom.Square, ell float64) Sep {
+	sp := Sep{Outer: s, Ell: ell}
+	out := s.Rect()
+	inner := sp.Inner()
+	if inner.Width <= 0 {
+		sp.rects[0], sp.n = out, 1
+		return sp
+	}
+	in := inner.Rect()
+	sp.rects = [4]geom.Rect{
+		{Min: geom.Pt(out.Min.X, in.Max.Y), Max: out.Max},                     // top strip
+		{Min: out.Min, Max: geom.Pt(out.Max.X, in.Min.Y)},                     // bottom strip
+		{Min: geom.Pt(out.Min.X, in.Min.Y), Max: geom.Pt(in.Min.X, in.Max.Y)}, // left side
+		{Min: geom.Pt(in.Max.X, in.Min.Y), Max: geom.Pt(out.Max.X, in.Max.Y)}, // right side
+	}
+	sp.n = 4
+	return sp
+}
 
 // Inner returns the inner square of width R−2ℓ (collapsed to width 0 when
 // R ≤ 2ℓ).
@@ -58,21 +79,11 @@ func (sp Sep) Filter(pts []geom.Point) []geom.Point {
 
 // Rects decomposes the separator into four axis-parallel rectangles (top and
 // bottom full-width strips plus left and right side strips), the shape the
-// Exploration phase of ASeparator sweeps with Explore. For R ≤ 2ℓ it returns
-// a single rectangle covering the whole square.
-func (sp Sep) Rects() []geom.Rect {
-	out := sp.Outer.Rect()
-	in := sp.Inner().Rect()
-	if sp.Inner().Width <= 0 {
-		return []geom.Rect{out}
-	}
-	return []geom.Rect{
-		{Min: geom.Pt(out.Min.X, in.Max.Y), Max: out.Max},                     // top strip
-		{Min: out.Min, Max: geom.Pt(out.Max.X, in.Min.Y)},                     // bottom strip
-		{Min: geom.Pt(out.Min.X, in.Min.Y), Max: geom.Pt(in.Min.X, in.Max.Y)}, // left side
-		{Min: geom.Pt(in.Max.X, in.Min.Y), Max: geom.Pt(out.Max.X, in.Max.Y)}, // right side
-	}
-}
+// Exploration phase of ASeparator sweeps with explore.Rect. For R ≤ 2ℓ it
+// returns a single rectangle covering the whole square. The list is a view
+// of the rectangles Of computed, so reading it allocates nothing; callers
+// never write through it.
+func (sp *Sep) Rects() []geom.Rect { return sp.rects[:sp.n] }
 
 // SeparatesLemma3 verifies the Lemma 3 property on a concrete instance: for
 // every edge (u,v) of the ℓ-disk graph over pts with u strictly inside the
