@@ -28,11 +28,16 @@ const entryOverhead = 256
 func (e *entry) sized() *entry {
 	size := int64(len(e.body)+len(e.in.hash)) + entryOverhead
 	if inst := e.in.inst; inst != nil {
-		size += int64(cap(inst.Points))*int64(unsafe.Sizeof(geom.Point{})) +
-			int64(cap(inst.Profiles))*int64(unsafe.Sizeof(instance.Profile{}))
+		size += instanceBytes(inst)
 	}
 	e.size = size
 	return e
+}
+
+// instanceBytes approximates the bytes inst's points and profiles retain.
+func instanceBytes(inst *instance.Instance) int64 {
+	return int64(cap(inst.Points))*int64(unsafe.Sizeof(geom.Point{})) +
+		int64(cap(inst.Profiles))*int64(unsafe.Sizeof(instance.Profile{}))
 }
 
 // lru is the move-to-front / evict-from-back core shared by the result
@@ -178,14 +183,18 @@ func newLRU(capBytes int64, evicted func(size int64)) *lru[*entry] {
 	return c
 }
 
+// memoEntries bounds the request-shape → hash memo in entries, and so
+// sets the params memo's per-entry floor.
+const memoEntries = 4096
+
 // newMemoLRU builds the request-shape → hash memo: family-generated
 // requests are keyed by their scalar parameters, so a repeat of a known
 // shape finds its content hash — and therefore its cached result — without
 // re-generating the instance and re-hashing its points (the old hit path
-// was O(n) in instance size). Entry-count bounded: entries are two short
-// strings.
-func newMemoLRU(capacity int) *lru[string] {
-	return newCache(int64(capacity), func(string) int64 { return 1 })
+// was O(n) in instance size). Entry-count bounded (memoEntries): entries
+// are two short strings.
+func newMemoLRU() *lru[string] {
+	return newCache(memoEntries, func(string) int64 { return 1 })
 }
 
 // paramsMemo is one family shape's memoized derivation: the admissible
@@ -202,8 +211,12 @@ type paramsMemo struct {
 // point set and deriving (ℓ*, ρ*) are the expensive half of a family
 // request's cold path and depend only on (metric, family, n, param, seed),
 // so repeats of the same family shape — under any algorithm, objective, or
-// budget — skip both. Entry-count bounded: entries are a short string, three
-// scalars, and a shared instance pointer.
-func newParamsLRU(capacity int) *lru[paramsMemo] {
-	return newCache(int64(capacity), func(paramsMemo) int64 { return 1 })
+// budget — skip both. Each entry pins its generated instance, up to
+// instance.MaxFamilyN points, so the memo is bounded by capBytes like the
+// result cache: an entry costs its instance's points and profiles, and at
+// least capBytes/memoEntries, which caps small shapes at memoEntries
+// entries.
+func newParamsLRU(capBytes int64) *lru[paramsMemo] {
+	floor := capBytes / memoEntries
+	return newCache(capBytes, func(pm paramsMemo) int64 { return max(instanceBytes(pm.inst), floor) })
 }

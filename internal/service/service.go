@@ -64,6 +64,8 @@ type Config struct {
 	// marshaled response + the replay inputs' instance + bookkeeping —
 	// rather than entry count, so varied workloads with huge inline
 	// instances and tiny ones share one memory budget (default 64 MiB).
+	// The params memo, which pins generated family instances, is held to
+	// the same number of bytes on its own.
 	CacheBytes int64
 	// Logger, when non-nil, receives one structured record per request
 	// (request hash, outcome, per-stage durations) plus request failures.
@@ -84,9 +86,6 @@ type Config struct {
 	// latency reaches it is traced no matter what the sampler said.
 	// 0 selects the default (250ms); negative disables the slow policy.
 	TraceSlow time.Duration
-	// memoSize bounds the request-shape → hash memo in entries (default
-	// 4096; entries are two short strings).
-	memoSize int
 	// preSolve, when set (tests only), runs in the worker before each
 	// simulation — used to hold workers and fill the queue.
 	preSolve func()
@@ -101,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes < 1 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.memoSize < 1 {
-		c.memoSize = 4096
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 256
@@ -312,8 +308,8 @@ func New(cfg Config) *Service {
 		log:      cfg.Logger,
 		start:    time.Now(),
 		jobs:     make(chan *job, cfg.QueueDepth),
-		shapes:   newMemoLRU(cfg.memoSize),
-		params:   newParamsLRU(cfg.memoSize),
+		shapes:   newMemoLRU(),
+		params:   newParamsLRU(cfg.CacheBytes),
 		inflight: make(map[string]*call),
 	}
 	s.cache = newLRU(cfg.CacheBytes, func(size int64) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -617,4 +618,30 @@ func TestParamsMemoBypasses(t *testing.T) {
 	if got := s.Stats().ParamsMemoHits; got != 0 {
 		t.Fatalf("paramsMemoHits = %d, want 0 (override and inline must bypass)", got)
 	}
+}
+
+// The params memo pins each memoized shape's generated instance, so it is
+// held to CacheBytes, not to an entry count: resolving many distinct large
+// family requests keeps at most the budget live. Each disk-16384 instance
+// holds 256 KiB of points, so a memo bounded by entries keeps all sixteen.
+func TestParamsMemoBoundedInBytes(t *testing.T) {
+	const budget = 1 << 20
+	s := newTestService(t, Config{Workers: 1, CacheBytes: budget})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for seed := int64(1); seed <= 16; seed++ {
+		req := SolveRequest{Algorithm: "agrid", Family: "disk", N: 16384, Param: 1, Seed: seed}
+		if _, err := s.resolve("agrid", geom.L2, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grew > 2*budget {
+		t.Fatalf("16 distinct disk-16384 shapes left %.2f MiB live; the memo's budget is %d MiB",
+			float64(grew)/(1<<20), budget>>20)
+	}
+	t.Logf("%.2f MiB live", float64(grew)/(1<<20))
 }
