@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -138,6 +139,17 @@ func TestPortfolioMetricCached(t *testing.T) {
 	}
 }
 
+// gateRelease returns the function that opens gate, closing it once, and
+// registers that function as a cleanup too. Registered after
+// newTestService's cleanup, it runs before s.Close (cleanups run last in,
+// first out), so a test that fails while workers wait at the gate reports
+// its failure instead of hanging in Close.
+func gateRelease(t *testing.T, gate chan struct{}) func() {
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return release
+}
+
 // Queue-level admission accounts for race width: a k-entrant race reserves
 // min(k, Workers) effective slots, so a burst of portfolio requests sheds
 // before it can oversubscribe the host — even when a width-blind job count
@@ -145,6 +157,7 @@ func TestPortfolioMetricCached(t *testing.T) {
 func TestRaceWidthAdmissionSheds(t *testing.T) {
 	gate := make(chan struct{})
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 2, preSolve: func() { <-gate }})
+	release := gateRelease(t, gate)
 	// Admission capacity = QueueDepth + Workers = 4 effective slots.
 
 	pfReq := func(seed int64) PortfolioRequest {
@@ -181,7 +194,7 @@ func TestRaceWidthAdmissionSheds(t *testing.T) {
 	}
 	shed := s.Stats().Shed
 
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("admitted race failed: %v", err)
@@ -210,6 +223,7 @@ func TestRaceWidthAdmissionSheds(t *testing.T) {
 func TestWidthOneAdmissionMatchesLegacy(t *testing.T) {
 	gate := make(chan struct{})
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 1, preSolve: func() { <-gate }})
+	release := gateRelease(t, gate)
 	done := make(chan error, 2)
 	for _, seed := range []int64{21, 22} {
 		seed := seed
@@ -228,7 +242,7 @@ func TestWidthOneAdmissionMatchesLegacy(t *testing.T) {
 	if _, err := s.Solve(walkRequest(23)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow got %v, want ErrQueueFull", err)
 	}
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
