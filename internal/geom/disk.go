@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Disk is the closed disk B_c(r) of center Center and radius R, the paper's
 // B_p(r) notation.
@@ -18,17 +15,9 @@ func DiskAt(center Point, r float64) Disk { return Disk{Center: center, R: r} }
 // Contains reports whether p ∈ B_c(r), with Eps slack.
 func (d Disk) Contains(p Point) bool { return d.Center.Within(p, d.R) }
 
-// Area returns πr².
-func (d Disk) Area() float64 { return math.Pi * d.R * d.R }
-
 // BoundingSquare returns the smallest axis-parallel square containing d,
 // used when a disk must be explored with the rectangle routine of Lemma 1.
 func (d Disk) BoundingSquare() Square { return Square{d.Center, 2 * d.R} }
-
-// Intersects reports whether two closed disks overlap (Eps slack).
-func (d Disk) Intersects(o Disk) bool {
-	return d.Center.Dist(o.Center) <= d.R+o.R+Eps
-}
 
 // String implements fmt.Stringer.
 func (d Disk) String() string { return fmt.Sprintf("B(%v,%.6g)", d.Center, d.R) }

@@ -39,9 +39,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Norm returns the Euclidean norm of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 

@@ -18,9 +18,6 @@ func TestPointArith(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 }
 
 func TestDist(t *testing.T) {

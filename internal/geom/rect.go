@@ -66,30 +66,6 @@ func (r Rect) Clamp(p Point) Point {
 // (zero when p is inside).
 func (r Rect) DistTo(p Point) float64 { return p.Dist(r.Clamp(p)) }
 
-// Intersects reports whether r and q overlap (closed rectangles, Eps slack).
-func (r Rect) Intersects(q Rect) bool {
-	return r.Min.X <= q.Max.X+Eps && q.Min.X <= r.Max.X+Eps &&
-		r.Min.Y <= q.Max.Y+Eps && q.Min.Y <= r.Max.Y+Eps
-}
-
-// Inset returns r shrunk by d on every side. If 2d exceeds an extent the
-// result collapses to the center line/point of that axis.
-func (r Rect) Inset(d float64) Rect {
-	out := Rect{
-		Min: Point{r.Min.X + d, r.Min.Y + d},
-		Max: Point{r.Max.X - d, r.Max.Y - d},
-	}
-	if out.Min.X > out.Max.X {
-		c := (r.Min.X + r.Max.X) / 2
-		out.Min.X, out.Max.X = c, c
-	}
-	if out.Min.Y > out.Max.Y {
-		c := (r.Min.Y + r.Max.Y) / 2
-		out.Min.Y, out.Max.Y = c, c
-	}
-	return out
-}
-
 // Corners returns the four corners in counter-clockwise order starting from
 // the lower-left.
 func (r Rect) Corners() [4]Point {
@@ -114,19 +90,6 @@ func (r Rect) SplitLongestSide() (Rect, Rect) {
 	}
 	mid := (r.Min.Y + r.Max.Y) / 2
 	return Rect{r.Min, Point{r.Max.X, mid}}, Rect{Point{r.Min.X, mid}, r.Max}
-}
-
-// Quadrants partitions r into its four quadrant sub-rectangles, ordered
-// lower-left, lower-right, upper-right, upper-left (counter-clockwise), the
-// order ASeparator uses for sub-squares S1..S4.
-func (r Rect) Quadrants() [4]Rect {
-	c := r.Center()
-	return [4]Rect{
-		{r.Min, c},
-		{Point{c.X, r.Min.Y}, Point{r.Max.X, c.Y}},
-		{c, r.Max},
-		{Point{r.Min.X, c.Y}, Point{c.X, r.Max.Y}},
-	}
 }
 
 // HStrip returns the i-th (0-based, bottom-up) of the k horizontal strips

@@ -75,36 +75,6 @@ func TestClampDist(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := RectWH(Pt(0, 0), 2, 2)
-	b := RectWH(Pt(1, 1), 2, 2)
-	c := RectWH(Pt(3, 3), 1, 1)
-	if !a.Intersects(b) {
-		t.Error("a should intersect b")
-	}
-	if a.Intersects(c) {
-		t.Error("a should not intersect c")
-	}
-	// Touching edges count as intersecting (closed rects).
-	d := RectWH(Pt(2, 0), 1, 1)
-	if !a.Intersects(d) {
-		t.Error("touching rects should intersect")
-	}
-}
-
-func TestInset(t *testing.T) {
-	r := RectWH(Pt(0, 0), 10, 10)
-	in := r.Inset(2)
-	if !in.Min.Eq(Pt(2, 2)) || !in.Max.Eq(Pt(8, 8)) {
-		t.Errorf("Inset = %v", in)
-	}
-	// Over-inset collapses to center.
-	tiny := r.Inset(6)
-	if !tiny.Min.Eq(Pt(5, 5)) || !tiny.Max.Eq(Pt(5, 5)) {
-		t.Errorf("over-Inset = %v", tiny)
-	}
-}
-
 func TestCorners(t *testing.T) {
 	r := RectWH(Pt(0, 0), 2, 3)
 	c := r.Corners()
@@ -124,22 +94,6 @@ func TestSplitLongestSide(t *testing.T) {
 	a, b = tall.SplitLongestSide()
 	if a.Height() != 2 || b.Height() != 2 {
 		t.Errorf("vertical split: %v %v", a, b)
-	}
-}
-
-func TestQuadrants(t *testing.T) {
-	r := RectWH(Pt(0, 0), 4, 4)
-	q := r.Quadrants()
-	if !q[0].Center().Eq(Pt(1, 1)) || !q[1].Center().Eq(Pt(3, 1)) ||
-		!q[2].Center().Eq(Pt(3, 3)) || !q[3].Center().Eq(Pt(1, 3)) {
-		t.Errorf("Quadrants = %v", q)
-	}
-	var area float64
-	for _, s := range q {
-		area += s.Area()
-	}
-	if math.Abs(area-r.Area()) > 1e-9 {
-		t.Errorf("quadrant areas sum to %v, want %v", area, r.Area())
 	}
 }
 

@@ -36,7 +36,8 @@ func (s Square) LowerLeft() Point { return s.Rect().Min }
 func (s Square) Diam() float64 { return s.Width * sqrt2 }
 
 // SubSquares partitions s into four sub-squares of half width, ordered
-// lower-left, lower-right, upper-right, upper-left, matching Rect.Quadrants.
+// lower-left, lower-right, upper-right, upper-left (counter-clockwise), the
+// order ASeparator uses for sub-squares S1..S4.
 func (s Square) SubSquares() [4]Square {
 	q := s.Width / 4
 	w := s.Width / 2

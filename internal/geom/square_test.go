@@ -135,17 +135,8 @@ func TestDisk(t *testing.T) {
 	if d.Contains(Pt(1, 3.1)) {
 		t.Error("exterior point should not be contained")
 	}
-	if math.Abs(d.Area()-math.Pi*4) > 1e-9 {
-		t.Errorf("Area = %v", d.Area())
-	}
 	bs := d.BoundingSquare()
 	if bs.Width != 4 || !bs.Center.Eq(Pt(1, 1)) {
 		t.Errorf("BoundingSquare = %v", bs)
-	}
-	if !d.Intersects(DiskAt(Pt(5, 1), 2)) {
-		t.Error("touching disks should intersect")
-	}
-	if d.Intersects(DiskAt(Pt(6, 1), 2)) {
-		t.Error("separated disks should not intersect")
 	}
 }

@@ -245,15 +245,3 @@ func TestBuildPathRejectsBadSpecs(t *testing.T) {
 		t.Error("ℓ = 0 should be rejected")
 	}
 }
-
-func TestXiRangeMax(t *testing.T) {
-	s := PathSpec{Ell: 2, Rho: 20, B: 5}
-	// n large: the ρ²/(2(B+1))+1 term dominates.
-	if got, want := s.XiRangeMax(1000), 400.0/12+1; math.Abs(got-want) > 1e-9 {
-		t.Errorf("XiRangeMax = %v, want %v", got, want)
-	}
-	// n small: nℓ−ρ/3 dominates.
-	if got, want := s.XiRangeMax(10), 20-20.0/3; math.Abs(got-want) > 1e-9 {
-		t.Errorf("XiRangeMax = %v, want %v", got, want)
-	}
-}

@@ -140,12 +140,6 @@ type PathSpec struct {
 	Xi  float64 // prescribed ℓ-eccentricity ξ ∈ [ρ, ρ²/(2(B+1))+1]
 }
 
-// XiRangeMax returns the upper end of the admissible ξ range for the spec,
-// min over the theorem's two constraints given n robots.
-func (s PathSpec) XiRangeMax(n int) float64 {
-	return math.Min(float64(n)*s.Ell-s.Rho/3, s.Rho*s.Rho/(2*(s.B+1))+1)
-}
-
 // BuildPath constructs the Theorem 6 rectilinear-path instance: a path Π of
 // horizontal segments of length H = ρ/√2 and vertical segments of length
 // V = B+1, with robots spread along it at spacing ≤ ℓ so that the ℓ-disk
