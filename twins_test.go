@@ -72,7 +72,10 @@ func TestNoL2Twins(t *testing.T) {
 // robot record already holds where each one is. Non-test code of the
 // packages that hold such knowledge must not key or fill a map with
 // geom.Point: such a map copies positions the engine has, and a map keyed
-// by position picks between robots that share one in map order.
+// by position picks between robots that share one in map order. Nor may it
+// key a map by robot id: a set of robots is an ascending id list, and which
+// region a robot belongs to is that region's admit predicate applied to
+// Robot(id).InitPos().
 func TestKnowledgeIsRobotIDs(t *testing.T) {
 	var found []string
 	for _, dir := range []string{"internal/explore", "internal/sampling", "internal/dftp"} {
@@ -93,16 +96,30 @@ func TestKnowledgeIsRobotIDs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if m, ok := n.(*ast.MapType); ok && (isGeomPoint(m.Key) || isGeomPoint(m.Value)) {
-					found = append(found, fset.Position(m.Pos()).String())
+				m, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				at := fset.Position(m.Pos()).String()
+				switch {
+				case isGeomPoint(m.Key) || isGeomPoint(m.Value):
+					found = append(found, "map over geom.Point (keep robot ids and read Robot(id).InitPos()): "+at)
+				case isInt(m.Key):
+					found = append(found, "map keyed by robot id (keep an ascending id list, or apply the region's admit to Robot(id).InitPos()): "+at)
 				}
 				return true
 			})
 		}
 	}
-	for _, at := range found {
-		t.Errorf("map over geom.Point (keep robot ids and read Robot(id).InitPos()): %s", at)
+	for _, msg := range found {
+		t.Error(msg)
 	}
+}
+
+// isInt reports whether typ spells int, the type of a robot id.
+func isInt(typ ast.Expr) bool {
+	id, ok := typ.(*ast.Ident)
+	return ok && id.Name == "int"
 }
 
 // isGeomPoint reports whether typ spells geom.Point.
