@@ -52,7 +52,7 @@ func TestAllocs_CacheHit(t *testing.T) {
 // all reused. Mirrors BenchmarkService_SolveSteadyState. AGrid's budget is
 // 50 versus ~2600 pre-arena; the others carry what is not pooled yet
 // (DFSampling's and the rounds' id lists, seed lists, escort arrival
-// slices, separator rectangles and per-round closures).
+// slices and per-round closures).
 func TestAllocs_SteadyStateSolve(t *testing.T) {
 	for _, tc := range []struct {
 		alg    string
@@ -60,8 +60,8 @@ func TestAllocs_SteadyStateSolve(t *testing.T) {
 	}{
 		{"agrid", 50},
 		{"aseparator", 100},
-		{"aseparatorauto", 200},
-		{"awave", 300},
+		{"aseparatorauto", 150},
+		{"awave", 250},
 	} {
 		t.Run(tc.alg, func(t *testing.T) {
 			s := newTestService(t, Config{Workers: 1, CacheBytes: 1, QueueDepth: 1})
