@@ -161,35 +161,36 @@ func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, seen *[]int) error {
 }
 
 // team is the per-call state of one sweep, pooled on the engine's
-// exploration scratch: the barrier the team meets at, each strip's sighted
-// ids, and the member handlers, which live in it like wakeup's propHandler
-// slab, so spawning k members captures no closures.
+// exploration scratch: the barrier the team meets at and one record per
+// strip. A member's process body is its strip record, like wakeup's
+// propHandler slab, so spawning k members captures no closures.
 type team struct {
 	sim.Barrier
-	r     geom.Rect
-	dest  geom.Point
-	label string
-	// strips[i] lists the sleeping ids strip i's sweeper saw; strip 0 is
-	// the caller's. The lists keep their storage from call to call.
-	strips  [][]int
-	errs    []error
-	members []member // members[i] sweeps strip i; members[0] is unused
+	r      geom.Rect
+	dest   geom.Point
+	label  string
+	strips []strip // strips[0] is the caller's; member i sweeps strips[i]
 	// arrived counts the members that finished their strip, and so wrote
-	// their list for the last time.
+	// their record for the last time.
 	arrived int
 }
 
-// member is the process body of the team member sweeping strip i.
-type member struct {
-	t *team
-	i int
+// strip is what one sweeper saw of strip i of its team's rectangle: the
+// sleeping ids, repeats included, and the error that ended its sweep. The
+// id list keeps its storage from call to call.
+type strip struct {
+	t   *team
+	i   int
+	ids []int
+	err error
 }
 
-// RunProc implements sim.Handler. Nothing of the team record is read after
-// the barrier: the caller may recycle it as soon as the barrier releases.
-func (m *member) RunProc(q *sim.Proc) {
-	t := m.t
-	t.errs[m.i] = runPlan(q, t.r.HStrip(m.i, len(t.strips)), t.dest, &t.strips[m.i])
+// RunProc implements sim.Handler for the member sweeping the strip.
+// Nothing of the team record is read after the barrier: the caller may
+// recycle it as soon as the barrier releases.
+func (s *strip) RunProc(q *sim.Proc) {
+	t := s.t
+	s.err = runPlan(q, t.r.HStrip(s.i, len(t.strips)), t.dest, &s.ids)
 	t.arrived++
 	q.Await(&t.Barrier, t.label)
 }
@@ -227,36 +228,32 @@ func Rect(p *sim.Proc, memberIDs []int, r geom.Rect, dest geom.Point) ([]int, er
 	t.r, t.dest, t.label, t.arrived = r, dest, sc.label(p), 0
 	t.Need = k
 	// Grow within capacity first, so strips a larger call used keep their
-	// lists.
+	// id lists.
 	t.strips = t.strips[:cap(t.strips)]
 	for len(t.strips) < k {
-		t.strips = append(t.strips, nil)
+		t.strips = append(t.strips, strip{})
 	}
-	t.strips, t.errs = t.strips[:k], t.errs[:0]
+	t.strips = t.strips[:k]
 	for i := range t.strips {
-		t.strips[i] = t.strips[i][:0]
-		t.errs = append(t.errs, nil)
-	}
-	for i := len(t.members); i < k; i++ {
-		t.members = append(t.members, member{t: t, i: i})
+		t.strips[i] = strip{t: t, i: i, ids: t.strips[i].ids[:0]}
 	}
 	for i, id := range memberIDs {
-		e.SpawnH(id, &t.members[i+1])
+		e.SpawnH(id, &t.strips[i+1])
 	}
-	t.errs[0] = runPlan(p, r.HStrip(0, k), dest, &t.strips[0])
+	t.strips[0].err = runPlan(p, r.HStrip(0, k), dest, &t.strips[0].ids)
 	p.Await(&t.Barrier, t.label)
 	sc.seen = sc.seen[:0]
 	var firstErr error
-	for i, ids := range t.strips {
-		sc.seen = append(sc.seen, ids...)
-		if t.errs[i] != nil && firstErr == nil {
-			firstErr = t.errs[i]
+	for _, s := range t.strips {
+		sc.seen = append(sc.seen, s.ids...)
+		if s.err != nil && firstErr == nil {
+			firstErr = s.err
 		}
 	}
 	sc.seen = SortIDs(sc.seen)
 	// Recycle only after a normal release: a barrier emptied by
 	// ReleaseStalled under faults can free the caller while a member is
-	// still sweeping into its strip's list, so that call's state, barrier
+	// still sweeping into its strip record, so that call's state, barrier
 	// included, goes to the GC.
 	if t.arrived == len(memberIDs) {
 		sc.teamFree = append(sc.teamFree, t)
