@@ -41,12 +41,12 @@ func instanceBytes(inst *instance.Instance) int64 {
 }
 
 // lru is the move-to-front / evict-from-back core shared by the result
-// cache and the shape memo; sizeOf decides the unit the capacity bounds
-// (retained bytes for the result cache, entries for the memo). One element
-// is always admitted even if it alone exceeds the capacity (the alternative
-// — a cache that silently never stores — would disable idempotent replies
-// entirely). Not safe for concurrent use; the Service serializes access
-// under its mutex.
+// cache and the two memos; sizeOf decides the unit the capacity bounds
+// (retained bytes for the result cache and the params memo, entries for
+// the shape memo). One element is always admitted even if it alone exceeds
+// the capacity (the alternative — a cache that silently never stores —
+// would disable idempotent replies entirely). Not safe for concurrent use;
+// the Service serializes access under its mutex.
 //
 // The list is intrusive — nodes link each other directly — and evicted
 // nodes park on a freelist for reuse, so a full cache in steady state
