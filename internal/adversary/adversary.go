@@ -140,10 +140,3 @@ func (t *Tracker) CoveredFraction(d geom.Disk) float64 {
 	}
 	return float64(cov) / float64(total)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -39,7 +39,7 @@ func (ASeparatorAuto) Install(e *sim.Engine, tup Tuple) *Report {
 		S := geom.Sq(p.Self().InitPos(), 2*est.Rho)
 		ctx := &sepCtx{eng: e, tup: tup, rep: rep}
 		ctx.nonce = "auto"
-		if _, err := p.Escort(est.Team, S.Center); err != nil {
+		if err := p.Escort(est.Team, S.Center); err != nil {
 			rep.miss("auto escort: %v", err)
 			return
 		}

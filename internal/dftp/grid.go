@@ -1,8 +1,6 @@
 package dftp
 
 import (
-	"math"
-
 	"freezetag/internal/explore"
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
@@ -30,10 +28,15 @@ func gridSlotWork(r float64) float64 { return r*r + 20*r }
 // reuses the previous run's registry, report, participant handlers, and
 // wake-tree buffers instead of rebuilding them.
 func (AGrid) Install(e *sim.Engine, tup Tuple) *Report {
-	g := sim.ScratchOf(e, "dftp.agrid", func() *gridRun { return &gridRun{rep: &Report{}} })
-	g.reset(e, tup)
-	e.Spawn(sim.SourceID, g.srcFn)
-	return g.rep
+	g := sim.ScratchOf(e, "dftp.agrid", func() *gridRun {
+		g := &gridRun{}
+		g.run = g.runParticipant
+		return g
+	})
+	r := 2 * tup.Ell
+	g.reset(e, r, gridSlotWork(r))
+	e.SpawnH(sim.SourceID, g)
+	return &g.rep
 }
 
 // gridRun is the shared state of one AGrid execution. On a pooled engine
@@ -42,14 +45,6 @@ func (AGrid) Install(e *sim.Engine, tup Tuple) *Report {
 // participant-handler cache, the wake staging buffer) carries over.
 type gridRun struct {
 	schedule // cells of width R = 2ℓ, work bound t(ℓ)
-	rep      *Report
-
-	// srcFn is the source program; conts[k] is the round-k participant
-	// handler. Both close over g alone — whose fields reset per run — so
-	// they are built once and reused for the life of the engine, instead of
-	// allocating one closure per wake.
-	srcFn func(*sim.Proc)
-	conts []func(*sim.Proc)
 	// ids stages one exploreWake's wake list. It is filled and handed to
 	// wakeup.WakeAsleep with no yield in between (WakeAsleep copies what it
 	// needs before it moves), so concurrent explorers on the same engine
@@ -57,41 +52,14 @@ type gridRun struct {
 	ids []int
 }
 
-// reset rewinds the run state for a fresh execution over tup.
-func (g *gridRun) reset(e *sim.Engine, tup Tuple) {
-	g.rep.Misses = g.rep.Misses[:0]
-	g.rep.Rounds = 0
-	r := 2 * tup.Ell
-	g.schedule.reset(e, r, gridSlotWork(r))
-	if g.srcFn == nil {
-		g.srcFn = func(p *sim.Proc) {
-			s := geom.GridCell(p.Self().Pos(), g.r)
-			g.exploreWake(p, s, g.cont(1))
-			if p.Now() > g.t+geom.Eps {
-				g.rep.miss("round 0 overran t(ℓ): %.4g > %.4g", p.Now(), g.t)
-			}
-		}
+// RunProc is the source program (sim.Handler): explore and wake its own
+// square, handing the woken robots round 1.
+func (g *gridRun) RunProc(p *sim.Proc) {
+	s := geom.GridCell(p.Self().Pos(), g.r)
+	g.exploreWake(p, s, g.cont(1))
+	if p.Now() > g.t+geom.Eps {
+		g.rep.miss("round 0 overran t(ℓ): %.4g > %.4g", p.Now(), g.t)
 	}
-}
-
-// cont returns the memoized participant handler for round k.
-func (g *gridRun) cont(k int) func(*sim.Proc) {
-	for len(g.conts) <= k {
-		kk := len(g.conts)
-		g.conts = append(g.conts, func(p *sim.Proc) { g.runParticipant(kk, p) })
-	}
-	return g.conts[k]
-}
-
-// teamLeader returns the lowest registered id of the round-k team of s.
-func (g *gridRun) teamLeader(k int, s geom.Square) int {
-	leader := math.MaxInt32
-	for _, id := range g.team(k, s) {
-		if id < leader {
-			leader = id
-		}
-	}
-	return leader
 }
 
 // runParticipant is the body run by every robot woken during round k-1:
@@ -114,7 +82,7 @@ func (g *gridRun) runParticipant(k int, p *sim.Proc) {
 				p.ID(), k, i+1, p.Now(), d)
 		}
 		p.WaitUntil(d)
-		if g.teamLeader(k, home) == p.ID() {
+		if g.team(k, home)[0] == p.ID() {
 			g.exploreWake(p, target, g.cont(k+1))
 		}
 	}

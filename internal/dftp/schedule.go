@@ -1,6 +1,8 @@
 package dftp
 
 import (
+	"sort"
+
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
 )
@@ -16,6 +18,11 @@ type schedule struct {
 	t     float64 // per-cell work bound t
 	slotW float64 // slot width t + 3R (√2R travel plus slack)
 	reg   map[gridKey][]int
+	rep   Report
+	// run is the round-k participant body, set once per engine, and
+	// conts[k] the memoized handler that calls run(k, ·).
+	run   func(k int, p *sim.Proc)
+	conts []func(*sim.Proc)
 }
 
 type gridKey struct {
@@ -23,12 +30,12 @@ type gridKey struct {
 	kx, ky int // grid cell of the participants' home square
 }
 
-// reset rewinds the schedule for cells of width r whose work, for one
-// unit-speed robot under ℓ2, takes at most work. Registry keys are
-// retained with their value slices truncated: a repeat instance shape
-// touches exactly the same (round, cell) teams, so registration allocates
-// nothing; stale keys from a previous shape are never read (reads are
-// keyed by the current run's home squares).
+// reset rewinds the schedule and its report for cells of width r whose
+// work, for one unit-speed robot under ℓ2, takes at most work. Registry
+// keys are retained with their value slices truncated: a repeat instance
+// shape touches exactly the same (round, cell) teams, so registration
+// allocates nothing; stale keys from a previous shape are never read
+// (reads are keyed by the current run's home squares).
 func (s *schedule) reset(e *sim.Engine, r, work float64) {
 	// The slot-work constants are calibrated upper bounds on ℓ2 travel at
 	// unit speed; inflating them by the metric's stretch keeps them valid
@@ -37,6 +44,8 @@ func (s *schedule) reset(e *sim.Engine, r, work float64) {
 	// them valid travel-time bounds under heterogeneous profiles (÷1 — the
 	// exact IEEE identity — in the homogeneous model).
 	st := e.Metric().Stretch() / e.MinSpeed()
+	s.rep.Misses = s.rep.Misses[:0]
+	s.rep.Rounds = 0
 	s.r = r
 	s.t = work * st
 	s.slotW = s.t + 3*s.r*st
@@ -74,10 +83,24 @@ func (s *schedule) register(k int, home geom.Square, id int) {
 	s.reg[key] = append(s.reg[key], id)
 }
 
-// team returns the registered round-k participants of cell c, in
-// registration order. The slice is the registry's own storage.
+// team returns the registered round-k participants of cell c, ascending, so
+// team[0] leads. It sorts the registry's own storage in place: every round-k
+// registration precedes the reads, so each read sorts the same ids into the
+// same order. A reader that keeps the team across a call that can block
+// copies it first.
 func (s *schedule) team(k int, c geom.Square) []int {
-	return s.reg[s.key(k, c)]
+	t := s.reg[s.key(k, c)]
+	sort.Ints(t)
+	return t
+}
+
+// cont returns the memoized participant handler for round k.
+func (s *schedule) cont(k int) func(*sim.Proc) {
+	for len(s.conts) <= k {
+		kk := len(s.conts)
+		s.conts = append(s.conts, func(p *sim.Proc) { s.run(kk, p) })
+	}
+	return s.conts[k]
 }
 
 // cellAdmit returns the exclusive ownership predicate of cell c: the points

@@ -2,10 +2,12 @@ package dftp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"freezetag/internal/geom"
 	"freezetag/internal/instance"
+	"freezetag/internal/sim"
 )
 
 func TestGridScheduleMonotone(t *testing.T) {
@@ -47,13 +49,85 @@ func TestGridRegistrationLeader(t *testing.T) {
 	g.register(1, s, 7)
 	g.register(1, s, 3)
 	g.register(1, s, 9)
-	if leader := g.teamLeader(1, s); leader != 3 {
+	if leader := g.team(1, s)[0]; leader != 3 {
 		t.Errorf("leader = %d, want 3", leader)
 	}
 	// Different round: separate team.
 	g.register(2, s, 5)
-	if leader := g.teamLeader(2, s); leader != 5 {
+	if leader := g.team(2, s)[0]; leader != 5 {
 		t.Errorf("round-2 leader = %d, want 5", leader)
+	}
+}
+
+// TestWaveRosterFilter drives AWave's roster filter (waveRun.escorted)
+// directly. It keeps a live member beside the leader and drops one that is
+// asleep, one left elsewhere, one that ran dry mid-escort and one in a
+// crash-recovery outage; the last two are dropped even with the leader
+// standing where they stopped.
+func TestWaveRosterFilter(t *testing.T) {
+	// Member 1 runs dry 2 units into a 4-unit escort; member 2 arrives.
+	e := sim.NewEngine(sim.Config{
+		Source:   geom.Origin,
+		Sleepers: []geom.Point{geom.Origin, geom.Origin},
+		Profiles: []sim.Profile{{Speed: 1, Capacity: 2}, {Speed: 1}},
+	})
+	w := &waveRun{eng: e}
+	e.Spawn(sim.SourceID, func(p *sim.Proc) {
+		p.Wake(1, nil)
+		p.Wake(2, nil)
+		if err := p.Escort([]int{1, 2}, geom.Pt(4, 0)); err != nil {
+			t.Fatalf("escort: %v", err)
+		}
+		if !e.Robot(1).Halted() {
+			t.Fatal("member 1 should have run dry mid-escort")
+		}
+		if got := w.escorted(p, []int{1, 2}); !slices.Equal(got, []int{2}) {
+			t.Errorf("after the escort kept %v, want [2]", got)
+		}
+		if err := p.MoveTo(e.Robot(1).Pos()); err != nil {
+			t.Fatalf("move: %v", err)
+		}
+		if got := w.escorted(p, []int{1, 2}); len(got) != 0 {
+			t.Errorf("beside the halted member kept %v, want none", got)
+		}
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every sleeper is faulty and crashes within 1 unit of odometer, so
+	// member 1 goes down mid-escort for at least 50 time units; member 2
+	// sleeps at the escort's end and never moves.
+	e = sim.NewEngine(sim.Config{
+		Source:   geom.Origin,
+		Sleepers: []geom.Point{geom.Origin, geom.Pt(10, 0)},
+		Faults:   &sim.FaultPlan{Kind: sim.FaultCrashRecovery, Seed: 1, Rate: 1, CrashDist: 1, Downtime: 100},
+	})
+	w = &waveRun{eng: e}
+	e.Spawn(sim.SourceID, func(p *sim.Proc) {
+		p.Wake(1, nil)
+		if err := p.Escort([]int{1}, geom.Pt(10, 0)); err != nil {
+			t.Fatalf("escort: %v", err)
+		}
+		if got := w.escorted(p, []int{1, 2}); len(got) != 0 {
+			t.Errorf("with member 2 asleep kept %v, want none", got)
+		}
+		p.Wake(2, nil)
+		if got := w.escorted(p, []int{1, 2}); !slices.Equal(got, []int{2}) {
+			t.Errorf("after waking member 2 kept %v, want [2]", got)
+		}
+		if err := p.MoveTo(e.Robot(1).Pos()); err != nil {
+			t.Fatalf("move: %v", err)
+		}
+		if !e.Down(1) {
+			t.Fatal("member 1 should be in its outage")
+		}
+		if got := w.escorted(p, []int{1}); len(got) != 0 {
+			t.Errorf("beside the crashed member kept %v, want none", got)
+		}
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -87,7 +161,7 @@ func TestPartitionTeamShapes(t *testing.T) {
 		for i := range members {
 			members[i] = i + 1
 		}
-		groups := partitionTeam(0, members)
+		groups := partitionTeam(members)
 		total := 1
 		seen := map[int]bool{}
 		for gi, g := range groups {
@@ -97,6 +171,9 @@ func TestPartitionTeamShapes(t *testing.T) {
 			}
 			if size < c.wantMin {
 				t.Errorf("members=%d: group %d size %d below %d", c.members, gi, size, c.wantMin)
+			}
+			if cap(g) != len(g) {
+				t.Errorf("members=%d: an append to group %d would write into the next", c.members, gi)
 			}
 			total += len(g)
 			for _, id := range g {

@@ -70,7 +70,7 @@ func (c *sepCtx) runFromSource(p *sim.Proc, S geom.Square, admit func(geom.Point
 		c.rep.miss("round 0 sampling: %v", err)
 		return false
 	}
-	if _, err := p.Escort(out.Members, S.Center); err != nil {
+	if err := p.Escort(out.Members, S.Center); err != nil {
 		c.rep.miss("round 0 escort: %v", err)
 		return false
 	}
@@ -102,13 +102,15 @@ func (c *sepCtx) round(p *sim.Proc, members []int, S geom.Square,
 	}
 
 	// --- Partition -----------------------------------------------------
+	// allTeam is the round's one team list, the leader first; the groups
+	// are windows of its tail.
 	subs := S.SubSquares()
-	groups := partitionTeam(p.ID(), members)
+	allTeam := append(append(make([]int, 0, total), p.ID()), members...)
+	groups := partitionTeam(allTeam[1:])
 	st := &roundState{}
 	if c.eng.Tracing() {
 		st.label = fmt.Sprintf("reorg/%s/%.6g,%.6g/%.6g/%d", c.nonce, S.Center.X, S.Center.Y, S.Width, depth)
 	}
-	allTeam := append([]int{p.ID()}, members...)
 
 	for i := 1; i < 4; i++ {
 		i := i
@@ -140,15 +142,17 @@ type roundState struct {
 	label    string
 }
 
-// partitionTeam splits leader+members into four groups of near-equal size.
-// groups[0] belongs to the calling leader and excludes its own id; groups
-// 1..3 are led by their first element.
-func partitionTeam(leaderID int, members []int) [4][]int {
-	rest := append([]int(nil), members...)
-	sort.Ints(rest)
+// partitionTeam sorts a leader's members in place and splits the team, the
+// leader included, into four groups of near-equal size. groups[0] belongs
+// to the calling leader and excludes its own id; groups 1..3 are led by
+// their first element. Each group is a window of members clipped to its
+// length, so an append to one never writes into the next. The shares sum
+// to len(members).
+func partitionTeam(members []int) [4][]int {
+	sort.Ints(members)
 	var groups [4][]int
-	n := len(rest) + 1 // leader included in group 0's headcount
-	for i := 0; i < 4; i++ {
+	n := len(members) + 1 // leader included in group 0's headcount
+	for i := range groups {
 		share := n / 4
 		if i < n%4 {
 			share++
@@ -156,14 +160,8 @@ func partitionTeam(leaderID int, members []int) [4][]int {
 		if i == 0 {
 			share-- // leader itself fills one slot of group 0
 		}
-		if share > len(rest) {
-			share = len(rest)
-		}
-		groups[i] = rest[:share]
-		rest = rest[share:]
+		groups[i], members = members[:share:share], members[share:]
 	}
-	// Any remainder from clamping joins group 0.
-	groups[0] = append(groups[0], rest...)
 	return groups
 }
 
@@ -237,7 +235,7 @@ func (c *sepCtx) groupWork(q *sim.Proc, rest []int, S geom.Square, subs [4]geom.
 	st.outcomes[i] = out
 
 	// Return to the center of S and synchronize with the sibling groups.
-	if _, err := q.Escort(out.Members, S.Center); err != nil {
+	if err := q.Escort(out.Members, S.Center); err != nil {
 		c.rep.miss("return escort: %v", err)
 	}
 	q.Await(&st.Barrier, st.label)
@@ -290,7 +288,7 @@ func (c *sepCtx) reorganize(subs [4]geom.Square, admit func(geom.Point) bool,
 			c.wg.Add(1)
 		}
 		c.eng.Spawn(leader, func(q *sim.Proc) {
-			if _, err := q.Escort(rest, subs[i].Center); err != nil {
+			if err := q.Escort(rest, subs[i].Center); err != nil {
 				c.rep.miss("dispatch escort: %v", err)
 			}
 			terminal := c.round(q, rest, subs[i], subAdmit, childKnown, depth+1)

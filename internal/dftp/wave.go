@@ -3,7 +3,7 @@ package dftp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"freezetag/internal/geom"
 	"freezetag/internal/sim"
@@ -47,109 +47,106 @@ func waveSlotWork(r, ell float64) float64 {
 	return 12*r + 60*l*l*math.Log2(r/l+2)
 }
 
-// Install implements Algorithm.
+// Install implements Algorithm. As AGrid's, the run state lives in the
+// engine's scratch stash, so a pooled engine reuses it from job to job.
 func (AWave) Install(e *sim.Engine, tup Tuple) *Report {
-	rep := &Report{}
-	w := &waveRun{eng: e, rep: rep, tup: tup, ell: waveEll(tup.Ell)}
+	w := sim.ScratchOf(e, "dftp.awave", func() *waveRun {
+		w := &waveRun{eng: e}
+		w.run = w.runParticipant
+		return w
+	})
 	r := waveWidth(tup.Ell)
 	w.reset(e, r, waveSlotWork(r, tup.Ell))
-	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		s := geom.GridCell(p.Self().Pos(), w.r)
-		admit := w.cellAdmit(s)
-		ctx := &sepCtx{
-			eng:  e,
-			tup:  w.sepTuple(),
-			rep:  rep,
-			cont: w.participant(1),
-		}
-		terminal := ctx.runFromSource(p, s, admit)
-		if p.Now() > w.t+geom.Eps {
-			rep.miss("round 0 overran t(R): %.4g > %.4g", p.Now(), w.t)
-		}
-		if terminal {
-			// The source helps the first wave like any other awake robot.
-			w.participant(1)(p)
-		}
-	})
-	return rep
+	w.sep = Tuple{Ell: waveEll(tup.Ell), Rho: r, N: tup.N}
+	e.SpawnH(sim.SourceID, w)
+	return &w.rep
 }
 
 // waveRun is the shared state of one AWave execution.
 type waveRun struct {
 	schedule // cells of width R, work bound t(R)
 	eng      *sim.Engine
-	rep      *Report
-	tup      Tuple
-	ell      float64 // max(ℓ, 4)
+	// sep is the tuple handed to the inner ASeparator executions: the wave
+	// parameter max(ℓ, 4) and the square's own radius.
+	sep Tuple
 }
 
-// sepTuple is the tuple handed to the inner ASeparator executions: the wave
-// parameter ℓ and the square's own radius.
-func (w *waveRun) sepTuple() Tuple {
-	return Tuple{Ell: w.ell, Rho: w.r, N: w.tup.N}
+// RunProc is the source program (sim.Handler): wake its own square with
+// ASeparator, then help the first wave if that left its robot free.
+func (w *waveRun) RunProc(p *sim.Proc) {
+	s := geom.GridCell(p.Self().Pos(), w.r)
+	ctx := &sepCtx{
+		eng:  w.eng,
+		tup:  w.sep,
+		rep:  &w.rep,
+		cont: w.cont(1),
+	}
+	terminal := ctx.runFromSource(p, s, w.cellAdmit(s))
+	if p.Now() > w.t+geom.Eps {
+		w.rep.miss("round 0 overran t(R): %.4g > %.4g", p.Now(), w.t)
+	}
+	if terminal {
+		// The source helps the first wave like any other awake robot.
+		w.runParticipant(1, p)
+	}
 }
 
 // gatherDeadline is when a round-k team, gathered at its home cell's
 // lower-left corner, is read.
 func (w *waveRun) gatherDeadline(k int) float64 { return w.roundStart(k) + 0.5*w.slotW }
 
-// participant returns the handler run by every robot woken during round k-1:
+// runParticipant is the body run by every robot woken during round k-1:
 // gather at the home square's lower-left corner; if the gathered team has at
 // least 4ℓ robots, its lowest-id member leads it through the 8 adjacent
 // squares, waking each with ASeparator.
-func (w *waveRun) participant(k int) func(*sim.Proc) {
-	return func(p *sim.Proc) {
-		w.rep.sawRound(k)
-		home := geom.GridCell(p.Self().InitPos(), w.r)
-		w.register(k, home, p.ID())
-		corner := home.LowerLeft()
-		if err := p.MoveTo(corner); err != nil {
-			w.rep.miss("round %d gather move: %v", k, err)
-			return
-		}
-		gd := w.gatherDeadline(k)
-		if p.Now() > gd+geom.Eps {
-			w.rep.miss("robot %d late gathering for round %d: %.4g > %.4g",
-				p.ID(), k, p.Now(), gd)
-		}
-		p.WaitUntil(gd)
-		team := append([]int(nil), w.team(k, home)...)
-		sort.Ints(team)
-		if len(team) < 4*w.sepTuple().L() {
-			return // Tr too small to act (per §8.2); everyone stops.
-		}
-		if team[0] != p.ID() {
-			return // passive member: the leader escorts this robot from here on
-		}
-		w.leadSlots(p, k, home, team[1:])
+func (w *waveRun) runParticipant(k int, p *sim.Proc) {
+	w.rep.sawRound(k)
+	home := geom.GridCell(p.Self().InitPos(), w.r)
+	w.register(k, home, p.ID())
+	if err := p.MoveTo(home.LowerLeft()); err != nil {
+		w.rep.miss("round %d gather move: %v", k, err)
+		return
 	}
+	gd := w.gatherDeadline(k)
+	if p.Now() > gd+geom.Eps {
+		w.rep.miss("robot %d late gathering for round %d: %.4g > %.4g",
+			p.ID(), k, p.Now(), gd)
+	}
+	p.WaitUntil(gd)
+	team := w.team(k, home)
+	if len(team) < 4*w.sep.L() {
+		return // Tr too small to act (per §8.2); everyone stops.
+	}
+	if team[0] != p.ID() {
+		return // passive member: the leader escorts this robot from here on
+	}
+	w.leadSlots(p, k, home, team[1:])
 }
 
 // leadSlots drives a wave team through the 8 adjacent squares of home.
 func (w *waveRun) leadSlots(p *sim.Proc, k int, home geom.Square, members []int) {
 	members = w.present(p, members)
 	for i, target := range home.Adjacent8() {
-		var err error
-		members, err = p.Escort(members, target.LowerLeft())
-		if err != nil {
+		if err := p.Escort(members, target.LowerLeft()); err != nil {
 			w.rep.miss("round %d slot %d corner escort: %v", k, i+1, err)
 			return
 		}
+		members = w.escorted(p, members)
 		d := w.workDeadline(k, i+1)
 		if p.Now() > d+geom.Eps {
 			w.rep.miss("round %d slot %d late: %.4g > %.4g", k, i+1, p.Now(), d)
 		}
 		p.WaitUntil(d)
-		members, err = p.Escort(members, target.Center)
-		if err != nil {
+		if err := p.Escort(members, target.Center); err != nil {
 			w.rep.miss("round %d slot %d center escort: %v", k, i+1, err)
 			return
 		}
+		members = w.escorted(p, members)
 		ctx := &sepCtx{
 			eng:  w.eng,
-			tup:  w.sepTuple(),
-			rep:  w.rep,
-			cont: w.participant(k + 1),
+			tup:  w.sep,
+			rep:  &w.rep,
+			cont: w.cont(k + 1),
 			wg:   w.eng.NewWaitGroup(),
 		}
 		if w.eng.Tracing() {
@@ -162,6 +159,16 @@ func (w *waveRun) leadSlots(p *sim.Proc, k int, home geom.Square, members []int)
 		// The team reassembles at the center of the target square
 		// (reorganize leaves it there) before heading to the next corner.
 	}
+}
+
+// escorted keeps, in place, the members an escort took along: those awake,
+// neither halted nor in a crash outage, and beside the leader.
+func (w *waveRun) escorted(p *sim.Proc, members []int) []int {
+	at := p.Self().Pos()
+	return slices.DeleteFunc(members, func(id int) bool {
+		r := w.eng.Robot(id)
+		return r.State() != sim.Awake || r.Halted() || w.eng.Down(id) || !r.Pos().Eq(at)
+	})
 }
 
 // present filters the member list to robots actually co-located with the

@@ -111,8 +111,14 @@ func (in *Instance) appendCanonical(b []byte) []byte {
 // canonBufPool recycles the canonical-encoding scratch across requests. The
 // encoding is built fully in one buffer and hashed with sha256.Sum256 (stack
 // digest, stack sum), so a steady request stream pays exactly one allocation
-// per hash: the returned hex string itself.
+// per hash: the returned hex string itself. Only buffers up to canonBufMax
+// go back: a larger one would keep the largest request's encoding alive
+// for every later hash, outside every cache bound.
 var canonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// canonBufMax is the largest buffer canonBufPool keeps, about five 1024-robot
+// encodings (~50 bytes per point).
+const canonBufMax = 256 << 10
 
 // HashRequestFaulted is the one canonical request encoder: it returns the
 // content-addressed key of a solve request, the SHA-256 (hex) of the
@@ -164,8 +170,10 @@ func HashRequestFaulted(m geom.Metric, algorithm string, in *Instance, ell, rho 
 	b = append(b, '\n')
 	b = in.appendCanonical(b)
 	sum := sha256.Sum256(b)
-	*bp = b
-	canonBufPool.Put(bp)
+	if cap(b) <= canonBufMax {
+		*bp = b
+		canonBufPool.Put(bp)
+	}
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
 	return string(hx[:])

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,6 +37,26 @@ func TestHashRequestDeterministic(t *testing.T) {
 	b := HashRequestFaulted(nil, "awave", testInstance(), 2, 5, 3, 1.5, "")
 	if a != b {
 		t.Fatalf("identical requests hashed differently: %s vs %s", a, b)
+	}
+}
+
+// TestCanonBufPoolBounded hashes one 65,536-point instance, whose encoding
+// outgrows the pool's bound, and requires its buffer to be gone after one
+// collection instead of staying pooled for every later hash.
+func TestCanonBufPoolBounded(t *testing.T) {
+	in, err := Family("disk", 1<<16, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	HashRequestFaulted(nil, "agrid", in, 1, 1, in.N(), 0, "")
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(in)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("hashing a 65,536-point instance left %.2f MiB live after one collection", float64(grew)/(1<<20))
 	}
 }
 

@@ -71,7 +71,9 @@ type Outcome struct {
 	// sample and Discovered holds all of P ∩ S reachable from the seeds.
 	Covered bool
 	// Members is the team roster after recruiting: the input members plus
-	// Recruits, all co-located with the leader.
+	// Recruits, all co-located with the leader. It extends the caller's
+	// member list, clipped to its length so that a recruit's append never
+	// writes into the caller's storage; with no recruit it is that list.
 	Members []int
 }
 
@@ -91,7 +93,7 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 		}
 	}
 	out.Discovered = explore.SortIDs(out.Discovered)
-	out.Members = append(out.Members, members...)
+	out.Members = slices.Clip(members)
 
 	// asleep is the team's belief: robots discovered asleep and not yet
 	// recruited by this run. Region exclusivity keeps it exact, so it is
@@ -126,8 +128,8 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	sweepBall := func(cur geom.Point) error {
 		ball := geom.DiskAt(cur, 2*req.Ell).BoundingSquare().Rect()
 		clip := geom.Rect{
-			Min: geom.Pt(maxf(ball.Min.X, region.Min.X), maxf(ball.Min.Y, region.Min.Y)),
-			Max: geom.Pt(minf(ball.Max.X, region.Max.X), minf(ball.Max.Y, region.Max.Y)),
+			Min: geom.Pt(max(ball.Min.X, region.Min.X), max(ball.Min.Y, region.Min.Y)),
+			Max: geom.Pt(min(ball.Max.X, region.Max.X), min(ball.Max.Y, region.Max.Y)),
 		}
 		if clip.Min.X > clip.Max.X || clip.Min.Y > clip.Max.Y {
 			return nil
@@ -156,7 +158,7 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	// sweeps the sample's ball; that is the ball's only sweep, so
 	// backtracking to q costs only moves, per the Lemma 5 analysis.
 	addSample := func(q geom.Point, id int) error {
-		if _, err := p.Escort(out.Members, q); err != nil {
+		if err := p.Escort(out.Members, q); err != nil {
 			return err
 		}
 		out.Samples = append(out.Samples, q)
@@ -219,7 +221,7 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 				// Backtrack one hop.
 				stack = stack[:len(stack)-1]
 				if len(stack) > 0 {
-					if _, err := p.Escort(out.Members, stack[len(stack)-1]); err != nil {
+					if err := p.Escort(out.Members, stack[len(stack)-1]); err != nil {
 						return out, err
 					}
 				}
@@ -233,18 +235,4 @@ func Run(p *sim.Proc, members []int, req Request) (Outcome, error) {
 	}
 	out.Covered = req.wantMore(len(out.Recruits))
 	return out, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -321,7 +321,7 @@ func (e *Engine) crash(r *Robot) bool {
 // segment of length d the team just covered toward dst. Passive members have
 // no process of their own, so Escort is the only place their odometer
 // advances and hence the only place their crash can fire. Returns true when
-// the member crashed (it is dropped from the team where it fell); the crash
+// the member crashed (it is left behind where it fell); the crash
 // position is applied at the team's arrival time, matching how Escort already
 // applies member budget exhaustion.
 func (p *Proc) escortCrash(r *Robot, dst geom.Point, d float64) bool {

@@ -70,7 +70,7 @@ func TestProbeCountersEscort(t *testing.T) {
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: []geom.Point{geom.Pt(0, 0)}})
 	e.Spawn(SourceID, func(p *Proc) {
 		p.Wake(1, nil)
-		if _, err := p.Escort([]int{1}, geom.Pt(1, 0)); err != nil {
+		if err := p.Escort([]int{1}, geom.Pt(1, 0)); err != nil {
 			t.Errorf("escort: %v", err)
 		}
 	})

@@ -255,13 +255,14 @@ func (p *Proc) WakeH(id int, handler Handler) {
 // travels at the speed of its slowest member (the caller included) — a team
 // stays a team, so its fast robots wait for the slow ones. It implements
 // team movement. If any member exhausts its budget, that member halts in
-// place and is dropped from the team — as is any member already halted by an
-// earlier exhaustion or, once the run has recorded a budget violation, any
-// member no longer awake beside the caller, so a stale roster keeps working;
-// the returned slice holds the ids that completed the move (the caller is
-// not listed). A caller budget exhaustion returns the error and moves
-// nobody further.
-func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
+// place and is left behind — as is any member already halted by an earlier
+// exhaustion or, once the run has recorded a budget violation, any member
+// no longer awake beside the caller, so a stale roster keeps working. Only
+// the caller's error is returned: ids is read, never written, and a caller
+// that carries a roster across escorts filters it against the robots'
+// state. A caller budget exhaustion returns the error and moves nobody
+// further.
+func (p *Proc) Escort(ids []int, dst geom.Point) error {
 	start := p.r.pos
 	d := p.eng.dist(start, dst)
 	speed := p.r.speed
@@ -305,9 +306,8 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 		}
 	}
 	if err := p.moveToAt(dst, speed); err != nil {
-		return nil, err
+		return err
 	}
-	arrived := make([]int, 0, len(ids))
 	for _, id := range ids {
 		r := p.eng.Robot(id)
 		if r.stopped {
@@ -332,9 +332,8 @@ func (p *Proc) Escort(ids []int, dst geom.Point) ([]int, error) {
 			continue
 		}
 		p.eng.moveRobot(r, dst, d)
-		arrived = append(arrived, id)
 	}
-	return arrived, nil
+	return nil
 }
 
 // Barrier is a meeting point for Need processes, owned by the algorithm code
