@@ -51,17 +51,17 @@ func TestAllocs_CacheHit(t *testing.T) {
 // arena's engine, spatial grid, wake-tree builder, and explore pools are
 // all reused. Mirrors BenchmarkService_SolveSteadyState. AGrid's budget is
 // 50 versus ~2600 pre-arena; the others carry what is not pooled yet
-// (DFSampling's and the rounds' id lists, seed lists, escort arrival
-// slices and per-round closures).
+// (DFSampling's and the rounds' id lists, seed lists, each round's team
+// list and per-round closures).
 func TestAllocs_SteadyStateSolve(t *testing.T) {
 	for _, tc := range []struct {
 		alg    string
 		budget float64
 	}{
 		{"agrid", 50},
-		{"aseparator", 100},
-		{"aseparatorauto", 150},
-		{"awave", 250},
+		{"aseparator", 90},
+		{"aseparatorauto", 140},
+		{"awave", 100},
 	} {
 		t.Run(tc.alg, func(t *testing.T) {
 			s := newTestService(t, Config{Workers: 1, CacheBytes: 1, QueueDepth: 1})
