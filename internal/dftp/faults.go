@@ -85,8 +85,8 @@ func (f *Faults) Validate() error {
 
 // Canon returns the deterministic canonical encoding of the specification —
 // the faults line of the dftp-request/v4 content address, also used as the
-// fault component of in-process memo keys. Floats encode in exact hex form
-// with -0 normalized, mirroring the instance encoding. Empty for nil (the
+// fault component of in-process memo keys. Floats encode as every float of
+// the request hash does (instance.AppendCanonFloat). Empty for nil (the
 // fault-free request, which must keep its fault-free hash).
 func (f *Faults) Canon() string {
 	if f == nil {
@@ -96,13 +96,13 @@ func (f *Faults) Canon() string {
 	b = append(b, "kind="...)
 	b = append(b, f.Kind...)
 	b = append(b, ";rate="...)
-	b = appendCanonHex(b, f.Rate)
+	b = instance.AppendCanonFloat(b, f.Rate)
 	b = append(b, ";seed="...)
 	b = strconv.AppendInt(b, f.Seed, 10)
 	b = append(b, ";byz="...)
 	b = strconv.AppendInt(b, int64(f.Byzantine), 10)
 	b = append(b, ";down="...)
-	b = appendCanonHex(b, f.Downtime)
+	b = instance.AppendCanonFloat(b, f.Downtime)
 	b = append(b, ";repair="...)
 	if f.Repair {
 		b = append(b, '1')
@@ -159,18 +159,6 @@ func ParseFaults(spec, sep string) (*Faults, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// appendCanonHex appends f in exact hex float form with -0 normalized to 0,
-// mirroring the instance layer's canonical float encoding.
-func appendCanonHex(b []byte, f float64) []byte {
-	if f == 0 { // catches -0.0 too
-		f = 0
-	}
-	if math.IsNaN(f) {
-		return append(b, "nan"...)
-	}
-	return strconv.AppendFloat(b, f, 'x', -1, 64)
 }
 
 // Plan compiles the wire specification into the engine's fault plan for a

@@ -141,10 +141,10 @@ func (sc *rectScratch) label(p *sim.Proc) string {
 }
 
 // runPlan drives one robot through r's sweep lattice, looking at every
-// stop, then moves it to dest. Each snapshot's sleeping ids are appended to
-// *seen before the next move, repeats included; Rect sorts them. Budget
-// exhaustion aborts the remaining stops but still reports what was seen;
-// the error is returned alongside.
+// stop, then moves it to dest. Each Look's ids are appended to *seen before
+// the next move, repeats included; Rect sorts them. Budget exhaustion
+// aborts the remaining stops but still reports what was seen; the error is
+// returned alongside.
 func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, seen *[]int) error {
 	l := RectLattice(p.Engine().Metric(), r)
 	for row := 0; row < l.Rows; row++ {
@@ -152,9 +152,7 @@ func runPlan(p *sim.Proc, r geom.Rect, dest geom.Point, seen *[]int) error {
 			if err := p.MoveTo(l.Stop(row, col)); err != nil {
 				return err
 			}
-			for _, s := range p.Look().Asleep {
-				*seen = append(*seen, s.ID)
-			}
+			*seen = append(*seen, p.Look()...)
 		}
 	}
 	return p.MoveTo(dest)
@@ -209,7 +207,7 @@ func (s *strip) RunProc(q *sim.Proc) {
 // temporary processes and are passive again (parked at dest) on return.
 //
 // The returned list is the engine's own exploration buffer, like a Look's
-// snapshot: it is valid until the next Rect on the same engine returns, by
+// ids: it is valid until the next Rect on the same engine returns, by
 // any process, so a caller that keeps ids across a call that can block
 // (MoveTo, Escort, Await, ...) copies them first, and no caller writes
 // through it. A sweep holds O(1) plan memory whatever the rectangle's area,
@@ -304,20 +302,19 @@ func SpiralPlanIn(m geom.Metric, center geom.Point, maxR float64) Plan {
 }
 
 // Spiral drives robot p along a spiral from its current position until it
-// sees a sleeping robot (returning its sighting), the spiral exceeds maxR, or
-// the budget runs out. found is false in the latter two cases. The spiral's
-// winding pitch follows the engine's metric (SpiralPlanIn), so discovery
-// coverage holds under non-Euclidean norms too.
-func Spiral(p *sim.Proc, maxR float64) (sim.Sighting, bool, error) {
+// sees a sleeping robot (returning the least id of those its Look saw), the
+// spiral exceeds maxR, or the budget runs out. found is false in the latter
+// two cases. The spiral's winding pitch follows the engine's metric
+// (SpiralPlanIn), so discovery coverage holds under non-Euclidean norms too.
+func Spiral(p *sim.Proc, maxR float64) (id int, found bool, err error) {
 	pl := SpiralPlanIn(p.Engine().Metric(), p.Self().Pos(), maxR)
 	for _, stop := range pl.Stops {
 		if err := p.MoveTo(stop); err != nil {
-			return sim.Sighting{}, false, err
+			return 0, false, err
 		}
-		snap := p.Look()
-		if len(snap.Asleep) > 0 {
-			return snap.Asleep[0], true, nil
+		if ids := p.Look(); len(ids) > 0 {
+			return ids[0], true, nil
 		}
 	}
-	return sim.Sighting{}, false, nil
+	return 0, false, nil
 }

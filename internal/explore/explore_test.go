@@ -279,12 +279,12 @@ func TestSpiralFindsTarget(t *testing.T) {
 	target := geom.Pt(3, 2)
 	e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: []geom.Point{target}})
 	e.Spawn(sim.SourceID, func(p *sim.Proc) {
-		s, found, err := Spiral(p, 10)
+		id, found, err := Spiral(p, 10)
 		if err != nil {
 			t.Errorf("Spiral: %v", err)
 		}
-		if !found || s.ID != 1 {
-			t.Errorf("found=%v sighting=%+v", found, s)
+		if !found || id != 1 {
+			t.Errorf("found=%v id=%d", found, id)
 		}
 	})
 	if _, err := e.Run(); err != nil {

@@ -48,12 +48,14 @@ const (
 	canonVersionV4 = "dftp-request/v4"
 )
 
-// canonFloat appends f's canonical form to b: exact (hex mantissa, no
+// AppendCanonFloat appends f's canonical form to b: exact (hex mantissa, no
 // rounding ambiguity), with -0 normalized to 0 so the two IEEE zeros hash
-// identically. Append-based because the hot caller (HashRequestFaulted via
-// the serving tier) encodes thousands of floats per request; a
-// string-returning formatter would allocate every one of them.
-func canonFloat(b []byte, f float64) []byte {
+// identically. It encodes every float of a request's content address, the
+// fault specification's (dftp.Faults.Canon) included. Append-based because
+// the hot caller (HashRequestFaulted via the serving tier) encodes
+// thousands of floats per request; a string-returning formatter would
+// allocate every one of them.
+func AppendCanonFloat(b []byte, f float64) []byte {
 	if f == 0 { // catches -0.0 too
 		f = 0
 	}
@@ -76,17 +78,17 @@ func (in *Instance) appendCanonical(b []byte) []byte {
 	b = append(b, "name="...)
 	b = strconv.AppendQuote(b, in.Name)
 	b = append(b, "\nsource="...)
-	b = canonFloat(b, in.Source.X)
+	b = AppendCanonFloat(b, in.Source.X)
 	b = append(b, ',')
-	b = canonFloat(b, in.Source.Y)
+	b = AppendCanonFloat(b, in.Source.Y)
 	b = append(b, "\npoints="...)
 	b = strconv.AppendInt(b, int64(len(in.Points)), 10)
 	b = append(b, '\n')
 	for _, p := range in.Points {
 		b = append(b, "p="...)
-		b = canonFloat(b, p.X)
+		b = AppendCanonFloat(b, p.X)
 		b = append(b, ',')
-		b = canonFloat(b, p.Y)
+		b = AppendCanonFloat(b, p.Y)
 		b = append(b, '\n')
 	}
 	if len(in.Profiles) > 0 {
@@ -99,9 +101,9 @@ func (in *Instance) appendCanonical(b []byte) []byte {
 				cap = 0
 			}
 			b = append(b, "f="...)
-			b = canonFloat(b, pr.Speed)
+			b = AppendCanonFloat(b, pr.Speed)
 			b = append(b, ',')
-			b = canonFloat(b, cap)
+			b = AppendCanonFloat(b, cap)
 			b = append(b, '\n')
 		}
 	}
@@ -160,13 +162,13 @@ func HashRequestFaulted(m geom.Metric, algorithm string, in *Instance, ell, rho 
 		b = append(b, faultsLine...)
 	}
 	b = append(b, "\ntuple="...)
-	b = canonFloat(b, ell)
+	b = AppendCanonFloat(b, ell)
 	b = append(b, ',')
-	b = canonFloat(b, rho)
+	b = AppendCanonFloat(b, rho)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, "\nbudget="...)
-	b = canonFloat(b, budget)
+	b = AppendCanonFloat(b, budget)
 	b = append(b, '\n')
 	b = in.appendCanonical(b)
 	sum := sha256.Sum256(b)

@@ -57,8 +57,10 @@ type Config struct {
 	// Workers is the solver pool size (default GOMAXPROCS). It also bounds
 	// each portfolio race's internal racing pool.
 	Workers int
-	// QueueDepth bounds the number of queued-but-unstarted solves
-	// (default 64). A full queue sheds new work with ErrQueueFull.
+	// QueueDepth sizes the job queue (default 64). Admission caps the
+	// width-weighted total of queued plus running jobs (a solve weighs 1, a
+	// race its racing width) at QueueDepth+Workers, and sheds new work past
+	// that cap with ErrQueueFull.
 	QueueDepth int
 	// CacheBytes bounds the result cache by approximate retained bytes —
 	// marshaled response + the replay inputs' instance + bookkeeping —
@@ -194,8 +196,11 @@ type Service struct {
 	cfg   Config
 	log   *slog.Logger
 	start time.Time
-	jobs  chan *job
-	wg    sync.WaitGroup
+	// jobs is buffered to the admission cap, QueueDepth+Workers: admission
+	// (enqueueLocked) bounds the uncompleted jobs, each of width ≥ 1, by
+	// that cap, so the buffer takes every admitted job without blocking.
+	jobs chan *job
+	wg   sync.WaitGroup
 
 	mu       sync.Mutex
 	cache    *lru[*entry]
@@ -307,7 +312,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		log:      cfg.Logger,
 		start:    time.Now(),
-		jobs:     make(chan *job, cfg.QueueDepth),
+		jobs:     make(chan *job, cfg.QueueDepth+cfg.Workers),
 		shapes:   newMemoLRU(),
 		params:   newParamsLRU(cfg.CacheBytes),
 		inflight: make(map[string]*call),
@@ -1067,20 +1072,18 @@ func (c *call) served(hash, outcome string) Solved {
 }
 
 // enqueueLocked admits j under the width-weighted cap and queues it; s.mu
-// must be held. A full queue sheds the job with ErrQueueFull, counted in
-// dftp_shed_total whether the job is a solve, a race or a trace replay.
+// must be held. A job past the cap is shed with ErrQueueFull, counted in
+// dftp_shed_total whether the job is a solve, a race or a trace replay. An
+// admitted job's send never blocks (see Service.jobs).
 func (s *Service) enqueueLocked(j *job) error {
-	if s.queueWeight+j.width <= s.cfg.QueueDepth+s.cfg.Workers {
-		j.enqueued = time.Now()
-		select {
-		case s.jobs <- j:
-			s.queueWeight += j.width
-			return nil
-		default:
-		}
+	if s.queueWeight+j.width > s.cfg.QueueDepth+s.cfg.Workers {
+		s.shed.Add(1)
+		return ErrQueueFull
 	}
-	s.shed.Add(1)
-	return ErrQueueFull
+	j.enqueued = time.Now()
+	s.queueWeight += j.width
+	s.jobs <- j
+	return nil
 }
 
 // startOrJoin is the cache-first core of serve: serve the hash from the

@@ -7,7 +7,6 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"sort"
 
 	"freezetag/internal/arena"
 	"freezetag/internal/geom"
@@ -78,9 +77,9 @@ type Engine struct {
 	minSpeed float64 // slowest robot speed (source included); 1 when homogeneous
 	hetero   bool    // Config.Profiles was non-empty
 
-	// grid indexes every robot by id at its current position, asleep or
-	// awake: sleeping robots never move, so one index answers both halves
-	// of a Look, which splits its sightings by Robot.state.
+	// grid indexes the sleeping robots by id at their start positions. A
+	// sleeping robot never moves, and a woken robot's entry stays, so
+	// neither a move nor a wake touches the index: Look filters by state.
 	grid *spatial.Grid
 
 	pq eventHeap
@@ -89,9 +88,9 @@ type Engine struct {
 	// themselves belong to the algorithm code that meets at them.
 	parked map[*Proc]struct{}
 
-	// queryBuf backs Look's grid query. The engine runs one process at a
-	// time and each query's result is consumed before the next query, so
-	// one buffer serves every Look of the run without allocating.
+	// queryBuf backs every Look: the grid query, filtered down to the
+	// sleeping robots, is what Look returns (see Proc.Look). It grows to the
+	// largest grid query of the run and is refilled by the next Look.
 	queryBuf []int
 
 	trace func(Event)
@@ -119,14 +118,10 @@ type Engine struct {
 	pooled   bool
 	panicked bool
 	procFree []*Proc
-	// lookAsleep and lookAwake back the latest Look's snapshot (see
-	// Proc.Look); they grow to the largest single Look and are refilled by
-	// the next one. energyBuf backs Result.EnergyByRobot and is invalidated
-	// by Reset, which is safe because nothing built from a pooled run may
-	// outlive its job.
-	lookAsleep []Sighting
-	lookAwake  []Sighting
-	energyBuf  []float64
+	// energyBuf backs Result.EnergyByRobot and is invalidated by Reset,
+	// which is safe because nothing built from a pooled run may outlive its
+	// job.
+	energyBuf []float64
 	// scratch holds per-algorithm reusable state keyed by algorithm name
 	// (see ScratchOf); values implementing RunScratch rewind on Reset.
 	scratch map[string]any
@@ -240,9 +235,10 @@ func (h *eventHeap) pop() schedItem {
 // source; robots 1..n start asleep at Config.Sleepers.
 //
 // Everything sized by the robot count — the robot records themselves, the
-// spatial index, the event heap — is allocated up front in one block
-// each, so a simulation's steady state allocates only per-process resume
-// machinery and whatever the algorithm itself builds.
+// spatial index's item lists, the event heap — is allocated up front in one
+// block each, and the index itself on the first Look, so a simulation's
+// steady state allocates only per-process resume machinery and whatever
+// the algorithm itself builds.
 func NewEngine(cfg Config) *Engine { return newEngine(cfg, false) }
 
 func newEngine(cfg Config, pooled bool) *Engine {
@@ -250,7 +246,7 @@ func newEngine(cfg Config, pooled bool) *Engine {
 	metric := geom.MetricOrL2(cfg.Metric)
 	e := &Engine{
 		metric: metric,
-		grid:   spatial.NewGridInCap(metric, 1, n+1),
+		grid:   spatial.NewGridInCap(metric, 1, n),
 		pq:     make(eventHeap, 0, n+2),
 		parked: make(map[*Proc]struct{}),
 		trace:  cfg.Trace,
@@ -315,7 +311,6 @@ func (e *Engine) populate(cfg Config) {
 	block := e.block
 	block[0] = Robot{id: SourceID, initPos: cfg.Source, pos: cfg.Source, state: Awake, budget: budget, speed: 1}
 	e.robots[0] = &block[0]
-	e.grid.Insert(SourceID, cfg.Source)
 	for i, p := range cfg.Sleepers {
 		speed, b := 1.0, budget
 		if len(cfg.Profiles) > 0 {
@@ -344,9 +339,9 @@ func (e *Engine) populate(cfg Config) {
 
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, the spatial grid, the event
-// heap, the Look buffers, and all algorithm scratch (values implementing
+// heap, the Look buffer, and all algorithm scratch (values implementing
 // RunScratch are rewound). The idle process coroutines survive. Every slice
-// handed out by the previous run (Look snapshots, EnergyByRobot) is
+// handed out by the previous run (Look results, EnergyByRobot) is
 // invalidated.
 func (e *Engine) Reset(cfg Config) {
 	if !e.pooled {
@@ -679,41 +674,6 @@ func (e *Engine) result() Result {
 	return res
 }
 
-// look refills the Look buffers with the robots within distance 1 of robot
-// self, self excluded: one grid query, sorted once and split by state, so
-// each list comes out in ascending id order.
-func (e *Engine) look(self *Robot) {
-	e.queryBuf = e.grid.Within(e.queryBuf[:0], self.pos, 1)
-	sort.Ints(e.queryBuf)
-	asleep := 0
-	for _, id := range e.queryBuf {
-		if e.robots[id].state == Asleep {
-			asleep++
-		}
-	}
-	// The caller is in its own query.
-	e.lookAsleep = emptied(e.lookAsleep, asleep)
-	e.lookAwake = emptied(e.lookAwake, len(e.queryBuf)-asleep-1)
-	for _, id := range e.queryBuf {
-		switch r := e.robots[id]; {
-		case r.state == Asleep:
-			e.lookAsleep = append(e.lookAsleep, Sighting{ID: id, Pos: r.pos})
-		case r != self:
-			e.lookAwake = append(e.lookAwake, Sighting{ID: id, Pos: r.pos})
-		}
-	}
-}
-
-// emptied returns buf truncated, or, when buf cannot hold n sightings, a
-// buffer of exactly n, so a Look buffer never holds more than the largest
-// single Look's sightings.
-func emptied(buf []Sighting, n int) []Sighting {
-	if cap(buf) < n {
-		return make([]Sighting, 0, n)
-	}
-	return buf[:0]
-}
-
 // wake flips robot id to Awake at the current time. Caller guarantees
 // co-location (checked by Proc.Wake).
 func (e *Engine) wake(id int) {
@@ -730,11 +690,12 @@ func (e *Engine) wake(id int) {
 	e.emit(Event{T: e.now, Robot: id, Kind: "wake", Pos: r.pos})
 }
 
-// moveRobot finalizes a completed move: position, energy, index.
+// moveRobot finalizes a completed move: position and energy. Only awake
+// robots move, and the grid indexes sleepers only, so the index is left as
+// it is.
 func (e *Engine) moveRobot(r *Robot, dst geom.Point, dist float64) {
 	e.moves++
 	r.pos = dst
 	r.energy += dist
-	e.grid.Insert(r.id, dst)
 	e.emit(Event{T: e.now, Robot: r.id, Kind: "move", Pos: dst})
 }

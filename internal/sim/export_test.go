@@ -1,4 +1,4 @@
 package sim
 
-// LookBuffers exposes e's Look snapshot buffers to the external tests.
-func LookBuffers(e *Engine) (asleep, awake []Sighting) { return e.lookAsleep, e.lookAwake }
+// LookBuffer exposes e's Look buffer to the external tests.
+func LookBuffer(e *Engine) []int { return e.queryBuf }

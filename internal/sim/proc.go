@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 
 	"freezetag/internal/geom"
 )
@@ -184,34 +185,27 @@ func (p *Proc) Wait(d float64) {
 	}
 }
 
-// Snapshot is the result of a Look: the robots visible within distance 1,
-// separated by status, with their *current* positions. For sleeping robots
-// the current position is the initial position p_i.
-type Snapshot struct {
-	Asleep []Sighting
-	Awake  []Sighting
-}
-
-// Sighting is one visible robot.
-type Sighting struct {
-	ID  int
-	Pos geom.Point
-}
-
-// Look performs a discrete snapshot: all robots within metric distance 1 of
-// the caller, in ascending id order. The caller itself is excluded.
+// Look performs a discrete snapshot: the ids of the sleeping robots within
+// metric distance 1 of the caller, in ascending order. A sleeping robot
+// never leaves its initial position, so Robot(id).InitPos() is where it was
+// seen. Awake robots are not reported: teams know their members by roster
+// and co-location, not by sight.
 //
-// The snapshot's slices are the engine's own Look buffers, so a Look
-// allocates nothing once they have grown to the largest Look of the run.
-// A snapshot is valid until the next Look on the same engine, by any
-// process: a caller that keeps sightings across a call that can block
-// (MoveTo, Wait, Await, ...) copies them first.
-func (p *Proc) Look() Snapshot {
+// The list is the engine's own Look buffer, so a Look allocates nothing
+// once it has grown to the largest Look of the run. It is valid until the
+// next Look on the same engine, by any process: a caller that keeps ids
+// across a call that can block (MoveTo, Wait, Await, ...) copies them
+// first, and no caller writes through it.
+func (p *Proc) Look() []int {
 	e := p.eng
 	e.looks++
-	e.look(p.r)
+	// One grid query, the woken robots' entries deleted in place.
+	ids := e.grid.Within(e.queryBuf[:0], p.r.pos, 1)
+	ids = slices.DeleteFunc(ids, func(id int) bool { return e.robots[id].state != Asleep })
+	slices.Sort(ids)
+	e.queryBuf = ids
 	e.emit(Event{T: e.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
-	return Snapshot{Asleep: e.lookAsleep, Awake: e.lookAwake}
+	return ids
 }
 
 // Wake awakens the co-located sleeping robot id. If handler is non-nil a new

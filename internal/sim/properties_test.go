@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"freezetag/internal/geom"
@@ -142,7 +143,8 @@ func TestWakeTimeDistanceFloor(t *testing.T) {
 	}
 }
 
-// Property: Look results are exactly the ball-membership predicate.
+// Property: Look results are exactly the ball-membership predicate, in
+// ascending id order.
 func TestLookMatchesPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
@@ -154,22 +156,123 @@ func TestLookMatchesPredicate(t *testing.T) {
 		at := geom.Pt(rng.Float64()*4-2, rng.Float64()*4-2)
 		e := NewEngine(Config{Source: at, Sleepers: sleepers})
 		e.Spawn(SourceID, func(p *Proc) {
-			snap := p.Look()
-			seen := map[int]bool{}
-			for _, s := range snap.Asleep {
-				seen[s.ID] = true
-			}
-			for i := 1; i <= n; i++ {
-				want := sleepers[i-1].Within(at, 1)
-				if seen[i] != want {
-					t.Errorf("trial %d: robot %d visibility %v, want %v",
-						trial, i, seen[i], want)
+			var want []int
+			for id := 1; id <= n; id++ {
+				if e.Robot(id).InitPos().Within(at, 1) {
+					want = append(want, id)
 				}
+			}
+			if got := p.Look(); !slices.Equal(got, want) {
+				t.Errorf("trial %d: Look = %v, want %v", trial, got, want)
 			}
 		})
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// Property: Look stays exactly the ascending ids of the robots still asleep
+// within distance 1 while the swarm changes around it, under every metric
+// family. The source stops beside and on random robots, wakes the sleeping
+// ones and escorts the passive ones away as its team; every third woken
+// robot wanders off and stops beside others, Looking at every stop. The
+// reference is a brute-force scan of Robot(id) at every stop. Under a
+// wake-drop plan a robot whose wake was dropped stays asleep, and Look still
+// reports it.
+func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
+	lp3, err := geom.Lp(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		m      geom.Metric
+		faults *FaultPlan
+	}{
+		{"l2", geom.L2, nil},
+		{"l1", geom.L1, nil},
+		{"linf", geom.LInf, nil},
+		{"lp3", lp3, nil},
+		{"l2-wake-drop", geom.L2, &FaultPlan{Kind: FaultWakeDrop, Seed: 5, Rate: 0.5}},
+	}
+	for ci, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 60
+			rng := rand.New(rand.NewSource(int64(67 + ci)))
+			sleepers := make([]geom.Point, n)
+			for i := range sleepers {
+				sleepers[i] = geom.Pt(rng.Float64()*8-4, rng.Float64()*8-4)
+				if i%10 == 9 {
+					sleepers[i] = sleepers[i-1] // a coincident pair
+				}
+			}
+			e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers, Metric: c.m, Faults: c.faults})
+			check := func(p *Proc) {
+				var want []int
+				for id := 1; id <= n; id++ {
+					r := e.Robot(id)
+					if r.State() == Asleep && geom.WithinIn(c.m, r.InitPos(), p.Self().Pos(), 1) {
+						want = append(want, id)
+					}
+				}
+				if got := p.Look(); !slices.Equal(got, want) {
+					t.Errorf("robot %d at %v, t=%g: Look = %v, want %v", p.ID(), p.Self().Pos(), p.Now(), got, want)
+				}
+			}
+			// beside returns a point at distance up to 1.2 from robot id's
+			// start, inside its Look ball or just outside it.
+			beside := func(id int) geom.Point {
+				a, d := rng.Float64()*2*math.Pi, rng.Float64()*1.2
+				return e.Robot(id).InitPos().Add(geom.Pt(d*math.Cos(a), d*math.Sin(a)))
+			}
+			wander := func(q *Proc) {
+				for range 5 {
+					if err := q.MoveTo(beside(1 + rng.Intn(n))); err != nil {
+						t.Errorf("robot %d: %v", q.ID(), err)
+						return
+					}
+					check(q)
+				}
+			}
+			drops := 0
+			e.Spawn(SourceID, func(p *Proc) {
+				var team []int
+				for step := range 40 {
+					id := 1 + rng.Intn(n)
+					for _, at := range []geom.Point{beside(id), e.Robot(id).InitPos()} {
+						if err := p.Escort(team, at); err != nil {
+							t.Errorf("escort: %v", err)
+							return
+						}
+						check(p)
+					}
+					if e.Robot(id).State() != Asleep {
+						continue
+					}
+					var h Handler
+					if step%3 == 0 {
+						h = HandlerFunc(wander)
+					}
+					if !p.TryWake(id, h) {
+						drops++
+					} else if h == nil {
+						team = append(team, id)
+					}
+					check(p)
+				}
+			})
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Awakened < 10 || res.Looks < 80 {
+				t.Fatalf("%d robots woken, %d Looks: the run exercised too little", res.Awakened, res.Looks)
+			}
+			if c.faults != nil && drops == 0 {
+				t.Fatal("no wake was dropped")
+			}
+		})
 	}
 }
 

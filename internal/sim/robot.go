@@ -15,8 +15,9 @@
 //     default; any ℓp norm may be plugged in — see geom.Metric); a
 //     heterogeneous engine (Config.Profiles) gives robot i speed sᵢ, so its
 //     moves take time δ/sᵢ while energy stays distance-based;
-//   - snapshots are discrete: Look returns robots within metric distance 1
-//     at the instant of the call, and movement alone discovers nothing;
+//   - snapshots are discrete: Look returns the sleeping robots within
+//     metric distance 1 at the instant of the call, and movement alone
+//     discovers nothing;
 //   - waking and variable exchange require co-location;
 //   - sleeping robots do nothing until awakened;
 //   - each robot optionally carries an energy budget B bounding its total

@@ -36,38 +36,18 @@ func TestMoveTiming(t *testing.T) {
 func TestLookRadiusOne(t *testing.T) {
 	sleepers := []geom.Point{geom.Pt(0.5, 0), geom.Pt(1, 0), geom.Pt(1.5, 0)}
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers})
-	var snap Snapshot
-	e.Spawn(SourceID, func(p *Proc) { snap = p.Look() })
+	var ids []int
+	e.Spawn(SourceID, func(p *Proc) { ids = slices.Clone(p.Look()) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Asleep) != 2 {
-		t.Fatalf("saw %d sleeping robots, want 2 (radius-1 visibility)", len(snap.Asleep))
+	if !slices.Equal(ids, []int{1, 2}) {
+		t.Fatalf("Look = %v, want [1 2] (radius-1 visibility)", ids)
 	}
-	if snap.Asleep[0].ID != 1 || snap.Asleep[1].ID != 2 {
-		t.Errorf("sightings = %+v", snap.Asleep)
-	}
-	if len(snap.Awake) != 0 {
-		t.Errorf("awake sightings = %+v", snap.Awake)
-	}
-}
-
-func TestLookSeesAwake(t *testing.T) {
-	e := NewEngine(Config{Source: geom.Origin, Sleepers: []geom.Point{geom.Pt(0.5, 0)}})
-	var sawAwake int
-	e.Spawn(SourceID, func(p *Proc) {
-		if err := p.MoveTo(geom.Pt(0.5, 0)); err != nil {
-			t.Errorf("move: %v", err)
+	for _, id := range ids {
+		if got := e.Robot(id).InitPos(); got != sleepers[id-1] {
+			t.Errorf("robot %d starts at %v, want %v", id, got, sleepers[id-1])
 		}
-		p.Wake(1, nil)
-		snap := p.Look()
-		sawAwake = len(snap.Awake)
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sawAwake != 1 {
-		t.Errorf("awake sightings = %d, want 1", sawAwake)
 	}
 }
 
@@ -386,12 +366,11 @@ func TestDeterminism(t *testing.T) {
 		sleepers := []geom.Point{geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(-1, 0), geom.Pt(0, -1)}
 		e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers})
 		e.Spawn(SourceID, func(p *Proc) {
-			snap := p.Look()
-			for _, s := range snap.Asleep {
-				if err := p.MoveTo(s.Pos); err != nil {
+			for _, id := range slices.Clone(p.Look()) {
+				if err := p.MoveTo(e.Robot(id).InitPos()); err != nil {
 					t.Errorf("move: %v", err)
 				}
-				p.Wake(s.ID, func(q *Proc) {
+				p.Wake(id, func(q *Proc) {
 					if err := q.MoveTo(geom.Origin); err != nil {
 						t.Errorf("handler move: %v", err)
 					}

@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,22 +10,6 @@ import (
 
 	"freezetag/internal/geom"
 )
-
-func TestInsertMoves(t *testing.T) {
-	g := NewGridIn(nil, 1)
-	g.Insert(1, geom.Pt(0, 0))
-	g.Insert(1, geom.Pt(10, 10))
-	if g.used != 1 {
-		t.Fatalf("after a move the index holds %d cells, want 1", g.used)
-	}
-	ids := g.Within(nil, geom.Pt(10, 10), 0.1)
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("Within after move = %v", ids)
-	}
-	if got := g.Within(nil, geom.Pt(0, 0), 0.1); len(got) != 0 {
-		t.Fatalf("stale position still indexed: %v", got)
-	}
-}
 
 func TestWithin(t *testing.T) {
 	g := NewGridIn(nil, 1)
@@ -111,17 +94,22 @@ func TestInsertFindSelf(t *testing.T) {
 	}
 }
 
-// churnItems is the brute-force mirror of a grid under churn: the live
-// items and their positions.
-type churnItems map[int]geom.Point
+// churnItem is one inserted item of the brute-force mirror of a grid.
+type churnItem struct {
+	id int
+	p  geom.Point
+}
 
-// check compares Within against a brute-force scan of the live items,
-// querying at every live item and at a few random points.
-func (live churnItems) check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metric, step int) {
+// check compares Within against a brute-force scan of the inserted items,
+// repeats included, querying at every item and at a few random points. It
+// then checks the built index: the table holds exactly the occupied cells,
+// each reachable from its key's home slot, and each cell's window lists its
+// members in insertion order.
+func check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metric, live []churnItem, step int) {
 	t.Helper()
 	queries := make([]geom.Point, 0, len(live)+3)
-	for _, p := range live {
-		queries = append(queries, p)
+	for _, it := range live {
+		queries = append(queries, it.p)
 	}
 	for range 3 {
 		queries = append(queries, geom.Pt(rng.Float64()*24-12, rng.Float64()*24-12))
@@ -132,9 +120,9 @@ func (live churnItems) check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metri
 		got = g.Within(got[:0], q, r)
 		sort.Ints(got)
 		want = want[:0]
-		for id, p := range live {
-			if m.Dist(p, q) <= r+geom.Eps {
-				want = append(want, id)
+		for _, it := range live {
+			if m.Dist(it.p, q) <= r+geom.Eps {
+				want = append(want, it.id)
 			}
 		}
 		sort.Ints(want)
@@ -142,135 +130,86 @@ func (live churnItems) check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metri
 			t.Fatalf("step %d: Within(%v, %g) = %v, brute force %v", step, q, r, got, want)
 		}
 	}
-	indexed := 0
-	for _, it := range g.items {
-		if it.indexed {
-			indexed++
-		}
+	cells := map[uint64][]int{}
+	for _, it := range live {
+		k := g.key(it.p)
+		cells[k] = append(cells[k], it.id)
 	}
-	if indexed != len(live) {
-		t.Fatalf("step %d: %d items indexed, want %d", step, indexed, len(live))
-	}
-	// The table holds exactly the live items' cells, each reachable from
-	// its key's home slot: no emptied cell lingers and no deletion broke a
-	// probe run.
-	cells := map[uint64]bool{}
-	for _, p := range live {
-		cells[g.key(p)] = true
+	if 2*len(live) > len(g.table) {
+		t.Fatalf("step %d: a table of %d slots holds %d items, more than half full", step, len(g.table), len(live))
 	}
 	occupied := 0
 	for i, c := range g.table {
-		if len(c.ids) == 0 {
+		if c.n == 0 {
 			continue
 		}
 		occupied++
-		if !cells[c.key] || g.slot(c.key) != i {
-			t.Fatalf("step %d: slot %d holds cell %#x, live %v, probe finds slot %d", step, i, c.key, cells[c.key], g.slot(c.key))
+		if g.slot(c.key) != i {
+			t.Fatalf("step %d: slot %d holds cell %#x, whose probe finds slot %d", step, i, c.key, g.slot(c.key))
+		}
+		if win := g.memIDs[c.start : c.start+c.n]; !slices.Equal(win, cells[c.key]) {
+			t.Fatalf("step %d: cell %#x lists %v, inserted %v", step, c.key, win, cells[c.key])
 		}
 	}
-	if occupied != len(cells) || g.used != len(cells) {
-		t.Fatalf("step %d: %d slots occupied, %d counted, want %d cells", step, occupied, g.used, len(cells))
+	if occupied != len(cells) {
+		t.Fatalf("step %d: %d slots occupied, want %d cells", step, occupied, len(cells))
 	}
 }
 
-// Property: under random sequences of inserts, moves and resets, Within
-// agrees with a brute-force scan after every step, under every metric
-// family, and the cell table holds exactly the occupied cells. The
-// sequences mix in the patterns that open, empty and recycle cells and
-// shift table slots: an item sweeping fresh cells, two items oscillating
-// between two cells, an item hopping round three cells it leaves empty
-// and reopens, moves to distant cells that usually empty the cell left, a
-// pair of items whose cell indices differ by exactly 2³², which share a
-// key, resets mid-churn, and ids far beyond the grid's capacity hint, so
-// the item index and the table grow on demand.
+// Property: under random sequences of inserts and resets, Within agrees
+// with a brute-force scan after every step, under every metric family, and
+// the built table holds exactly the occupied cells, each listing its
+// members in insertion order. The sequences mix in the cases an index must
+// keep straight: ids inserted twice, at a second cell or at the same point
+// (where Within reports them twice); a sweeper opening fresh cells under ids
+// far beyond the grid's capacity hint, so the lists and the table grow on
+// demand; a pair of items whose cell indices differ by exactly 2³², which
+// share a key; and resets mid-sequence. Every step queries after its
+// insert, so every query rebuilds the index.
 func TestWithinMatchesBruteForceUnderChurn(t *testing.T) {
-	const (
-		sweeper = 100 + iota
-		oscA
-		oscB
-		hopper
-		aliasLo
-		aliasHi
-	)
-	hops := []geom.Point{geom.Pt(5.5, 5.5), geom.Pt(-6.5, 3.5), geom.Pt(0.25, -7.75)}
+	const sweeper = 100
 	for _, m := range []geom.Metric{geom.L2, geom.L1, geom.LInf, mustLp(t, 3)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
 			g := NewGridInCap(m, 1, 4)
-			live := churnItems{}
+			var live []churnItem
 			put := func(id int, p geom.Point) {
 				g.Insert(id, p)
-				live[id] = p
+				live = append(live, churnItem{id, p})
 			}
 			putAliased := func() {
-				put(aliasLo, geom.Pt(-3.5, 2.25))
-				put(aliasHi, geom.Pt(-3.5+(1<<32), 2.25))
+				put(sweeper-2, geom.Pt(-3.5, 2.25))
+				put(sweeper-1, geom.Pt(-3.5+(1<<32), 2.25))
 			}
 			putAliased()
-			sweep, hop := 0, 0
+			sweep := 0
 			for step := 0; step < 1000; step++ {
 				switch op := rng.Intn(20); {
-				case op < 6: // insert or move an ordinary item
+				case op < 8: // an ordinary item, its id often inserted before
 					put(rng.Intn(24), geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10))
-				case op < 9: // the sweeper steps into the next cell of a 16-wide lattice
-					put(sweeper, geom.Pt(float64(sweep%16)-8+0.5, float64(sweep/16%16)-8+0.5))
+				case op < 12: // the sweeper opens the next cell of a 16-wide lattice
+					put(sweeper+sweep, geom.Pt(float64(sweep%16)-8+0.5, float64(sweep/16%16)-8+0.5))
 					sweep++
-				case op < 12: // the pair swaps between two adjacent cells
-					a, b := geom.Pt(1.5, -0.5), geom.Pt(2.5, -0.5)
-					if step%2 == 0 {
-						a, b = b, a
-					}
-					put(oscA, a)
-					put(oscB, b)
-				case op < 15: // the hopper empties its cell and reopens the next
-					put(hopper, hops[hop%len(hops)])
-					hop++
-				case op < 19: // a random live item moves to one of eight distant cells
-					ids := slices.Sorted(maps.Keys(live))
-					put(ids[rng.Intn(len(ids))], geom.Pt(float64(rng.Intn(8))*50-175.5, 40.5))
+				case op < 15: // an inserted item again, at the same point
+					it := live[rng.Intn(len(live))]
+					put(it.id, it.p)
+				case op < 19: // an inserted id again, at one of eight distant cells
+					put(live[rng.Intn(len(live))].id, geom.Pt(float64(rng.Intn(8))*50-175.5, 40.5))
 				default:
 					g.Reset(m)
-					clear(live)
+					live = live[:0]
 					putAliased()
 				}
-				live.check(t, rng, g, m, step)
+				check(t, rng, g, m, live, step)
 			}
 		})
 	}
 }
 
-// The index holds occupied cells only: one item sweeping 10,000 fresh cells
-// leaves one cell behind, Reset leaves none, and once the free list is warm
-// the sweep — a move and a radius-1 Within per cell, the simulator's Look
-// and move loop — allocates nothing.
-func TestGridIndexesOccupiedCellsOnly(t *testing.T) {
-	g := NewGridIn(nil, 1)
-	var buf []int
-	sweep := func() {
-		for i := range 10000 {
-			p := geom.Pt(float64(i%100)+0.5, float64(i/100)+0.5)
-			g.Insert(1, p)
-			buf = g.Within(buf[:0], p, 1)
-		}
-	}
-	sweep()
-	if n := g.used; n != 1 {
-		t.Fatalf("after a 10,000-cell sweep the index holds %d cells, want 1", n)
-	}
-	g.Reset(nil)
-	if n := g.used; n != 0 {
-		t.Fatalf("after Reset the index holds %d cells, want 0", n)
-	}
-	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
-		t.Fatalf("a warmed sweep allocates %.1f times, want 0", allocs)
-	}
-}
-
 // A pooled grid re-populated with one crowded point set — robot teams
 // gathered in a few cells among scattered single robots, as AGrid leaves
-// them — settles into allocation-free rounds whatever order the points come
-// back in: the member storage a crowded cell grew goes to whichever cell
-// grows next, not to whichever cell reuses the crowded cell's record.
+// them — and queried once per round settles into allocation-free rounds,
+// index build included, whatever order the points come back in.
 func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
 	var pts []geom.Point
 	for gi, size := range []int{40, 12, 5, 3} {
@@ -284,12 +223,14 @@ func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	order := rng.Perm(len(pts))
 	g := NewGridIn(nil, 1)
+	var buf []int
 	round := func() {
 		g.Reset(nil)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			g.Insert(i, pts[i])
 		}
+		buf = g.Within(buf[:0], geom.Pt(0.5, -2.5), 0.1)
 	}
 	for range 10 {
 		round()
@@ -297,7 +238,7 @@ func TestGridResetKeepsGrownStorageForCrowdedCells(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("a warmed re-population allocates %.1f times, want 0", allocs)
 	}
-	if n := len(g.Within(nil, geom.Pt(0.5, -2.5), 0.1)); n != 40 {
+	if n := len(buf); n != 40 {
 		t.Fatalf("crowded cell holds %d items, want 40", n)
 	}
 }
@@ -322,15 +263,17 @@ func TestGridResistsKeyFlooding(t *testing.T) {
 		}
 		g.Insert(j, geom.Pt(float64(int32(k>>32))+0.5, float64(int32(k))+0.5))
 	}
-	if g.used != n {
-		t.Fatalf("the index holds %d cells, want %d", g.used, n)
-	}
-	longest := 0
+	g.Within(nil, geom.Origin, 0) // builds the index
+	occupied, longest := 0, 0
 	mask := len(g.table) - 1
 	for i, c := range g.table {
-		if len(c.ids) > 0 {
+		if c.n > 0 {
+			occupied++
 			longest = max(longest, (i-g.home(c.key))&mask+1)
 		}
+	}
+	if occupied != n {
+		t.Fatalf("the index holds %d cells, want %d", occupied, n)
 	}
 	if longest > 256 {
 		t.Fatalf("the longest probe runs %d slots of %d, want at most 256", longest, len(g.table))
