@@ -295,8 +295,8 @@ func BenchmarkSpatial_Within(b *testing.B) {
 // single-point BenchmarkSpatial_Within never exercises: a radius-1 Within
 // at every stop of a 256×256 lattice of unit cells (the side of an AWave
 // wave square for ℓ ≤ 4), over a fixed 24-point population clustered near
-// the origin like a small swarm, so most stops probe empty cells. One op is
-// the whole sweep.
+// the origin like a small swarm, so most stops lie outside the items'
+// bounding box and probe no cell at all. One op is the whole sweep.
 func BenchmarkSpatial_Sweep(b *testing.B) {
 	const side = 256
 	g := spatial.NewGridIn(nil, 1)

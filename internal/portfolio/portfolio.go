@@ -192,6 +192,9 @@ type RacerObservation struct {
 	CancelLatency time.Duration
 	// Aborted reports the racer was skipped or stopped mid-run.
 	Aborted bool
+	// Err is the error the racer's run ended with, which makes its status
+	// "error"; nil for racers that completed or were aborted.
+	Err error
 }
 
 // racerRun is one racer's raw, possibly scheduling-dependent outcome before
@@ -355,7 +358,7 @@ func runRacer(p Portfolio, obj Objective, inst *instance.Instance, tup dftp.Tupl
 		return racerRun{aborted: true}
 	}
 	if observe != nil {
-		observe(RacerObservation{Index: i, Algorithm: p.Algorithms[i].Name(), Start: start, Wall: time.Since(start)})
+		observe(RacerObservation{Index: i, Algorithm: p.Algorithms[i].Name(), Start: start, Wall: time.Since(start), Err: err})
 	}
 	if err != nil {
 		return racerRun{err: err}

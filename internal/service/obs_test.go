@@ -8,12 +8,16 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"freezetag/internal/dftp"
+	"freezetag/internal/obs"
+	"freezetag/internal/portfolio"
 	"freezetag/internal/sim"
 )
 
@@ -368,6 +372,75 @@ func TestRequestLogKeepsPanicStack(t *testing.T) {
 	}
 	if rec.Error != "solve: sim: process panicked on robot 3: boom" || rec.Stack != string(perr.Stack) {
 		t.Errorf("log record = %+v, want the one-line error and the stack", rec)
+	}
+}
+
+// panicAlg is an Algorithm whose source process panics at once, which no
+// served algorithm can be made to do.
+type panicAlg struct{}
+
+func (panicAlg) Name() string { return "panic" }
+
+func (panicAlg) Install(e *sim.Engine, _ dftp.Tuple) *dftp.Report {
+	e.Spawn(sim.SourceID, func(*sim.Proc) { panic("panicAlg: source fault") })
+	return &dftp.Report{}
+}
+
+// dftp_panics_total counts every run a simulated process's panic ends: a
+// solve, which is then a 500, and a racer, which then reports "error"
+// while the race beside it is won by AGrid. Both are served by the real
+// handler and pipeline, with panicAlg in place of the algorithm the
+// request names.
+func TestPanicsCounted(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2})
+	mux := http.NewServeMux()
+	mux.Handle("POST /solve", handleServe(s, func(s *Service, topt TraceOpt, req SolveRequest) (Solved, error) {
+		sp := obs.StartSpan()
+		return serve(s, s.solveEP, topt, &sp, single{panicAlg{}}, nil, &req)
+	}))
+	mux.Handle("POST /race", handleServe(s, func(s *Service, topt TraceOpt, req PortfolioRequest) (Solved, error) {
+		sp := obs.StartSpan()
+		pf := portfolio.Portfolio{Algorithms: []dftp.Algorithm{dftp.AGrid{}, panicAlg{}}, Objective: portfolio.MinMakespan{}}
+		sreq := req.solveRequest()
+		return serve(s, s.portfolioEP, topt, &sp, race{pf}, nil, &sreq)
+	}))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	panics := func() float64 {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+		return metricValue(t, rec.Body.String(), "dftp_panics_total")
+	}
+	post := func(path string) (int, []byte) {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"family":"walk","n":8,"param":0.9,"seed":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readAll(t, resp)
+	}
+	if v := panics(); v != 0 {
+		t.Fatalf("dftp_panics_total = %v before any request", v)
+	}
+	if code, body := post("/solve"); code != http.StatusInternalServerError || !strings.Contains(string(body), "panicAlg: source fault") {
+		t.Fatalf("solve: %d %s, want a 500 naming the panic", code, body)
+	}
+	if v := panics(); v != 1 {
+		t.Fatalf("dftp_panics_total = %v after a panicked solve, want 1", v)
+	}
+	code, body := post("/race")
+	if code != http.StatusOK {
+		t.Fatalf("race: %d %s", code, body)
+	}
+	var out PortfolioResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Racers) != 2 || out.Winner != "AGrid" || out.Racers[1].Status != "error" ||
+		!strings.Contains(out.Racers[1].Error, "panicAlg: source fault") {
+		t.Fatalf("race winner %q, racers %+v: want AGrid to win beside an error racer", out.Winner, out.Racers)
+	}
+	if v := panics(); v != 2 {
+		t.Fatalf("dftp_panics_total = %v after a race with a panicked racer, want 2", v)
 	}
 }
 

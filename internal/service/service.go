@@ -236,6 +236,7 @@ type Service struct {
 	evictions       *obs.Counter
 	evictedBytes    *obs.Counter
 	traceReplays    *obs.Counter
+	panics          *obs.Counter
 	// faultsInjected maps a fault kind to its dftp_faults_injected_total
 	// series; kinds are a fixed set, preregistered like reqOutcomes.
 	faultsInjected map[string]*obs.Counter
@@ -355,6 +356,7 @@ func (s *Service) initObs() {
 	s.evictions = r.Counter("dftp_cache_evictions_total", "Result-cache entries evicted by the byte budget.")
 	s.evictedBytes = r.Counter("dftp_cache_evicted_bytes_total", "Approximate retained bytes of the evicted result-cache entries.")
 	s.traceReplays = r.Counter("dftp_trace_replays_total", "GET /v1/trace requests admitted to re-simulate a cached run.")
+	s.panics = r.Counter("dftp_panics_total", "Solves and portfolio racers whose run a simulated process's panic ended (a 500, or a racer with status error).")
 
 	const stageHelp = "Per-stage request latency: resolve (validate + materialize + hash), queue (admission to worker pickup), sim (the simulation or whole race), marshal (response encoding)."
 	s.stageResolve = r.Histogram("dftp_stage_duration_seconds", stageHelp, histMinExp, histMaxExp, obs.L("stage", "resolve"))
@@ -499,14 +501,24 @@ func (s *Service) countShape(endpoint, algorithm, metric string) {
 	c.Inc()
 }
 
-// observeRacer is the portfolio race's telemetry sink: per-racer wall time
-// and, for racers stopped mid-run, cancellation latency.
+// observeRacer is the portfolio race's telemetry sink: per-racer wall time,
+// cancellation latency for racers stopped mid-run, and racers a process
+// panic ended.
 func (s *Service) observeRacer(ob portfolio.RacerObservation) {
 	if ob.Wall > 0 {
 		s.racerSim.Record(ob.Wall.Seconds())
 	}
 	if ob.CancelLatency > 0 {
 		s.racerCancel.Record(ob.CancelLatency.Seconds())
+	}
+	s.countPanic(ob.Err)
+}
+
+// countPanic counts the run that returned err in dftp_panics_total when a
+// simulated process's panic ended it.
+func (s *Service) countPanic(err error) {
+	if errors.Is(err, sim.ErrProcessPanic) {
+		s.panics.Inc()
 	}
 }
 
@@ -851,6 +863,7 @@ func (a single) run(s *Service, _ *stageTimes, ar *arena.Arena, r resolved) (sim
 	res, rep, err := dftp.SolveFaulted(context.Background(), ar, r.metric, a.Algorithm, r.inst, r.tup, r.budget, r.faults, nil)
 	s.solves.Add(1)
 	if err != nil {
+		s.countPanic(err)
 		return res, nil, nil, r, err
 	}
 	out := NewSolveResponse(r.hash, a.Algorithm, r.metric, r.inst, r.tup, r.budget, res, rep)

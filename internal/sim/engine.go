@@ -483,9 +483,18 @@ func (e *Engine) SpawnH(id int, h Handler) {
 func (e *Engine) Tracing() bool { return e.trace != nil }
 
 func (e *Engine) push(p *Proc, t float64) {
-	delete(e.parked, p)
 	e.seq++
 	e.pq.push(schedItem{t: t, seq: e.seq, p: p})
+}
+
+// unpark takes parked process p off the parked set and queues it at the
+// current time. Only the three release paths (the last arrival at a
+// barrier, the last Done of a wait group, and ReleaseStalled) queue a
+// parked process; every other push queues a new one or one that has just
+// run, so push leaves the set alone.
+func (e *Engine) unpark(p *Proc) {
+	delete(e.parked, p)
+	e.push(p, e.now)
 }
 
 func (e *Engine) emit(ev Event) {

@@ -257,7 +257,7 @@ func (e *Engine) ReleaseStalled() int {
 				b.waiters = b.waiters[:0]
 				p.barrier = nil
 			}
-			e.push(p, e.now)
+			e.unpark(p)
 		}
 	}
 	for _, w := range e.wgs {

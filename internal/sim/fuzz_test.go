@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"freezetag/internal/geom"
@@ -14,7 +15,22 @@ import (
 // tries to wake it. It exists only to drive the fault machinery — crashes
 // strand claims, wake-drops waste trips, Byzantine robots never claim — so
 // the fuzzer can hammer every roster path without the wakeup layer on top.
-func fuzzProgram(positions []geom.Point, claimed []bool) func(*Proc) {
+// After every move the robot Looks, and the Look must list exactly the
+// robots asleep within distance 1 of where it stopped: on its claim, where
+// a crash or its budget cut the move short, and once every robot is awake.
+func fuzzProgram(t *testing.T, positions []geom.Point, claimed []bool) func(*Proc) {
+	look := func(p *Proc) {
+		e := p.Engine()
+		var want []int
+		for id := 1; id < e.NumRobots(); id++ {
+			if r := e.Robot(id); r.State() == Asleep && geom.WithinIn(e.Metric(), r.InitPos(), p.Self().Pos(), 1) {
+				want = append(want, id)
+			}
+		}
+		if got := p.Look(); !slices.Equal(got, want) {
+			t.Errorf("robot %d at %v, t=%g: Look = %v, want %v", p.ID(), p.Self().Pos(), p.Now(), got, want)
+		}
+	}
 	var prog func(*Proc)
 	prog = func(p *Proc) {
 		for {
@@ -31,7 +47,9 @@ func fuzzProgram(positions []geom.Point, claimed []bool) func(*Proc) {
 				return
 			}
 			claimed[best] = true
-			if err := p.MoveTo(positions[best]); err != nil {
+			err := p.MoveTo(positions[best])
+			look(p)
+			if err != nil {
 				return
 			}
 			p.TryWake(best+1, HandlerFunc(prog))
@@ -44,8 +62,9 @@ func fuzzProgram(positions []geom.Point, claimed []bool) func(*Proc) {
 // robots at fuzzer-chosen rates and asserts the engine's core fault
 // invariants: no panic on any draw, the roster is conserved (faults disable
 // robots, never remove them), no sleeper wakes twice, the awakened count is
-// consistent, and the whole faulted run — events, counters, makespan — is
-// bit-identical when replayed from the same seed.
+// consistent, every Look sees exactly the sleepers within reach and is
+// counted and traced, and the whole faulted run — events, counters,
+// makespan — is bit-identical when replayed from the same seed.
 func FuzzFaultedRun(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(1), uint8(24))  // crash-stop
 	f.Add(int64(7), uint8(60), uint8(2), uint8(16))  // crash-recovery
@@ -82,7 +101,7 @@ func FuzzFaultedRun(f *testing.F) {
 				Trace:    func(ev Event) { events = append(events, ev) },
 			})
 			claimed := make([]bool, n)
-			e.Spawn(SourceID, fuzzProgram(positions, claimed))
+			e.Spawn(SourceID, fuzzProgram(t, positions, claimed))
 			res, err := e.Run()
 			if err != nil && !errors.Is(err, ErrDeadlock) {
 				t.Fatalf("run: %v", err)
@@ -95,10 +114,17 @@ func FuzzFaultedRun(f *testing.F) {
 			t.Fatalf("roster not conserved: %d robots, want %d", robots, n+1)
 		}
 		woken := make(map[int]int)
+		looks := int64(0)
 		for _, ev := range events {
-			if ev.Kind == "wake" {
+			switch ev.Kind {
+			case "wake":
 				woken[ev.Robot]++
+			case "look":
+				looks++
 			}
+		}
+		if looks != res.Looks {
+			t.Fatalf("%d look events, Result.Looks = %d", looks, res.Looks)
 		}
 		for id, c := range woken {
 			if c != 1 {

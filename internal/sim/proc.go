@@ -189,7 +189,9 @@ func (p *Proc) Wait(d float64) {
 // metric distance 1 of the caller, in ascending order. A sleeping robot
 // never leaves its initial position, so Robot(id).InitPos() is where it was
 // seen. Awake robots are not reported: teams know their members by roster
-// and co-location, not by sight.
+// and co-location, not by sight. Once no robot sleeps, Look returns the
+// empty list at once, without querying the index; it is still counted and
+// traced like any other.
 //
 // The list is the engine's own Look buffer, so a Look allocates nothing
 // once it has grown to the largest Look of the run. It is valid until the
@@ -199,11 +201,16 @@ func (p *Proc) Wait(d float64) {
 func (p *Proc) Look() []int {
 	e := p.eng
 	e.looks++
-	// One grid query, the woken robots' entries deleted in place.
-	ids := e.grid.Within(e.queryBuf[:0], p.r.pos, 1)
-	ids = slices.DeleteFunc(ids, func(id int) bool { return e.robots[id].state != Asleep })
-	slices.Sort(ids)
-	e.queryBuf = ids
+	ids := e.queryBuf[:0]
+	// Engine.wake is the only way out of Asleep, so a zero asleepCount is
+	// exact: no robot can be seen.
+	if e.asleepCount > 0 {
+		// One grid query, the woken robots' entries deleted in place.
+		ids = e.grid.Within(ids, p.r.pos, 1)
+		ids = slices.DeleteFunc(ids, func(id int) bool { return e.robots[id].state != Asleep })
+		slices.Sort(ids)
+		e.queryBuf = ids
+	}
 	e.emit(Event{T: e.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
 	return ids
 }
@@ -373,7 +380,7 @@ func (p *Proc) Await(b *Barrier, label string) {
 	}
 	for _, w := range ws {
 		w.barrier = nil
-		p.eng.push(w, p.eng.now)
+		p.eng.unpark(w)
 	}
 	b.waiters = ws[:0]
 }

@@ -174,12 +174,16 @@ func TestLookMatchesPredicate(t *testing.T) {
 
 // Property: Look stays exactly the ascending ids of the robots still asleep
 // within distance 1 while the swarm changes around it, under every metric
-// family. The source stops beside and on random robots, wakes the sleeping
-// ones and escorts the passive ones away as its team; every third woken
-// robot wanders off and stops beside others, Looking at every stop. The
-// reference is a brute-force scan of Robot(id) at every stop. Under a
-// wake-drop plan a robot whose wake was dropped stays asleep, and Look still
-// reports it.
+// family. The source stops beside and on random robots and, every fourth
+// step, far outside the swarm; it wakes the sleeping ones and escorts the
+// passive ones away as its team; every third woken robot wanders off and
+// stops beside others, Looking at every stop. The source then wakes every
+// robot still asleep and keeps Looking, beside robots and far away, after
+// the last wake. The reference is a brute-force scan of Robot(id) at every
+// stop. Under a wake-drop plan a robot whose wake was dropped stays asleep,
+// and the Look right after the drop still reports it. Every Look, the ones
+// after the last wake included, is counted in Result.Looks and traced as a
+// look event.
 func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
 	lp3, err := geom.Lp(3)
 	if err != nil {
@@ -207,8 +211,14 @@ func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
 					sleepers[i] = sleepers[i-1] // a coincident pair
 				}
 			}
-			e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers, Metric: c.m, Faults: c.faults})
-			check := func(p *Proc) {
+			looks, tail, traced := 0, 0, 0
+			e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers, Metric: c.m, Faults: c.faults,
+				Trace: func(ev Event) {
+					if ev.Kind == "look" {
+						traced++
+					}
+				}})
+			check := func(p *Proc) []int {
 				var want []int
 				for id := 1; id <= n; id++ {
 					r := e.Robot(id)
@@ -216,15 +226,27 @@ func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
 						want = append(want, id)
 					}
 				}
-				if got := p.Look(); !slices.Equal(got, want) {
+				if e.AsleepCount() == 0 {
+					tail++
+				}
+				looks++
+				got := p.Look()
+				if !slices.Equal(got, want) {
 					t.Errorf("robot %d at %v, t=%g: Look = %v, want %v", p.ID(), p.Self().Pos(), p.Now(), got, want)
 				}
+				return got
 			}
 			// beside returns a point at distance up to 1.2 from robot id's
 			// start, inside its Look ball or just outside it.
 			beside := func(id int) geom.Point {
 				a, d := rng.Float64()*2*math.Pi, rng.Float64()*1.2
 				return e.Robot(id).InitPos().Add(geom.Pt(d*math.Cos(a), d*math.Sin(a)))
+			}
+			// far returns a point 20 to 40 from the origin, well outside the
+			// swarm's box, in any direction.
+			far := func() geom.Point {
+				a, d := rng.Float64()*2*math.Pi, 20+rng.Float64()*20
+				return geom.Pt(d*math.Cos(a), d*math.Sin(a))
 			}
 			wander := func(q *Proc) {
 				for range 5 {
@@ -238,15 +260,32 @@ func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
 			drops := 0
 			e.Spawn(SourceID, func(p *Proc) {
 				var team []int
+				visit := func(at geom.Point) []int {
+					if err := p.Escort(team, at); err != nil {
+						t.Errorf("escort: %v", err)
+					}
+					return check(p)
+				}
+				wake := func(id int, h Handler) {
+					woke := p.TryWake(id, h)
+					seen := check(p)
+					switch {
+					case !woke:
+						drops++
+						if !slices.Contains(seen, id) {
+							t.Errorf("t=%g: robot %d's wake was dropped, and Look %v misses it", p.Now(), id, seen)
+						}
+					case h == nil:
+						team = append(team, id)
+					}
+				}
 				for step := range 40 {
 					id := 1 + rng.Intn(n)
-					for _, at := range []geom.Point{beside(id), e.Robot(id).InitPos()} {
-						if err := p.Escort(team, at); err != nil {
-							t.Errorf("escort: %v", err)
-							return
-						}
-						check(p)
+					if step%4 == 0 {
+						visit(far())
 					}
+					visit(beside(id))
+					visit(e.Robot(id).InitPos())
 					if e.Robot(id).State() != Asleep {
 						continue
 					}
@@ -254,20 +293,28 @@ func TestLookMatchesPredicateUnderWakesAndMoves(t *testing.T) {
 					if step%3 == 0 {
 						h = HandlerFunc(wander)
 					}
-					if !p.TryWake(id, h) {
-						drops++
-					} else if h == nil {
-						team = append(team, id)
+					wake(id, h)
+				}
+				for id := 1; id <= n; id++ {
+					for e.Robot(id).State() == Asleep {
+						visit(e.Robot(id).InitPos())
+						wake(id, nil)
 					}
-					check(p)
+				}
+				for range 10 {
+					visit(beside(1 + rng.Intn(n)))
+					visit(far())
 				}
 			})
 			res, err := e.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Awakened < 10 || res.Looks < 80 {
-				t.Fatalf("%d robots woken, %d Looks: the run exercised too little", res.Awakened, res.Looks)
+			if !res.AllAwake || tail < 20 {
+				t.Fatalf("all awake %v, %d Looks after the last wake: the run exercised too little", res.AllAwake, tail)
+			}
+			if res.Looks != int64(looks) || traced != looks {
+				t.Fatalf("%d Looks made, Result.Looks = %d, %d look events traced", looks, res.Looks, traced)
 			}
 			if c.faults != nil && drops == 0 {
 				t.Fatal("no wake was dropped")

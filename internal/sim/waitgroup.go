@@ -46,7 +46,7 @@ func (w *WaitGroup) Done() {
 	w.count--
 	if w.count == 0 {
 		for _, p := range w.waiters {
-			w.eng.push(p, w.eng.now)
+			w.eng.unpark(p)
 		}
 		w.waiters = nil
 	}

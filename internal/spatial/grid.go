@@ -1,8 +1,10 @@
 // Package spatial provides a uniform grid hash over the plane supporting
 // near-constant-time radius queries. A grid is insert-once: it is filled,
-// then queried, and builds its index on the first query. The simulator
-// uses it to implement the robots' radius-1 "look" primitive over the
-// sleeping robots without scanning the whole swarm, and the disk-graph
+// then queried, and builds its index on the first query. Within scans only
+// the cells inside both the query's bounding square and the bounding box of
+// the items' cells, so a query away from every item probes no cell at all. The
+// simulator uses it to implement the robots' radius-1 "look" primitive over
+// the sleeping robots without scanning the whole swarm, and the disk-graph
 // builder uses it to enumerate δ-neighbors.
 package spatial
 
@@ -17,7 +19,9 @@ import (
 
 // Grid indexes items identified by int IDs at points in the plane, bucketed
 // into square cells of a fixed size. Query cost is proportional to the number
-// of items in the cells overlapping the query ball.
+// of cells, and of items in them, that lie inside both the query ball's
+// bounding square and the bounding box of the items' cells: cells outside
+// that box hold no item, so Within never probes them.
 //
 // A Grid is insert-once: an item stays where it was inserted until Reset
 // empties the grid. Every caller fills the grid and then queries it (the
@@ -57,7 +61,9 @@ import (
 // cells whose indices differ by a multiple of 2³² share a key and one
 // member window. Every member is still distance-checked, so query results
 // stay exact; only the order of results inside such a shared cell could
-// differ from a per-cell index, and only for items ≳ 2³¹ cells apart.
+// differ from a per-cell index, and only for items ≳ 2³¹ cells apart. The
+// items' bounding box is kept in full-width indices, so clipping a query to
+// it never drops a cell whose key another cell shares.
 //
 // Grid is not safe for concurrent use, queries included, since a query may
 // build the index; the simulator serializes all access.
@@ -82,6 +88,11 @@ type Grid struct {
 	// memIDs[c.start : c.start+c.n], memPts likewise.
 	memIDs []int
 	memPts []geom.Point
+	// The bounding box of the items' cells, in the full-width indices of
+	// index, not the packed key halves: every item's cell (cx, cy) has
+	// minX ≤ cx ≤ maxX and minY ≤ cy ≤ maxY. An empty grid's box is empty
+	// (min > max).
+	minX, maxX, minY, maxY int
 }
 
 // gridCell is one slot of the cell table: an occupied cell's key and its
@@ -109,16 +120,15 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 		panic("spatial: cell size must be positive")
 	}
 	n = max(n, 0)
-	metric := geom.MetricOrL2(m)
-	return &Grid{
-		cell:   cellSize,
-		metric: metric,
-		euclid: geom.IsL2(metric),
-		ids:    make([]int, 0, n),
-		pts:    make([]geom.Point, 0, n),
-		keys:   make([]uint64, 0, n),
-		mul:    rand.Uint64() | 1,
+	g := &Grid{
+		cell: cellSize,
+		ids:  make([]int, 0, n),
+		pts:  make([]geom.Point, 0, n),
+		keys: make([]uint64, 0, n),
+		mul:  rand.Uint64() | 1,
 	}
+	g.Reset(m)
+	return g
 }
 
 // Reset empties the grid for reuse under metric m (nil defaults to ℓ2),
@@ -131,15 +141,16 @@ func (g *Grid) Reset(m geom.Metric) {
 	g.euclid = geom.IsL2(metric)
 	g.ids, g.pts, g.keys = g.ids[:0], g.pts[:0], g.keys[:0]
 	g.built = false
+	g.minX, g.maxX, g.minY, g.maxY = math.MaxInt, math.MinInt, math.MaxInt, math.MinInt
 }
+
+// index returns the full-width index of the cell column (or row) holding
+// coordinate x.
+func (g *Grid) index(x float64) int { return int(math.Floor(x / g.cell)) }
 
 // cellKey packs cell indices (cx, cy) into one key, each truncated to its
 // low 32 bits.
 func cellKey(cx, cy int) uint64 { return uint64(uint32(cx))<<32 | uint64(uint32(cy)) }
-
-func (g *Grid) key(p geom.Point) uint64 {
-	return cellKey(int(math.Floor(p.X/g.cell)), int(math.Floor(p.Y/g.cell)))
-}
 
 // home returns the slot where key k's probe sequence starts.
 func (g *Grid) home(k uint64) int { return int(mix(k*g.mul) >> g.shift) }
@@ -169,9 +180,12 @@ func (g *Grid) slot(k uint64) int {
 
 // Insert adds item id at point p.
 func (g *Grid) Insert(id int, p geom.Point) {
+	cx, cy := g.index(p.X), g.index(p.Y)
+	g.minX, g.maxX = min(g.minX, cx), max(g.maxX, cx)
+	g.minY, g.maxY = min(g.minY, cy), max(g.maxY, cy)
 	g.ids = append(g.ids, id)
 	g.pts = append(g.pts, p)
-	g.keys = append(g.keys, g.key(p))
+	g.keys = append(g.keys, cellKey(cx, cy))
 	g.built = false
 }
 
@@ -214,8 +228,9 @@ func (g *Grid) build() {
 // Within appends to dst the ids of all items within metric distance r of p
 // (closed ball, geom.Eps slack) and returns the extended slice. Results are
 // in unspecified order. The scanned cell range is the bounding square of the
-// ball, which covers the metric ball of every supported metric. The first
-// query after an Insert builds the index.
+// ball, which covers the metric ball of every supported metric, clipped to
+// the bounding box of the items' cells, outside which no cell holds an
+// item. The first query after an Insert builds the index.
 func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 	if r < 0 {
 		return dst
@@ -223,10 +238,8 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 	if !g.built {
 		g.build()
 	}
-	minX := int(math.Floor((p.X - r) / g.cell))
-	maxX := int(math.Floor((p.X + r) / g.cell))
-	minY := int(math.Floor((p.Y - r) / g.cell))
-	maxY := int(math.Floor((p.Y + r) / g.cell))
+	minX, maxX := max(g.index(p.X-r), g.minX), min(g.index(p.X+r), g.maxX)
+	minY, maxY := max(g.index(p.Y-r), g.minY), min(g.index(p.Y+r), g.maxY)
 	r2 := (r + geom.Eps) * (r + geom.Eps)
 	for cx := minX; cx <= maxX; cx++ {
 		for cy := minY; cy <= maxY; cy++ {

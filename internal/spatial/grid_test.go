@@ -42,35 +42,63 @@ func TestNewGridPanicsOnBadCell(t *testing.T) {
 	NewGridIn(nil, 0)
 }
 
-// Property: Within agrees with a brute-force scan on random configurations.
+// Property: Within agrees with a brute-force scan on random configurations,
+// for queries inside the items' bounding box and for those that the clip to
+// it cuts short: far outside it (negative coordinates included), straddling
+// its edge, and wider than the whole box. The first trial's grid is empty.
 func TestWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		g := NewGridIn(nil, 0.5+rng.Float64()*3)
 		pts := make(map[int]geom.Point)
 		n := 1 + rng.Intn(60)
+		if trial == 0 {
+			n = 0
+		}
+		// The points' box, inverted (but finite) while the grid is empty.
+		lo, hi := geom.Pt(20, 20), geom.Pt(-20, -20)
 		for i := 0; i < n; i++ {
 			p := geom.Pt(rng.Float64()*40-20, rng.Float64()*40-20)
 			pts[i] = p
 			g.Insert(i, p)
+			lo = geom.Pt(min(lo.X, p.X), min(lo.Y, p.Y))
+			hi = geom.Pt(max(hi.X, p.X), max(hi.Y, p.Y))
 		}
-		q := geom.Pt(rng.Float64()*40-20, rng.Float64()*40-20)
-		r := rng.Float64() * 10
-		got := g.Within(nil, q, r)
-		sort.Ints(got)
-		var want []int
-		for id, p := range pts {
-			if p.Dist(q) <= r+geom.Eps {
-				want = append(want, id)
+		type query struct {
+			q geom.Point
+			r float64
+		}
+		queries := []query{
+			{geom.Pt(rng.Float64()*40-20, rng.Float64()*40-20), rng.Float64() * 10},
+			{geom.Pt(-1e4-rng.Float64()*1e4, -1e4-rng.Float64()*1e4), rng.Float64() * 10},
+			{geom.Pt(-3e3, 5e3), 1},
+			{geom.Pt(1e4, -rng.Float64()*1e4), 1},
+			// Centred on an edge or a corner of the box, so the query's
+			// square sticks out of it.
+			{geom.Pt(lo.X, lo.Y+rng.Float64()*(hi.Y-lo.Y)), rng.Float64() * 3},
+			{geom.Pt(hi.X, lo.Y+rng.Float64()*(hi.Y-lo.Y)), rng.Float64() * 3},
+			{geom.Pt(lo.X+rng.Float64()*(hi.X-lo.X), lo.Y), rng.Float64() * 3},
+			{geom.Pt(lo.X+rng.Float64()*(hi.X-lo.X), hi.Y), rng.Float64() * 3},
+			{lo, 1}, {hi, 1},
+			// Just outside the box, within reach of its edge items.
+			{geom.Pt(hi.X+0.5, hi.Y+0.5), 1},
+			{geom.Pt(lo.X-0.5, lo.Y), 0.75},
+			// Wider than the whole box, from inside it and from outside.
+			{geom.Pt(0, 0), 100},
+			{geom.Pt(-70, 35), 100},
+		}
+		for qi, qr := range queries {
+			got := g.Within(nil, qr.q, qr.r)
+			sort.Ints(got)
+			var want []int
+			for id, p := range pts {
+				if p.Dist(qr.q) <= qr.r+geom.Eps {
+					want = append(want, id)
+				}
 			}
-		}
-		sort.Ints(want)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: Within = %v, brute = %v", trial, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: Within = %v, brute = %v", trial, got, want)
+			sort.Ints(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, query %d: Within(%v, %g) = %v, brute = %v", trial, qi, qr.q, qr.r, got, want)
 			}
 		}
 	}
@@ -114,6 +142,9 @@ func check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metric, live []churnIte
 	for range 3 {
 		queries = append(queries, geom.Pt(rng.Float64()*24-12, rng.Float64()*24-12))
 	}
+	// Beside the 2³²-aliased item, on its side of the key's wrap: its cell
+	// lies inside the items' box only in full-width cell indices.
+	queries = append(queries, geom.Pt(-2.25+(1<<32), 2.25), geom.Pt(-4.75+(1<<32), 1.5))
 	var got, want []int
 	for _, q := range queries {
 		r := rng.Float64() * 2.5
@@ -132,7 +163,7 @@ func check(t *testing.T, rng *rand.Rand, g *Grid, m geom.Metric, live []churnIte
 	}
 	cells := map[uint64][]int{}
 	for _, it := range live {
-		k := g.key(it.p)
+		k := cellKey(g.index(it.p.X), g.index(it.p.Y))
 		cells[k] = append(cells[k], it.id)
 	}
 	if 2*len(live) > len(g.table) {
